@@ -34,7 +34,6 @@ from .network import NetworkConfig
 from .policy import (
     CachingPolicy,
     ScalingConstants,
-    kkt_mstar,
     optimal_policy,
     policy_from_probs,
     scaling_constants,
@@ -93,7 +92,6 @@ __all__ = [
     "fit_mzipf",
     "hit_prob_closed_form",
     "hit_prob_lower_bound",
-    "kkt_mstar",
     "kl_distance",
     "mzipf_pmf",
     "mzipf_sample",

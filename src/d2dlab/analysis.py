@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .network import NetworkConfig
-from .policy import scaling_constants, _policy_exponent
+from .policy import ScalingConstants, _policy_exponent, scaling_constants
 from .popularity import PopularityModel
 
 __all__ = [
@@ -65,23 +65,13 @@ def _clamp_unit(x: float) -> tuple[float, bool]:
     return x, False
 
 
-def _closed_form(popularity: PopularityModel, config: NetworkConfig) -> tuple[float, bool]:
-    gamma, q, m = popularity.gamma, popularity.q, popularity.m_total
-    sc = scaling_constants(popularity, config.s_cache, config.cluster_size)
-    a = sc.c1 * config.s_cache * config.cluster_size / gamma
-    if not a < m:
-        raise RegimeError(
-            f"cluster_size {config.cluster_size} is at or beyond gamma*M/(c1*S); "
-            "use hit_prob_lower_bound (regime 2)"
-        )
-    e = 1.0 - gamma
-    if abs(e) < _GAMMA_ONE_EPS:
-        num = math.log((a + q) / (q + 1.0)) - a / (a + q)
-        den = math.log((m + q) / (q + 1.0))
-    else:
-        num = _pow(a + q, e) - e * _pow(a + q, -gamma) * a - _pow(q + 1.0, e)
-        den = _pow(m + q, e) - _pow(q + 1.0, e)
-    return _clamp_unit(num / den)
+def _regime_of(
+    popularity: PopularityModel, s_cache: int, cluster_size: int
+) -> tuple[str, ScalingConstants]:
+    """Regime tag and scaling constants; regime 1 is c1*S*g_c/gamma < M."""
+    sc = scaling_constants(popularity, s_cache, cluster_size)
+    below = sc.c1 * s_cache * cluster_size / popularity.gamma < popularity.m_total
+    return (REGIME1 if below else REGIME2), sc
 
 
 def hit_prob_closed_form(popularity: PopularityModel, config: NetworkConfig) -> float:
@@ -91,19 +81,36 @@ def hit_prob_closed_form(popularity: PopularityModel, config: NetworkConfig) -> 
     closed form does not apply and a RegimeError points at the regime-2
     lower bound instead. The finite-size evaluation is clamped to [0, 1].
     """
-    value, _ = _closed_form(popularity, config)
-    return value
-
-
-def _lower_bound(popularity: PopularityModel, config: NetworkConfig) -> tuple[float, bool]:
     gamma, q, m = popularity.gamma, popularity.q, popularity.m_total
-    n = _policy_exponent(config.s_cache, config.cluster_size)
-    sc = scaling_constants(popularity, config.s_cache, config.cluster_size)
-    if sc.rho < gamma:
+    regime, sc = _regime_of(popularity, config.s_cache, config.cluster_size)
+    if regime != REGIME1:
+        raise RegimeError(
+            f"cluster_size {config.cluster_size} is at or beyond gamma*M/(c1*S); "
+            "use hit_prob_lower_bound (regime 2)"
+        )
+    a = sc.c1 * config.s_cache * config.cluster_size / gamma
+    e = 1.0 - gamma
+    if abs(e) < _GAMMA_ONE_EPS:
+        num = math.log((a + q) / (q + 1.0)) - a / (a + q)
+        den = math.log((m + q) / (q + 1.0))
+    else:
+        num = _pow(a + q, e) - e * _pow(a + q, -gamma) * a - _pow(q + 1.0, e)
+        den = _pow(m + q, e) - _pow(q + 1.0, e)
+    return _clamp_unit(num / den)[0]
+
+
+def _lower_bound(
+    popularity: PopularityModel, config: NetworkConfig
+) -> tuple[float, ScalingConstants]:
+    """Unclamped regime-2 bound, with the scaling constants it used."""
+    gamma, q, m = popularity.gamma, popularity.q, popularity.m_total
+    regime, sc = _regime_of(popularity, config.s_cache, config.cluster_size)
+    if regime != REGIME2:
         raise RegimeError(
             f"implied rho={sc.rho:.4g} < gamma={gamma}; "
             "cluster too small for the regime-2 bound (use the closed form)"
         )
+    n = _policy_exponent(config.s_cache, config.cluster_size)
     d = q / m
     beta = gamma / n
     e = 1.0 - gamma
@@ -118,8 +125,7 @@ def _lower_bound(popularity: PopularityModel, config: NetworkConfig) -> tuple[fl
             factor = decay / math.log((1.0 + d) / d)
         else:
             factor = e * decay / (_pow(1.0 + d, e) - _pow(d, e))
-    value = 1.0 - factor * math.exp(-n * math.log(bracket))
-    return _clamp_unit(value)
+    return 1.0 - factor * math.exp(-n * math.log(bracket)), sc
 
 
 def hit_prob_lower_bound(popularity: PopularityModel, config: NetworkConfig) -> float:
@@ -128,8 +134,7 @@ def hit_prob_lower_bound(popularity: PopularityModel, config: NetworkConfig) -> 
     Applies when the implied rho = c1*S*g_c/M is at least gamma. Clamped
     to [0, 1] at finite parameters.
     """
-    value, _ = _lower_bound(popularity, config)
-    return value
+    return _clamp_unit(_lower_bound(popularity, config)[0])[0]
 
 
 def tradeoff_regime1(
@@ -142,9 +147,8 @@ def tradeoff_regime1(
     finite-size stand-in for q growing no faster than the cluster memory.
     """
     gamma, q = popularity.gamma, popularity.q
-    sc = scaling_constants(popularity, config.s_cache, config.cluster_size)
-    a = sc.c1 * config.s_cache * config.cluster_size / gamma
-    if not a < popularity.m_total:
+    regime, sc = _regime_of(popularity, config.s_cache, config.cluster_size)
+    if regime != REGIME1:
         raise RegimeError(
             f"cluster_size {config.cluster_size} is at or beyond gamma*M/(c1*S); "
             "use tradeoff_regime2"
@@ -175,10 +179,9 @@ def tradeoff_regime2(popularity: PopularityModel, config: NetworkConfig) -> Trad
     T = (C/K)*S*c1/(rho*M) and the outage is one minus the regime-2 hit
     probability lower bound.
     """
-    sc = scaling_constants(popularity, config.s_cache, config.cluster_size)
-    bound_raw, _ = _lower_bound(popularity, config)  # raises RegimeError if rho < gamma
+    bound, sc = _lower_bound(popularity, config)  # raises RegimeError below the boundary
     throughput = config.cluster_rate * config.s_cache * sc.c1 / (sc.rho * popularity.m_total)
-    outage, clamped = _clamp_unit(1.0 - bound_raw)
+    outage, clamped = _clamp_unit(1.0 - bound)
     return TradeoffPoint(
         throughput=throughput,
         outage=outage,
@@ -205,9 +208,8 @@ def tradeoff_curve(
     for g_c in g_c_list:
         try:
             cfg = replace(base, cluster_size=g_c, n_users=max(base.n_users, g_c))
-            sc = scaling_constants(popularity, cfg.s_cache, g_c)
-            a = sc.c1 * cfg.s_cache * g_c / popularity.gamma
-            if a < popularity.m_total:
+            regime, _ = _regime_of(popularity, cfg.s_cache, g_c)
+            if regime == REGIME1:
                 points.append(tradeoff_regime1(popularity, cfg, kappa))
             else:
                 points.append(tradeoff_regime2(popularity, cfg))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (
-    RegimeError,
+    REGIME1,
     TradeoffPoint,
     hit_prob_closed_form,
     hit_prob_lower_bound,
@@ -27,7 +27,7 @@ from .analysis import (
 )
 from .ingest import LogFormatError, dedup_unique, parse_log, to_empirical
 from .network import NetworkConfig
-from .policy import kkt_mstar, optimal_policy, theoretical_mstar
+from .policy import optimal_policy, theoretical_mstar
 from .popularity import PopularityModel, fit_mzipf
 from .simulator import build_grid, run_monte_carlo, simulate_tradeoff
 
@@ -62,16 +62,21 @@ def _workers() -> int:
         return 1
 
 
-def _write_manifest(output: Path, command: str, params: dict, seed: int | None, started: str) -> None:
+def _utc_now() -> str:
+    return datetime.now(timezone.utc).isoformat()
+
+
+def _write_manifest(args, started: str) -> None:
+    """Record the invocation next to its output as <output>.manifest.json."""
     manifest = {
-        "command": command,
-        "parameters": {k: v for k, v in sorted(params.items())},
-        "seed": seed,
+        "command": args.command,
+        "parameters": dict(sorted((vars(args) | {"func": args.command}).items())),
+        "seed": getattr(args, "seed", None),
         "version": __version__,
         "started_at": started,
-        "finished_at": datetime.now(timezone.utc).isoformat(),
+        "finished_at": _utc_now(),
     }
-    Path(str(output) + ".manifest.json").write_text(
+    Path(args.output + ".manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n", encoding="utf-8"
     )
 
@@ -91,8 +96,7 @@ def _model_from_args(args) -> PopularityModel:
     return PopularityModel(gamma=args.gamma, q=args.q, m_total=args.m_total)
 
 
-def cmd_fit(args) -> int:
-    started = datetime.now(timezone.utc).isoformat()
+def cmd_fit(args) -> str:
     parsed = parse_log(args.log)
     records = parsed.records
     if args.region is not None:
@@ -126,14 +130,11 @@ def cmd_fit(args) -> int:
         for rank, count in enumerate(empirical.counts, start=1):
             writer.writerow([rank, _fmt(count if count != int(count) else int(count))])
 
-    _write_manifest(output, "fit", vars(args) | {"func": "fit"}, seed=None, started=started)
-    print(f"fit: gamma={_fmt(result.model.gamma)} q={_fmt(result.model.q)} "
-          f"M={result.model.m_total} kl={_fmt(result.kl_distance)} -> {output}")
-    return EXIT_OK
+    return (f"fit: gamma={_fmt(result.model.gamma)} q={_fmt(result.model.q)} "
+            f"M={result.model.m_total} kl={_fmt(result.kl_distance)} -> {output}")
 
 
-def cmd_policy(args) -> int:
-    started = datetime.now(timezone.utc).isoformat()
+def cmd_policy(args) -> str:
     model = _model_from_args(args)
     policy = optimal_policy(model, args.s_cache, args.g_c)
     output = Path(args.output)
@@ -144,13 +145,10 @@ def cmd_policy(args) -> int:
         "p_c": [_round10(p) for p in policy.probs],
     }
     _write_json(output, payload)
-    _write_manifest(output, "policy", vars(args) | {"func": "policy"}, seed=None, started=started)
-    print(f"policy: m_star={policy.m_star} nu={_fmt(policy.water_level)} -> {output}")
-    return EXIT_OK
+    return f"policy: m_star={policy.m_star} nu={_fmt(policy.water_level)} -> {output}"
 
 
-def cmd_validate_mstar(args) -> int:
-    started = datetime.now(timezone.utc).isoformat()
+def cmd_validate_mstar(args) -> str:
     model = _model_from_args(args)
     g_c_list = _parse_int_list(args.g_c_list)
     output = Path(args.output)
@@ -158,34 +156,16 @@ def cmd_validate_mstar(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["g_c", "kkt_m_star", "theoretical_m_star", "rel_deviation"])
         for g_c in g_c_list:
-            kkt = kkt_mstar(model, args.s_cache, g_c)
+            m_star = optimal_policy(model, args.s_cache, g_c).m_star
             theo = theoretical_mstar(model, args.s_cache, g_c)
-            writer.writerow([g_c, kkt, _fmt(theo), _fmt(abs(kkt - theo) / kkt)])
-    _write_manifest(output, "validate-mstar", vars(args) | {"func": "validate-mstar"},
-                    seed=None, started=started)
-    print(f"validate-mstar: {len(g_c_list)} points -> {output}")
-    return EXIT_OK
+            writer.writerow([g_c, m_star, _fmt(theo), _fmt(abs(m_star - theo) / m_star)])
+    return f"validate-mstar: {len(g_c_list)} points -> {output}"
 
 
 _TRADEOFF_COLUMNS = [
     "g_c", "regime", "T_analytic", "Po_analytic", "hit_analytic", "T_sim",
     "Po_sim", "hit_sim", "hit_se", "tp_se", "clamped", "error",
 ]
-
-
-def _hit_analytic(model: PopularityModel, cfg: NetworkConfig) -> float | None:
-    """Sharp per-regime hit probability for cross-checking simulations.
-
-    The Po_analytic column carries the regime-1 outage in its asymptotic
-    form, which converges only like M^-(gamma-1); this column evaluates
-    the finite-size closed form (or the regime-2 bound) instead.
-    """
-    try:
-        return hit_prob_closed_form(model, cfg)
-    except RegimeError:
-        return hit_prob_lower_bound(model, cfg)
-    except ValueError:
-        return None
 
 
 def _tradeoff_rows(args, model, g_c_list) -> list[dict]:
@@ -211,8 +191,10 @@ def _tradeoff_rows(args, model, g_c_list) -> list[dict]:
             if p.error:
                 row["error"] = p.error
             else:
-                cfg = replace(base, cluster_size=row["g_c"], n_users=base.n_users)
-                row["hit_analytic"] = _hit_analytic(model, cfg)
+                # Unlike the asymptotic regime-1 Po_analytic, which converges like
+                # M^-(gamma-1), hit_analytic is the finite-size per-regime value.
+                hit_prob = hit_prob_closed_form if p.regime_tag == REGIME1 else hit_prob_lower_bound
+                row["hit_analytic"] = hit_prob(model, replace(base, cluster_size=row["g_c"]))
     if args.mode in ("simulate", "both"):
         points = simulate_tradeoff(
             model, base, g_c_list, trials=args.trials, base_seed=args.seed,
@@ -231,8 +213,7 @@ def _tradeoff_rows(args, model, g_c_list) -> list[dict]:
     return rows
 
 
-def cmd_tradeoff(args) -> int:
-    started = datetime.now(timezone.utc).isoformat()
+def cmd_tradeoff(args) -> str:
     model = _model_from_args(args)
     g_c_list = _parse_int_list(args.g_c_list)
     if not g_c_list:
@@ -248,14 +229,10 @@ def cmd_tradeoff(args) -> int:
                 else row.get(col, "")
                 for col in _TRADEOFF_COLUMNS
             ])
-    _write_manifest(output, "tradeoff", vars(args) | {"func": "tradeoff"},
-                    seed=args.seed, started=started)
-    print(f"tradeoff: {len(rows)} points ({args.mode}) -> {output}")
-    return EXIT_OK
+    return f"tradeoff: {len(rows)} points ({args.mode}) -> {output}"
 
 
-def cmd_simulate(args) -> int:
-    started = datetime.now(timezone.utc).isoformat()
+def cmd_simulate(args) -> str:
     model = _model_from_args(args)
     network = build_grid(args.n_users, args.g_c)
     config = NetworkConfig(
@@ -285,11 +262,8 @@ def cmd_simulate(args) -> int:
         "throughput_se": _round10(outcome.throughput_se),
     }
     _write_json(output, payload)
-    _write_manifest(output, "simulate", vars(args) | {"func": "simulate"},
-                    seed=args.seed, started=started)
-    print(f"simulate: hit={_fmt(outcome.hit_prob_estimate)} "
-          f"outage={_fmt(outcome.outage_estimate)} -> {output}")
-    return EXIT_OK
+    return (f"simulate: hit={_fmt(outcome.hit_prob_estimate)} "
+            f"outage={_fmt(outcome.outage_estimate)} -> {output}")
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -332,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_policy)
 
-    p = sub.add_parser("validate-mstar", help="compare scan-based and closed-form m*")
+    p = sub.add_parser("validate-mstar", help="compare water-filled and closed-form m*")
     _add_model_args(p)
     p.add_argument("--s-cache", type=int, default=1, dest="s_cache")
     p.add_argument("--g-c-list", required=True, dest="g_c_list",
@@ -365,13 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command, write its manifest sidecar, and print its summary line."""
     args = build_parser().parse_args(argv)
+    started = _utc_now()
     try:
-        return args.func(args)
-    except LogFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+        message = args.func(args)
+        _write_manifest(args, started)
+    except (LogFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
@@ -380,6 +354,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    print(message)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Network-level parameters shared by the analysis and the simulator."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["NetworkConfig"]
@@ -35,8 +36,8 @@ class NetworkConfig:
             raise ValueError(f"n_users must be >= 1, got {self.n_users}")
         if self.s_cache < 1:
             raise ValueError(f"s_cache must be >= 1, got {self.s_cache}")
-        if not self.rate_c > 0:
-            raise ValueError(f"rate_c must be positive, got {self.rate_c}")
+        if not 0 < self.rate_c < math.inf:
+            raise ValueError(f"rate_c must be positive and finite, got {self.rate_c}")
         if self.reuse_k < 1:
             raise ValueError(f"reuse_k must be >= 1, got {self.reuse_k}")
         if self.cluster_size < 1:

@@ -2,10 +2,9 @@
 
 The hit-maximizing caching distribution has the water-filling form
 P_c(f) = max(1 - nu/z_f, 0) with z_f = P_r(f)^(1/(S*(g_c-1)-1)). The
-truncation index m_star (the number of files cached with positive
-probability) is located both by a closed-form construction and by an
-independent scan of the optimality conditions, so the two can be used to
-cross-validate each other.
+water-filling construction yields the truncation index m_star (the number
+of files cached with positive probability); theoretical_mstar gives its
+closed-form asymptotic counterpart.
 """
 from __future__ import annotations
 
@@ -23,7 +22,6 @@ __all__ = [
     "solve_c1",
     "z_values",
     "optimal_policy",
-    "kkt_mstar",
     "theoretical_mstar",
     "scaling_constants",
     "policy_from_probs",
@@ -36,10 +34,12 @@ def solve_c1(c2: float) -> float:
     """Solve c1 = 1 + c2*log(1 + c1/c2) for the unique root c1 >= 1.
 
     Natural log; c2 = 0 returns exactly 1. Bracketed bisection on
-    [1, max(10, 10*c2)] down to a relative residual of 1e-10.
+    [1, max(10, 10*c2)] down to a relative residual of 1e-10. Above
+    c2 = 1e12 the residual cancels to noise near the root (about
+    sqrt(2*c2)), so such c2 are rejected.
     """
-    if c2 < 0:
-        raise ValueError(f"c2 must be non-negative, got {c2}")
+    if not 0 <= c2 <= 1e12:
+        raise ValueError(f"c2 must be finite and in [0, 1e12], got {c2}")
     if c2 == 0.0:
         return 1.0
 
@@ -172,39 +172,14 @@ def optimal_policy(
     return CachingPolicy(probs=probs, water_level=nu, m_star=m_star, z=z)
 
 
-def kkt_mstar(popularity: PopularityModel, s_cache: int, cluster_size: int) -> int:
-    """Truncation index from a direct scan of the optimality conditions.
-
-    Independent of optimal_policy's construction: walks m upward with a
-    running sum and returns the unique m where 1 - nu(m)/z_m > 0 while
-    1 - nu(m)/z_{m+1} <= 0 (treating z beyond the library as 0).
-    """
-    z = z_values(popularity, s_cache, cluster_size)
-    m_total = popularity.m_total
-    found = []
-    running = 0.0
-    for m in range(1, m_total + 1):
-        running += 1.0 / z[m - 1]
-        nu = (m - 1) / running
-        z_next = z[m] if m < m_total else 0.0
-        if z[m - 1] > nu and z_next <= nu:
-            found.append(m)
-    if len(found) != 1:
-        raise RuntimeError(
-            f"KKT scan found {len(found)} candidate truncation indices; expected 1"
-        )
-    return found[0]
-
-
 def theoretical_mstar(
     popularity: PopularityModel, s_cache: int, cluster_size: int
 ) -> float:
     """Closed-form truncation index min(c1*S*g_c/gamma, M).
 
     Asymptotically exact for large clusters; at small cluster sizes it
-    overshoots the scan-based index because S*g_c exceeds the effective
+    overshoots the water-filled index because S*g_c exceeds the effective
     exponent S*(g_c-1)-1 by a non-negligible factor.
     """
-    n = _policy_exponent(s_cache, cluster_size)
-    c1 = solve_c1(popularity.q * popularity.gamma / n)
+    c1 = scaling_constants(popularity, s_cache, cluster_size).c1
     return min(c1 * s_cache * cluster_size / popularity.gamma, float(popularity.m_total))

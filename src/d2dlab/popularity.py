@@ -51,14 +51,18 @@ class PopularityModel:
     normalizer: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.q < 0:
-            raise ValueError(f"q must be non-negative, got {self.q}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not 0 <= self.q < math.inf:
+            raise ValueError(f"q must be non-negative and finite, got {self.q}")
         if self.m_total < 1:
             raise ValueError(f"m_total must be >= 1, got {self.m_total}")
         ranks = np.arange(1, self.m_total + 1, dtype=np.float64)
         z = float(np.power(ranks + self.q, -self.gamma).sum())
+        if not z > 0:
+            raise ValueError(
+                f"gamma={self.gamma} and q={self.q} underflow the normalizer to 0"
+            )
         object.__setattr__(self, "normalizer", z)
 
     @cached_property
@@ -82,6 +86,16 @@ def mzipf_pmf(model: PopularityModel, f: int) -> float:
     return float((f + model.q) ** (-model.gamma) / model.normalizer)
 
 
+def _ranks_from_cdf(cdf: np.ndarray, draws, max_rank: int):
+    """Inverse-CDF lookup: the 1-based rank r with cdf[r-2] <= draw < cdf[r-1].
+
+    Ranks are capped at max_rank, which absorbs draws at or above a final
+    cumulative sum that rounding left below 1, and keeps draws off a
+    zero-probability tail.
+    """
+    return np.minimum(np.searchsorted(cdf, draws, side="right"), max_rank - 1) + 1
+
+
 def mzipf_sample(model: PopularityModel, draw: float) -> int:
     """Map a uniform draw in [0, 1) to a rank by inverse-CDF lookup.
 
@@ -90,15 +104,12 @@ def mzipf_sample(model: PopularityModel, draw: float) -> int:
     """
     if not 0.0 <= draw < 1.0:
         raise ValueError(f"draw must be in [0, 1), got {draw}")
-    idx = int(np.searchsorted(model.cdf_values, draw, side="right"))
-    return min(idx, model.m_total - 1) + 1
+    return int(_ranks_from_cdf(model.cdf_values, draw, model.m_total))
 
 
 def sample_ranks(model: PopularityModel, rng: np.random.Generator, size: int) -> np.ndarray:
     """Vectorized inverse-CDF sampling; consistent with mzipf_sample."""
-    draws = rng.random(size)
-    idx = np.searchsorted(model.cdf_values, draws, side="right")
-    return np.minimum(idx, model.m_total - 1) + 1
+    return _ranks_from_cdf(model.cdf_values, rng.random(size), model.m_total)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .network import NetworkConfig
 from .policy import CachingPolicy, optimal_policy
-from .popularity import PopularityModel
+from .popularity import PopularityModel, _ranks_from_cdf
 
 __all__ = [
     "GridNetwork",
@@ -126,12 +126,6 @@ class TrialOutcome:
         return self.d2d_available / self.n_users
 
 
-def _sample_from_cdf(cdf: np.ndarray, max_index: int, draws: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw of 1-based ranks, clipped to the positive support."""
-    idx = np.searchsorted(cdf, draws, side="right")
-    return np.minimum(idx, max_index) + 1
-
-
 def _draw_distinct_caches(
     rng: np.random.Generator, policy: CachingPolicy, n_users: int, s: int
 ) -> np.ndarray:
@@ -185,8 +179,8 @@ def run_trial(
     if distinct_cache:
         caches = _draw_distinct_caches(rng, policy, n_users, s)
     else:
-        caches = _sample_from_cdf(policy.cdf, policy.m_star - 1, rng.random((n_users, s)))
-    requests = _sample_from_cdf(popularity.cdf_values, m_total - 1, rng.random(n_users))
+        caches = _ranks_from_cdf(policy.cdf, rng.random((n_users, s)), policy.m_star)
+    requests = _ranks_from_cdf(popularity.cdf_values, rng.random(n_users), m_total)
 
     mem = network.members
     ncl, g = mem.shape

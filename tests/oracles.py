@@ -2,14 +2,20 @@
 
 Everything here is deliberately written from first principles (plain
 loops, exhaustive enumeration, damped fixed-point iteration) so it shares
-no code path with the library implementations it validates.
+no code path with the library implementations it validates. The one
+exception is kkt_mstar, which scans the library's water-filling weights:
+the scan, not the weights, is what it checks.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
+
+from d2dlab.policy import z_values
+from d2dlab.popularity import PopularityModel
 
 
 def iid_hit_probability(request_pmf, cache_probs, slots: int) -> float:
@@ -136,3 +142,41 @@ def simplex_grid(m: int, step: float):
         rest = k - sum(combo)
         if rest >= 0:
             yield np.array([*combo, rest], dtype=float) / k
+
+
+def kkt_mstar(popularity: PopularityModel, s_cache: int, cluster_size: int) -> int:
+    """Truncation index from a direct scan of the optimality conditions.
+
+    Independent of optimal_policy's construction: walks m upward with a
+    running sum and returns the unique m where 1 - nu(m)/z_m > 0 while
+    1 - nu(m)/z_{m+1} <= 0 (treating z beyond the library as 0).
+    """
+    z = z_values(popularity, s_cache, cluster_size)
+    m_total = popularity.m_total
+    found = []
+    running = 0.0
+    for m in range(1, m_total + 1):
+        running += 1.0 / z[m - 1]
+        nu = (m - 1) / running
+        z_next = z[m] if m < m_total else 0.0
+        if z[m - 1] > nu and z_next <= nu:
+            found.append(m)
+    if len(found) != 1:
+        raise RuntimeError(
+            f"KKT scan found {len(found)} candidate truncation indices; expected 1"
+        )
+    return found[0]
+
+
+def c1_relative_error(c1: float, c2: float) -> float:
+    """First-order relative distance of c1 from the root of c1 = 1 + c2*log(1 + c1/c2).
+
+    Evaluated in 400-digit decimal arithmetic, where the cancellation in
+    c1 - c2*log(1 + c1/c2) that limits double precision does not occur:
+    the residual divided by its slope c1/(c2 + c1) is the Newton step.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 400
+        x, c = Decimal(c1), Decimal(c2)
+        residual = x - 1 - c * (1 + x / c).ln()
+        return float(abs(residual * (c + x) / x) / x)

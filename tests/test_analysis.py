@@ -244,6 +244,14 @@ class TestRegime2:
         with pytest.raises(RegimeError):
             tradeoff_regime2(model, config(100, s=1))
 
+    def test_clamped_bound_is_flagged(self):
+        """q=0, S=2, g_c=900: the raw bound 1-(1-gamma)e^{-(rho-gamma)} is
+        above 1, so the outage is clamped to 0 and the point says so."""
+        model = PopularityModel(gamma=1.3, q=0.0, m_total=1000)
+        point = tradeoff_regime2(model, config(900, s=2))
+        assert point.clamped is True
+        assert point.outage == 0.0
+
 
 class TestTradeoffCurve:
     MODEL = PopularityModel(gamma=1.16, q=22.0, m_total=2000)

@@ -8,6 +8,9 @@ import pytest
 
 from d2dlab.cli import main
 from d2dlab.fixtures import write_region_log
+from d2dlab.popularity import PopularityModel
+
+from oracles import kkt_mstar
 
 
 def read_json(path):
@@ -132,6 +135,16 @@ class TestValidateMstarCommand:
         assert [int(r["g_c"]) for r in rows] == [100, 400, 1600]
         assert all(float(r["rel_deviation"]) <= 0.05 for r in rows)
         assert all(int(r["kkt_m_star"]) <= 10000 for r in rows)
+
+    def test_column_matches_the_scan_oracle(self, tmp_path):
+        out = tmp_path / "mstar.csv"
+        assert main([
+            "validate-mstar", "--gamma", "1.16", "--q", "22", "--m-total", "2000",
+            "--s-cache", "2", "--g-c-list", "3,10,100,1500", "--output", str(out),
+        ]) == 0
+        model = PopularityModel(gamma=1.16, q=22.0, m_total=2000)
+        for row in read_csv(out):
+            assert int(row["kkt_m_star"]) == kkt_mstar(model, 2, int(row["g_c"]))
 
 
 class TestTradeoffCommand:
@@ -268,3 +281,46 @@ class TestSimulateCommand:
             "--output", str(tmp_path / "o.json"),
         ])
         assert code == 2
+
+
+MODEL_FLAGS = ["--gamma", "1.16", "--q", "22", "--m-total", "500"]
+
+
+@pytest.mark.parametrize("command, flags, seed", [
+    ("fit", [], None),
+    ("policy", [*MODEL_FLAGS, "--s-cache", "2", "--g-c", "4"], None),
+    ("validate-mstar", [*MODEL_FLAGS, "--g-c-list", "10,50"], None),
+    ("tradeoff", [*MODEL_FLAGS, "--g-c-list", "4", "--mode", "both", "--n-users", "16",
+                  "--trials", "3", "--seed", "7"], 7),
+    ("simulate", [*MODEL_FLAGS, "--n-users", "16", "--g-c", "4", "--trials", "3",
+                  "--seed", "5"], 5),
+])
+def test_every_command_writes_its_manifest(tmp_path, command, flags, seed):
+    out = tmp_path / "out"
+    if command == "fit":
+        log = tmp_path / "log.csv"
+        write_region_log(log, region=3, n_accesses=2000, seed=4)
+        flags = [str(log)]
+    assert main([command, *flags, "--output", str(out)]) == 0
+    manifest = read_json(tmp_path / "out.manifest.json")
+    assert set(manifest) == {"command", "parameters", "seed", "version", "started_at",
+                             "finished_at"}
+    assert manifest["command"] == command
+    assert manifest["parameters"]["func"] == command
+    assert manifest["parameters"]["output"] == str(out)
+    assert manifest["seed"] == seed
+    assert manifest["started_at"] <= manifest["finished_at"]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("policy", ["--gamma", "1.16", "--q", "nan", "--m-total", "500", "--g-c", "4"]),
+    ("tradeoff", ["--gamma", "1.16", "--q", "22", "--m-total", "500", "--g-c-list", "4",
+                  "--rate-c", "inf"]),
+    ("simulate", ["--gamma", "1.16", "--q", "22", "--m-total", "500", "--n-users", "16",
+                  "--g-c", "4", "--rate-c", "inf"]),
+])
+def test_non_finite_flags_are_parameter_errors(tmp_path, command, flags):
+    out = tmp_path / "out"
+    assert main([command, *flags, "--output", str(out)]) == 2
+    assert not out.exists()
+

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from d2dlab.network import NetworkConfig
 from d2dlab.policy import (
-    kkt_mstar,
     optimal_policy,
     policy_from_probs,
     scaling_constants,
@@ -21,7 +20,13 @@ from d2dlab.policy import (
 from d2dlab.popularity import PopularityModel
 from d2dlab.simulator import build_grid, run_monte_carlo
 
-from oracles import c1_fixed_point_iteration, iid_hit_probability, simplex_grid
+from oracles import (
+    c1_fixed_point_iteration,
+    c1_relative_error,
+    iid_hit_probability,
+    kkt_mstar,
+    simplex_grid,
+)
 
 REGION2 = dict(gamma=1.16, q=22.0, m_total=7345)
 HAND_MODEL = PopularityModel(gamma=1.0, q=0.0, m_total=3)  # pmf (6/11, 3/11, 2/11)
@@ -71,6 +76,35 @@ class TestSolveC1:
     @given(c2=st.floats(1e-3, 1e3))
     def test_monotone_in_c2(self, c2):
         assert solve_c1(c2 * 1.05) > solve_c1(c2)
+
+    @pytest.mark.parametrize("c2", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, c2):
+        with pytest.raises(ValueError, match="finite"):
+            solve_c1(c2)
+
+    @pytest.mark.parametrize("c2", [1.0000001e12, 1e50, 1e308, 1.7976931348623157e308])
+    def test_beyond_1e12_rejected(self, c2):
+        """The residual cancels to noise there; 10*c2 even overflows at the top."""
+        with pytest.raises(ValueError, match="1e12"):
+            solve_c1(c2)
+
+    @pytest.mark.parametrize("c2, c1", [
+        (0.1, 1.2610868638149877), (1e4, 142.08880709801156), (1e12, 1414214.2291342271),
+    ])
+    def test_bits_kept_up_to_the_limit(self, c2, c1):
+        assert solve_c1(c2) == c1
+
+    @settings(max_examples=300, deadline=None)
+    @given(c2=st.floats())
+    def test_any_float_gives_the_root_or_value_error(self, c2):
+        if not 0 <= c2 <= 1e12:
+            with pytest.raises(ValueError):
+                solve_c1(c2)
+            return
+        c1 = solve_c1(c2)
+        assert 1.0 <= c1 < math.inf
+        if c2 > 0:
+            assert c1_relative_error(c1, c2) <= 1e-9
 
 
 class TestZValues:

@@ -59,12 +59,27 @@ class TestPmf:
             mzipf_pmf(model, bad_rank)
 
     @pytest.mark.parametrize(
-        "kwargs", [dict(gamma=0.0), dict(gamma=-1.0), dict(q=-0.5), dict(m_total=0)]
+        "kwargs", [dict(gamma=0.0), dict(gamma=-1.0), dict(q=-0.5), dict(m_total=0),
+                   dict(q=math.nan), dict(q=math.inf), dict(gamma=math.inf), dict(gamma=math.nan)]
     )
     def test_invalid_parameters(self, kwargs):
         params = dict(gamma=1.0, q=0.0, m_total=10) | kwargs
         with pytest.raises(ValueError):
             PopularityModel(**params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gamma=st.floats(), q=st.floats(), m_total=st.integers(1, 20))
+    def test_any_float_gives_a_valid_model_or_value_error(self, gamma, q, m_total):
+        in_domain = 0 < gamma < math.inf and 0 <= q < math.inf
+        try:
+            model = PopularityModel(gamma=gamma, q=q, m_total=m_total)
+        except ValueError as exc:
+            assert not in_domain or "underflow" in str(exc)
+            return
+        assert in_domain
+        pmf = model.pmf_values
+        assert np.all(np.isfinite(pmf))
+        assert abs(pmf.sum() - 1.0) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(
