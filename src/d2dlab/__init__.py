@@ -43,13 +43,11 @@ from .policy import (
 )
 from .popularity import (
     EmpiricalDistribution,
-    FitGrid,
     FitResult,
     PopularityModel,
     UnidentifiableFitError,
     fit_mzipf,
     kl_distance,
-    mzipf_pmf,
     mzipf_sample,
     sample_ranks,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "AccessRecord",
     "CachingPolicy",
     "EmpiricalDistribution",
-    "FitGrid",
     "FitResult",
     "GridNetwork",
     "LogFormatError",
@@ -93,7 +90,6 @@ __all__ = [
     "hit_prob_closed_form",
     "hit_prob_lower_bound",
     "kl_distance",
-    "mzipf_pmf",
     "mzipf_sample",
     "optimal_policy",
     "parse_log",

@@ -144,8 +144,11 @@ def tradeoff_regime1(
 
     T = (C/K)/g_c exactly; the outage follows the c6 = q/g_c expression.
     kappa bounds the admissible plateau size q <= kappa*S*g_c/gamma, the
-    finite-size stand-in for q growing no faster than the cluster memory.
+    finite-size stand-in for q growing no faster than the cluster memory;
+    it must be positive and finite.
     """
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     gamma, q = popularity.gamma, popularity.q
     regime, sc = _regime_of(popularity, config.s_cache, config.cluster_size)
     if regime != REGIME1:
@@ -201,9 +204,12 @@ def tradeoff_curve(
 
     Each cluster size strictly below gamma*M/(c1*S) goes to regime 1,
     everything at or above to regime 2. Per-point failures (e.g. clusters
-    too small for any policy) are recorded on the point, not raised. The
+    too small for any policy) are recorded on the point, not raised; a
+    kappa that is not positive and finite raises for the whole curve. The
     result is sorted by outage, failed points last.
     """
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     points: list[TradeoffPoint] = []
     for g_c in g_c_list:
         try:

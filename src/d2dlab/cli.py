@@ -55,11 +55,15 @@ def _round10(x: float) -> float:
 
 
 def _workers() -> int:
+    """Sweep worker threads from D2DLAB_THREADS; unset or empty means 1."""
     raw = os.environ.get("D2DLAB_THREADS", "")
     try:
-        return max(1, int(raw)) if raw else 1
+        workers = int(raw) if raw else 1
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"D2DLAB_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _utc_now() -> str:

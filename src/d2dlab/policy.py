@@ -113,6 +113,9 @@ def z_values(popularity: PopularityModel, s_cache: int, cluster_size: int) -> np
     n = _policy_exponent(s_cache, cluster_size)
     if n == 1:
         return popularity.pmf_values.copy()
+    # The one evaluation of the law besides PopularityModel's, kept in log
+    # space on purpose: pmf_values underflows to 0 at large gamma, where
+    # this z stays positive.
     ranks = np.arange(1, popularity.m_total + 1, dtype=np.float64)
     log_pmf = -popularity.gamma * np.log(ranks + popularity.q) - math.log(popularity.normalizer)
     return np.exp(log_pmf / n)

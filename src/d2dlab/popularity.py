@@ -16,10 +16,8 @@ import numpy as np
 __all__ = [
     "PopularityModel",
     "EmpiricalDistribution",
-    "FitGrid",
     "FitResult",
     "UnidentifiableFitError",
-    "mzipf_pmf",
     "mzipf_sample",
     "sample_ranks",
     "kl_distance",
@@ -43,12 +41,16 @@ class PopularityModel:
         Plateau factor, must be >= 0.
     m_total : int
         Library size M, must be >= 1.
+
+    The law is evaluated once, on construction: normalizer is Z and
+    pmf_values holds the probability of each rank, shape (m_total,).
     """
 
     gamma: float
     q: float
     m_total: int
     normalizer: float = field(init=False, repr=False, compare=False)
+    pmf_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.gamma < math.inf:
@@ -58,32 +60,24 @@ class PopularityModel:
         if self.m_total < 1:
             raise ValueError(f"m_total must be >= 1, got {self.m_total}")
         ranks = np.arange(1, self.m_total + 1, dtype=np.float64)
-        z = float(np.power(ranks + self.q, -self.gamma).sum())
+        w = np.power(ranks + self.q, -self.gamma)
+        z = float(w.sum())
         if not z > 0:
             raise ValueError(
                 f"gamma={self.gamma} and q={self.q} underflow the normalizer to 0"
             )
         object.__setattr__(self, "normalizer", z)
-
-    @cached_property
-    def pmf_values(self) -> np.ndarray:
-        """Probability of each rank, shape (m_total,)."""
-        ranks = np.arange(1, self.m_total + 1, dtype=np.float64)
-        return np.power(ranks + self.q, -self.gamma) / self.normalizer
+        object.__setattr__(self, "pmf_values", w / z)
 
     @cached_property
     def cdf_values(self) -> np.ndarray:
         return np.cumsum(self.pmf_values)
 
     def pmf(self, f: int) -> float:
-        return mzipf_pmf(self, f)
-
-
-def mzipf_pmf(model: PopularityModel, f: int) -> float:
-    """Probability that rank f is requested, per the MZipf law."""
-    if not 1 <= f <= model.m_total:
-        raise ValueError(f"rank {f} outside 1..{model.m_total}")
-    return float((f + model.q) ** (-model.gamma) / model.normalizer)
+        """Probability that rank f is requested, per the MZipf law."""
+        if not 1 <= f <= self.m_total:
+            raise ValueError(f"rank {f} outside 1..{self.m_total}")
+        return float(self.pmf_values[f - 1])
 
 
 def _ranks_from_cdf(cdf: np.ndarray, draws, max_rank: int):
@@ -167,22 +161,16 @@ def kl_distance(empirical: EmpiricalDistribution, model: PopularityModel) -> flo
     return float(np.sum(p_data * np.log(p_data / p_model)))
 
 
-@dataclass(frozen=True)
-class FitGrid:
-    """Search configuration for fit_mzipf.
-
-    The coarse stage scans a log-spaced (gamma, q) grid; the refinement
-    stage runs coordinate descent with golden-section line searches until
-    both parameters move by less than refine_tol.
-    """
-
-    gamma_lo: float = 0.5
-    gamma_hi: float = 3.0
-    gamma_points: int = 26
-    q_hi: float | None = None  # defaults to M/10
-    q_points: int = 26
-    refine_tol: float = 1e-4
-    max_rounds: int = 40
+# Search configuration of fit_mzipf. The coarse stage scans a log-spaced
+# (gamma, q) grid, q from 0 up to M/10; the refinement stage runs coordinate
+# descent with golden-section line searches until both parameters move by
+# less than _REFINE_TOL.
+_GAMMA_LO = 0.5
+_GAMMA_HI = 3.0
+_GAMMA_POINTS = 26
+_Q_POINTS = 26
+_REFINE_TOL = 1e-4
+_MAX_ROUNDS = 40
 
 
 @dataclass(frozen=True)
@@ -212,14 +200,13 @@ def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def fit_mzipf(empirical: EmpiricalDistribution, grid: FitGrid | None = None) -> FitResult:
+def fit_mzipf(empirical: EmpiricalDistribution) -> FitResult:
     """Fit (gamma, q) by KL-distance minimization; M is fixed by the data.
 
     The library size is the number of distinct contents observed, never a
     fitted parameter. Ties in the coarse grid break toward smaller q, then
-    smaller gamma. Deterministic for a fixed grid configuration.
+    smaller gamma. Deterministic.
     """
-    grid = grid or FitGrid()
     n_obs = empirical.n_ranks
     if n_obs < 2:
         raise UnidentifiableFitError(
@@ -230,12 +217,10 @@ def fit_mzipf(empirical: EmpiricalDistribution, grid: FitGrid | None = None) -> 
     counts = empirical.counts[:m_total]
     p_data = counts / counts.sum()
     log_p_data = np.log(p_data)
-    ranks = np.arange(1, m_total + 1, dtype=np.float64)
-    q_hi = grid.q_hi if grid.q_hi is not None else m_total / 10.0
+    q_hi = m_total / 10.0
 
     def kl_at(gamma: float, q: float) -> float:
-        w = np.power(ranks + q, -gamma)
-        p_model = w / w.sum()
+        p_model = PopularityModel(gamma=gamma, q=q, m_total=m_total).pmf_values
         return float(np.sum(p_data * (log_p_data - np.log(p_model))))
 
     trace: list[tuple[float, float, float]] = []
@@ -245,11 +230,8 @@ def fit_mzipf(empirical: EmpiricalDistribution, grid: FitGrid | None = None) -> 
         trace.append((gamma, q, v))
         return v
 
-    gammas = np.geomspace(grid.gamma_lo, grid.gamma_hi, grid.gamma_points)
-    if q_hi > 0:
-        qs = np.concatenate([[0.0], np.geomspace(min(0.5, q_hi / 2), q_hi, grid.q_points - 1)])
-    else:
-        qs = np.array([0.0])
+    gammas = np.geomspace(_GAMMA_LO, _GAMMA_HI, _GAMMA_POINTS)
+    qs = np.concatenate([[0.0], np.geomspace(min(0.5, q_hi / 2), q_hi, _Q_POINTS - 1)])
 
     best = (math.inf, math.inf, math.inf)  # (kl, q, gamma) lexicographic
     for g in gammas:
@@ -260,25 +242,25 @@ def fit_mzipf(empirical: EmpiricalDistribution, grid: FitGrid | None = None) -> 
                 best = key
     _, q_best, g_best = best
 
-    g_step = float(gammas[1] - gammas[0]) if len(gammas) > 1 else 0.1
-    q_step = max(float(qs[1] - qs[0]) if len(qs) > 1 else 0.5, q_hi / (grid.q_points - 1) if q_hi else 0.5)
-    for _ in range(grid.max_rounds):
+    g_step = float(gammas[1] - gammas[0])
+    q_step = max(float(qs[1] - qs[0]), q_hi / (_Q_POINTS - 1))
+    for _ in range(_MAX_ROUNDS):
         g_prev, q_prev = g_best, q_best
         g_best, _ = _golden_min(
             lambda g: record(g, q_best),
-            max(grid.gamma_lo, g_best - 2 * g_step),
-            min(grid.gamma_hi, g_best + 2 * g_step),
-            grid.refine_tol,
+            max(_GAMMA_LO, g_best - 2 * g_step),
+            min(_GAMMA_HI, g_best + 2 * g_step),
+            _REFINE_TOL,
         )
         q_best, _ = _golden_min(
             lambda q: record(g_best, q),
             max(0.0, q_best - 2 * q_step),
             min(q_hi, q_best + 2 * q_step),
-            grid.refine_tol,
+            _REFINE_TOL,
         )
-        g_step = max(abs(g_best - g_prev), grid.refine_tol)
-        q_step = max(abs(q_best - q_prev), grid.refine_tol)
-        if abs(g_best - g_prev) < grid.refine_tol and abs(q_best - q_prev) < grid.refine_tol:
+        g_step = max(abs(g_best - g_prev), _REFINE_TOL)
+        q_step = max(abs(q_best - q_prev), _REFINE_TOL)
+        if abs(g_best - g_prev) < _REFINE_TOL and abs(q_best - q_prev) < _REFINE_TOL:
             break
 
     model = PopularityModel(gamma=g_best, q=q_best, m_total=m_total)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -229,9 +228,10 @@ class SimOutcome:
 
     outage_estimate is the exact complement of hit_prob_estimate; the per
     trial identity (hit fraction + outage fraction = 1) carries over to
-    the averages. min_avg_throughput is the smallest per-user average D2D
-    throughput, the finite-sample estimate of the minimum average
-    throughput the scheduler guarantees.
+    the averages, and hit_prob_se is the standard error of both.
+    min_avg_throughput is the smallest per-user average D2D throughput,
+    the finite-sample estimate of the minimum average throughput the
+    scheduler guarantees.
     """
 
     hit_prob_estimate: float
@@ -244,7 +244,6 @@ class SimOutcome:
     trials: int
     n_users: int
     hit_prob_se: float
-    outage_se: float
     throughput_se: float
     d2d_hit_se: float
 
@@ -302,7 +301,6 @@ def run_monte_carlo(
         trials=trials,
         n_users=network.n_users,
         hit_prob_se=_stderr(hit_fracs),
-        outage_se=_stderr(hit_fracs),
         throughput_se=_stderr(tp_means),
         d2d_hit_se=_stderr(d2d_fracs),
     )
@@ -315,40 +313,34 @@ class SweepPoint:
     error: str | None = None
 
 
-PolicySource = Callable[[PopularityModel, int, int], CachingPolicy]
-
-
 def simulate_tradeoff(
     popularity: PopularityModel,
     config_base: NetworkConfig,
     g_c_list: list[int],
-    policy_source: PolicySource | None = None,
     trials: int = 100,
     base_seed: int = 0,
     max_workers: int = 1,
 ) -> list[SweepPoint]:
     """Simulate the tradeoff across cluster sizes.
 
-    For each cluster size: build the grid, compute the caching policy
-    (optimal_policy unless another source is given), run the Monte Carlo.
-    Per-point failures are recorded on the point rather than raised. Each
+    For each cluster size: build the grid, compute the optimal caching
+    policy, run the Monte Carlo. Per-point failures, running out of memory
+    included, are recorded on the point rather than raised. Each
     point consumes a disjoint, position-derived seed range, so results are
     identical whether points run sequentially or on a thread pool.
     """
-    source = policy_source or optimal_policy
-
     def one_point(item: tuple[int, int]) -> SweepPoint:
         i, g_c = item
         try:
             network = build_grid(config_base.n_users, g_c)
             cfg = replace(config_base, cluster_size=g_c, n_users=network.n_users)
-            policy = source(popularity, cfg.s_cache, g_c)
+            policy = optimal_policy(popularity, cfg.s_cache, g_c)
             outcome = run_monte_carlo(
                 network, policy, popularity, cfg, trials, base_seed + i * trials
             )
             return SweepPoint(g_c=g_c, outcome=outcome)
-        except ValueError as exc:
-            return SweepPoint(g_c=g_c, outcome=None, error=str(exc))
+        except (ValueError, MemoryError) as exc:
+            return SweepPoint(g_c=g_c, outcome=None, error=str(exc) or type(exc).__name__)
 
     items = list(enumerate(g_c_list))
     if max_workers > 1:

@@ -290,7 +290,7 @@ def test_criterion_8_brute_force_equivalence():
     )
     hit_gap = abs(out.hit_prob_estimate - exact["hit"])
     outage_gap = abs(out.outage_estimate - exact["outage"])
-    ok = hit_gap <= 3 * out.hit_prob_se and outage_gap <= 3 * out.outage_se
+    ok = hit_gap <= 3 * out.hit_prob_se and outage_gap <= 3 * out.hit_prob_se
     report(8, ok, f"mc_hit={out.hit_prob_estimate:.5f} exact_hit={exact['hit']:.5f} "
                   f"gap={hit_gap:.5f} (3se={3 * out.hit_prob_se:.5f}); "
                   f"outage gap={outage_gap:.5f}")

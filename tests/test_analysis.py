@@ -186,6 +186,11 @@ class TestRegime1:
         with pytest.raises(RegimeError, match="kappa"):
             tradeoff_regime1(fat_plateau, config(100, s=1), kappa=10.0)
 
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, 0.0, -1.0])
+    def test_kappa_must_be_positive_and_finite(self, kappa):
+        with pytest.raises(ValueError, match="kappa must be positive and finite"):
+            tradeoff_regime1(self.MODEL, config(100, s=1), kappa=kappa)
+
     def test_regime_error_beyond_boundary(self):
         with pytest.raises(RegimeError, match="tradeoff_regime2"):
             tradeoff_regime1(self.MODEL, config(7000, s=4))
@@ -294,6 +299,12 @@ class TestTradeoffCurve:
         regime1_points = [p for p in points if p.regime_tag == REGIME1]
         assert all(p.outage == 0.0 for p in regime1_points)  # q=0: no plateau miss
         assert math.isfinite(hit_prob_closed_form(model, config(50, s=2)))
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_kappa_fails_the_whole_curve(self, kappa):
+        """A bad kappa is a parameter error, not a failure of one point."""
+        with pytest.raises(ValueError, match="kappa must be positive and finite"):
+            tradeoff_curve(self.MODEL, self.base(), [100, 1600], kappa=kappa)
 
     def test_per_point_errors_recorded_not_fatal(self):
         points = tradeoff_curve(self.MODEL, self.base(), [2, 100])

@@ -318,9 +318,24 @@ def test_every_command_writes_its_manifest(tmp_path, command, flags, seed):
                   "--rate-c", "inf"]),
     ("simulate", ["--gamma", "1.16", "--q", "22", "--m-total", "500", "--n-users", "16",
                   "--g-c", "4", "--rate-c", "inf"]),
+    ("tradeoff", ["--gamma", "1.16", "--q", "100", "--m-total", "500", "--g-c-list", "3",
+                  "--kappa", "nan"]),
+    ("tradeoff", ["--gamma", "1.16", "--q", "100", "--m-total", "500", "--g-c-list", "3",
+                  "--kappa", "inf"]),
 ])
 def test_non_finite_flags_are_parameter_errors(tmp_path, command, flags):
     out = tmp_path / "out"
     assert main([command, *flags, "--output", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-3"])
+def test_bad_thread_count_is_a_parameter_error(tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setenv("D2DLAB_THREADS", threads)
+    out = tmp_path / "out.csv"
+    assert main(["tradeoff", "--gamma", "1.16", "--q", "22", "--m-total", "500",
+                 "--s-cache", "4", "--n-users", "64", "--g-c-list", "16", "--mode", "simulate",
+                 "--trials", "2", "--output", str(out)]) == 2
+    assert not out.exists()
+    assert "D2DLAB_THREADS" in capsys.readouterr().err
 

