@@ -48,7 +48,6 @@ from .popularity import (
     UnidentifiableFitError,
     fit_mzipf,
     kl_distance,
-    mzipf_sample,
     sample_ranks,
 )
 from .simulator import (
@@ -90,7 +89,6 @@ __all__ = [
     "hit_prob_closed_form",
     "hit_prob_lower_bound",
     "kl_distance",
-    "mzipf_sample",
     "optimal_policy",
     "parse_log",
     "policy_from_probs",

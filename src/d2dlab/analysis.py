@@ -65,6 +65,11 @@ def _clamp_unit(x: float) -> tuple[float, bool]:
     return x, False
 
 
+def _check_kappa(kappa: float) -> None:
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+
+
 def _regime_of(
     popularity: PopularityModel, s_cache: int, cluster_size: int
 ) -> tuple[str, ScalingConstants]:
@@ -103,7 +108,7 @@ def _lower_bound(
     popularity: PopularityModel, config: NetworkConfig
 ) -> tuple[float, ScalingConstants]:
     """Unclamped regime-2 bound, with the scaling constants it used."""
-    gamma, q, m = popularity.gamma, popularity.q, popularity.m_total
+    gamma = popularity.gamma
     regime, sc = _regime_of(popularity, config.s_cache, config.cluster_size)
     if regime != REGIME2:
         raise RegimeError(
@@ -111,8 +116,7 @@ def _lower_bound(
             "cluster too small for the regime-2 bound (use the closed form)"
         )
     n = _policy_exponent(config.s_cache, config.cluster_size)
-    d = q / m
-    beta = gamma / n
+    d, beta = sc.d_ratio, sc.a_prime
     e = 1.0 - gamma
     decay = math.exp(-(sc.rho / sc.c1 - gamma))
     if d == 0.0:
@@ -147,8 +151,7 @@ def tradeoff_regime1(
     finite-size stand-in for q growing no faster than the cluster memory;
     it must be positive and finite.
     """
-    if not 0 < kappa < math.inf:
-        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    _check_kappa(kappa)
     gamma, q = popularity.gamma, popularity.q
     regime, sc = _regime_of(popularity, config.s_cache, config.cluster_size)
     if regime != REGIME1:
@@ -208,8 +211,7 @@ def tradeoff_curve(
     kappa that is not positive and finite raises for the whole curve. The
     result is sorted by outage, failed points last.
     """
-    if not 0 < kappa < math.inf:
-        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    _check_kappa(kappa)
     points: list[TradeoffPoint] = []
     for g_c in g_c_list:
         try:

@@ -21,6 +21,7 @@ from . import __version__
 from .analysis import (
     REGIME1,
     TradeoffPoint,
+    _check_kappa,
     hit_prob_closed_form,
     hit_prob_lower_bound,
     tradeoff_curve,
@@ -29,7 +30,7 @@ from .ingest import LogFormatError, dedup_unique, parse_log, to_empirical
 from .network import NetworkConfig
 from .policy import optimal_policy, theoretical_mstar
 from .popularity import PopularityModel, fit_mzipf
-from .simulator import build_grid, run_monte_carlo, simulate_tradeoff
+from .simulator import _check_trials, build_grid, run_monte_carlo, simulate_tradeoff
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -132,7 +133,7 @@ def cmd_fit(args) -> str:
         writer = csv.writer(fh)
         writer.writerow(["rank", "count"])
         for rank, count in enumerate(empirical.counts, start=1):
-            writer.writerow([rank, _fmt(count if count != int(count) else int(count))])
+            writer.writerow([rank, _fmt(int(count))])
 
     return (f"fit: gamma={_fmt(result.model.gamma)} q={_fmt(result.model.q)} "
             f"M={result.model.m_total} kl={_fmt(result.kl_distance)} -> {output}")
@@ -173,6 +174,10 @@ _TRADEOFF_COLUMNS = [
 
 
 def _tradeoff_rows(args, model, g_c_list) -> list[dict]:
+    # Every flag is checked whether or not the chosen mode reads it.
+    _check_kappa(args.kappa)
+    _check_trials(args.trials)
+    workers = _workers()
     rows = [{"g_c": g} for g in g_c_list]
     n_users = args.n_users if args.n_users else max(g_c_list)
     base = NetworkConfig(
@@ -202,7 +207,7 @@ def _tradeoff_rows(args, model, g_c_list) -> list[dict]:
     if args.mode in ("simulate", "both"):
         points = simulate_tradeoff(
             model, base, g_c_list, trials=args.trials, base_seed=args.seed,
-            max_workers=_workers(),
+            max_workers=workers,
         )
         for row, point in zip(rows, points):
             if point.error:

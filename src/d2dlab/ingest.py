@@ -7,7 +7,6 @@ single unique access; contents are then ranked by distinct-user count.
 from __future__ import annotations
 
 import csv
-import io
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,8 +59,6 @@ def parse_log(source) -> ParseResult:
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return _parse_stream(fh)
-    if isinstance(source, (bytes, bytearray)):
-        return _parse_stream(io.StringIO(source.decode("utf-8")))
     return _parse_stream(source)
 
 

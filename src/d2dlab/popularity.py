@@ -18,7 +18,6 @@ __all__ = [
     "EmpiricalDistribution",
     "FitResult",
     "UnidentifiableFitError",
-    "mzipf_sample",
     "sample_ranks",
     "kl_distance",
     "fit_mzipf",
@@ -90,19 +89,8 @@ def _ranks_from_cdf(cdf: np.ndarray, draws, max_rank: int):
     return np.minimum(np.searchsorted(cdf, draws, side="right"), max_rank - 1) + 1
 
 
-def mzipf_sample(model: PopularityModel, draw: float) -> int:
-    """Map a uniform draw in [0, 1) to a rank by inverse-CDF lookup.
-
-    The returned rank r satisfies CDF(r-1) <= draw < CDF(r), so equal
-    draws always map to equal ranks.
-    """
-    if not 0.0 <= draw < 1.0:
-        raise ValueError(f"draw must be in [0, 1), got {draw}")
-    return int(_ranks_from_cdf(model.cdf_values, draw, model.m_total))
-
-
 def sample_ranks(model: PopularityModel, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized inverse-CDF sampling; consistent with mzipf_sample."""
+    """Draw size i.i.d. ranks from the model by inverse-CDF lookup."""
     return _ranks_from_cdf(model.cdf_values, rng.random(size), model.m_total)
 
 

@@ -125,45 +125,17 @@ class TrialOutcome:
         return self.d2d_available / self.n_users
 
 
-def _draw_distinct_caches(
-    rng: np.random.Generator, policy: CachingPolicy, n_users: int, s: int
-) -> np.ndarray:
-    """Per-user caches of s distinct files, weighted by the caching pmf.
-
-    Gumbel-top-k per user: perturb log-probabilities and keep the s
-    largest, which samples without replacement proportional to the
-    weights. Off the default path; meant for sensitivity studies.
-    """
-    if s > policy.m_star:
-        raise ValueError(
-            f"distinct caching needs s_cache <= {policy.m_star} files with "
-            f"positive caching probability, got s_cache={s}"
-        )
-    with np.errstate(divide="ignore"):
-        log_p = np.log(policy.probs)
-    out = np.empty((n_users, s), dtype=np.int64)
-    chunk = max(1, (1 << 21) // policy.probs.size)  # cap the noise matrix at ~16 MB
-    for start in range(0, n_users, chunk):
-        stop = min(start + chunk, n_users)
-        gumbel = -np.log(-np.log(rng.random((stop - start, policy.probs.size))))
-        keys = log_p + gumbel
-        out[start:stop] = np.argpartition(-keys, s - 1, axis=1)[:, :s] + 1
-    return out
-
-
 def run_trial(
     network: GridNetwork,
     policy: CachingPolicy,
     popularity: PopularityModel,
     config: NetworkConfig,
     seed: int,
-    distinct_cache: bool = False,
 ) -> TrialOutcome:
     """One network realization: caches, requests, links, and throughput.
 
     Deterministic given the seed; cache draws consume the random stream
-    before request draws. distinct_cache switches to without-replacement
-    caching (each device holds s distinct files) for sensitivity studies.
+    before request draws.
     """
     if config.cluster_size != network.cluster_size:
         raise ValueError(
@@ -175,10 +147,7 @@ def run_trial(
     s = config.s_cache
     m_total = popularity.m_total
 
-    if distinct_cache:
-        caches = _draw_distinct_caches(rng, policy, n_users, s)
-    else:
-        caches = _ranks_from_cdf(policy.cdf, rng.random((n_users, s)), policy.m_star)
+    caches = _ranks_from_cdf(policy.cdf, rng.random((n_users, s)), policy.m_star)
     requests = _ranks_from_cdf(popularity.cdf_values, rng.random(n_users), m_total)
 
     mem = network.members
@@ -248,6 +217,11 @@ class SimOutcome:
     d2d_hit_se: float
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
 def _stderr(values: np.ndarray) -> float:
     if values.size < 2:
         return 0.0
@@ -261,7 +235,6 @@ def run_monte_carlo(
     config: NetworkConfig,
     trials: int,
     base_seed: int = 0,
-    distinct_cache: bool = False,
 ) -> SimOutcome:
     """Average run_trial over seeds base_seed .. base_seed+trials-1.
 
@@ -269,8 +242,7 @@ def run_monte_carlo(
     statistics divided by sqrt(trials). Aggregation order is fixed, so
     identical inputs reproduce identical outputs.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
     hit_fracs = np.empty(trials)
     self_fracs = np.empty(trials)
     d2d_fracs = np.empty(trials)
@@ -278,10 +250,7 @@ def run_monte_carlo(
     good_rates = np.empty(trials)
     tp_user_sum = np.zeros(network.n_users)
     for i in range(trials):
-        t = run_trial(
-            network, policy, popularity, config,
-            seed=base_seed + i, distinct_cache=distinct_cache,
-        )
+        t = run_trial(network, policy, popularity, config, seed=base_seed + i)
         hit_fracs[i] = t.hit_frac
         self_fracs[i] = t.self_hit_frac
         d2d_fracs[i] = t.d2d_frac
@@ -325,10 +294,13 @@ def simulate_tradeoff(
 
     For each cluster size: build the grid, compute the optimal caching
     policy, run the Monte Carlo. Per-point failures, running out of memory
-    included, are recorded on the point rather than raised. Each
-    point consumes a disjoint, position-derived seed range, so results are
-    identical whether points run sequentially or on a thread pool.
+    included, are recorded on the point rather than raised; trials < 1
+    raises for the whole sweep. Each point consumes a disjoint,
+    position-derived seed range, so results are identical whether points
+    run sequentially or on a thread pool.
     """
+    _check_trials(trials)
+
     def one_point(item: tuple[int, int]) -> SweepPoint:
         i, g_c = item
         try:

@@ -322,6 +322,8 @@ def test_every_command_writes_its_manifest(tmp_path, command, flags, seed):
                   "--kappa", "nan"]),
     ("tradeoff", ["--gamma", "1.16", "--q", "100", "--m-total", "500", "--g-c-list", "3",
                   "--kappa", "inf"]),
+    ("tradeoff", ["--gamma", "1.16", "--q", "22", "--m-total", "500", "--n-users", "64",
+                  "--g-c-list", "16", "--mode", "simulate", "--trials", "2", "--kappa", "nan"]),
 ])
 def test_non_finite_flags_are_parameter_errors(tmp_path, command, flags):
     out = tmp_path / "out"
@@ -329,13 +331,25 @@ def test_non_finite_flags_are_parameter_errors(tmp_path, command, flags):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("threads", ["abc", "0", "-3"])
-def test_bad_thread_count_is_a_parameter_error(tmp_path, monkeypatch, capsys, threads):
+@pytest.mark.parametrize("threads, mode", [
+    ("abc", "simulate"), ("0", "simulate"), ("-3", "simulate"), ("abc", "analytic"),
+], ids=["abc", "0", "-3", "abc-analytic"])
+def test_bad_thread_count_is_a_parameter_error(tmp_path, monkeypatch, capsys, threads, mode):
     monkeypatch.setenv("D2DLAB_THREADS", threads)
     out = tmp_path / "out.csv"
     assert main(["tradeoff", "--gamma", "1.16", "--q", "22", "--m-total", "500",
-                 "--s-cache", "4", "--n-users", "64", "--g-c-list", "16", "--mode", "simulate",
+                 "--s-cache", "4", "--n-users", "64", "--g-c-list", "16", "--mode", mode,
                  "--trials", "2", "--output", str(out)]) == 2
     assert not out.exists()
     assert "D2DLAB_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["simulate", "both"])
+def test_zero_trials_is_a_parameter_error(tmp_path, capsys, mode):
+    out = tmp_path / "out.csv"
+    assert main(["tradeoff", "--gamma", "1.16", "--q", "22", "--m-total", "500",
+                 "--s-cache", "4", "--n-users", "64", "--g-c-list", "16,64", "--mode", mode,
+                 "--trials", "0", "--output", str(out)]) == 2
+    assert not out.exists()
+    assert "trials must be >= 1" in capsys.readouterr().err
 

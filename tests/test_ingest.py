@@ -70,10 +70,6 @@ class TestParseLog:
         assert len(result.records) == 1
         assert result.malformed == 1
 
-    def test_accepts_bytes(self):
-        result = parse_log((HEADER + "u1,c1,3\n").encode("utf-8"))
-        assert result.records == [AccessRecord("u1", "c1", 3)]
-
 
 class TestDedup:
     def test_repeat_accesses_collapse(self):

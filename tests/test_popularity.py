@@ -12,9 +12,9 @@ from d2dlab.popularity import (
     EmpiricalDistribution,
     PopularityModel,
     UnidentifiableFitError,
+    _ranks_from_cdf,
     fit_mzipf,
     kl_distance,
-    mzipf_sample,
     sample_ranks,
 )
 
@@ -100,22 +100,22 @@ class TestPmf:
         assert ratio <= 2 ** gamma + 1e-12
 
 
+def lookup(model: PopularityModel, u: float) -> int:
+    """The one inverse-CDF lookup, as the simulator and sample_ranks call it."""
+    return int(_ranks_from_cdf(model.cdf_values, u, model.m_total))
+
+
 class TestSampling:
     def test_left_edge_maps_to_rank_one(self):
         model = PopularityModel(gamma=1.5, q=3.0, m_total=100)
-        assert mzipf_sample(model, 0.0) == 1
+        assert lookup(model, 0.0) == 1
 
     def test_hand_cdf(self):
         """CDF is (6/11, 9/11, 1); a draw of 0.6 lands on rank 2."""
         model = PopularityModel(gamma=1.0, q=0.0, m_total=3)
-        assert mzipf_sample(model, 0.6) == 2
-        assert mzipf_sample(model, 0.5) == 1
-        assert mzipf_sample(model, 0.9) == 3
-
-    def test_draw_outside_unit_interval(self):
-        model = PopularityModel(gamma=1.0, q=0.0, m_total=3)
-        with pytest.raises(ValueError, match="draw"):
-            mzipf_sample(model, 1.0)
+        assert lookup(model, 0.6) == 2
+        assert lookup(model, 0.5) == 1
+        assert lookup(model, 0.9) == 3
 
     def test_rank1_frequency_within_three_sigma(self):
         """1e6 draws from the region-3 model: rank-1 frequency is binomial."""
@@ -128,18 +128,34 @@ class TestSampling:
         assert abs(freq - p1) <= 3 * se
 
     def test_vector_sampler_matches_scalar(self):
-        model = PopularityModel(gamma=1.3, q=5.0, m_total=50)
+        """Uniform draws, every cdf entry exactly, and draws at or above the
+        last cumulative sum all map to min(searchsorted(cdf, u, "right"), M-1) + 1,
+        scalar or vector. Rounding leaves the last sum above 1 for the first
+        model and below 1 for the second."""
         rng = np.random.default_rng(7)
-        draws = rng.random(200)
-        vector = np.searchsorted(model.cdf_values, draws, side="right")
-        for u, idx in zip(draws, vector):
-            assert mzipf_sample(model, float(u)) == min(int(idx), 49) + 1
+        for model, last_below_one in [
+            (PopularityModel(gamma=1.3, q=5.0, m_total=50), False),
+            (PopularityModel(gamma=1.2, q=0.0, m_total=100), True),
+        ]:
+            cdf = model.cdf_values
+            assert (cdf[-1] < 1.0) == last_below_one
+            at_or_above_last = np.array([cdf[-1], np.nextafter(cdf[-1], 2.0), 1.0 - 2.0**-53])
+            draws = np.concatenate([
+                rng.random(200), cdf, at_or_above_last[at_or_above_last < 1.0],
+            ])
+            expected = (
+                np.minimum(np.searchsorted(cdf, draws, side="right"), model.m_total - 1) + 1
+            )
+            np.testing.assert_array_equal(_ranks_from_cdf(cdf, draws, model.m_total), expected)
+            for u, want in zip(draws, expected):
+                assert lookup(model, float(u)) == want
+            assert lookup(model, float(cdf[-1])) == model.m_total
 
     @settings(max_examples=80, deadline=None)
     @given(u=st.floats(0.0, 1.0, exclude_max=True), seed=st.integers(0, 10))
     def test_cdf_bracket_invariant(self, u, seed):
         model = PopularityModel(gamma=1.0 + 0.2 * seed, q=float(seed), m_total=30)
-        rank = mzipf_sample(model, u)
+        rank = lookup(model, u)
         cdf = model.cdf_values
         left = cdf[rank - 2] if rank >= 2 else 0.0
         assert left <= u

@@ -242,57 +242,6 @@ class TestRunMonteCarlo:
             )
 
 
-class TestDistinctCacheMode:
-    MODEL = PopularityModel(gamma=1.16, q=22.0, m_total=300)
-
-    def test_caches_hold_distinct_files(self):
-        net = build_grid(64, 16)
-        policy = optimal_policy(self.MODEL, 4, 16)
-        cfg = make_config(net, s=4)
-        t = run_trial(net, policy, self.MODEL, cfg, seed=42, distinct_cache=True)
-        assert t.hits + t.outages == 64  # normal accounting still applies
-
-    def test_distinct_entries_and_support(self):
-        import numpy as np
-        from d2dlab.simulator import _draw_distinct_caches
-
-        policy = optimal_policy(self.MODEL, 4, 16)
-        rng = np.random.default_rng(3)
-        caches = _draw_distinct_caches(rng, policy, n_users=200, s=4)
-        assert all(len(set(row)) == 4 for row in caches.tolist())
-        assert caches.min() >= 1 and caches.max() <= policy.m_star
-
-    def test_reproducible(self):
-        net = build_grid(36, 9)
-        policy = optimal_policy(self.MODEL, 3, 9)
-        cfg = make_config(net, s=3)
-        a = run_trial(net, policy, self.MODEL, cfg, seed=5, distinct_cache=True)
-        b = run_trial(net, policy, self.MODEL, cfg, seed=5, distinct_cache=True)
-        np.testing.assert_array_equal(a.throughput, b.throughput)
-        assert a.hits == b.hits
-
-    def test_never_worse_than_replacement(self):
-        """Duplicate-free caches cover at least as many files, so the hit
-        rate dominates the with-replacement mode up to Monte Carlo error."""
-        net = build_grid(64, 16)
-        policy = optimal_policy(self.MODEL, 4, 16)
-        cfg = make_config(net, s=4)
-        plain = run_monte_carlo(net, policy, self.MODEL, cfg, 400, base_seed=60)
-        distinct = run_monte_carlo(
-            net, policy, self.MODEL, cfg, 400, base_seed=60, distinct_cache=True
-        )
-        assert distinct.hit_prob_estimate >= (
-            plain.hit_prob_estimate - 2 * (plain.hit_prob_se + distinct.hit_prob_se)
-        )
-
-    def test_rejects_cache_larger_than_support(self):
-        net = build_grid(16, 4)
-        policy = optimal_policy(self.MODEL, 1, 4)  # small m_star
-        cfg = make_config(net, s=policy.m_star + 1)
-        with pytest.raises(ValueError, match="distinct caching"):
-            run_trial(net, policy, self.MODEL, cfg, seed=0, distinct_cache=True)
-
-
 class TestSimulateTradeoff:
     MODEL = PopularityModel(gamma=1.16, q=22.0, m_total=500)
 
@@ -357,3 +306,12 @@ class TestSimulateTradeoff:
         assert points[0].outcome is None and points[0].error == "MemoryError"
         assert points[1].error is None
         assert points[1].outcome == clean[1].outcome
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_bad_trials_fail_the_whole_sweep(self, monkeypatch, trials):
+        def no_point_may_run(*args, **kw):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(simulator, "build_grid", no_point_may_run)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            simulate_tradeoff(self.MODEL, self.base_config(), [16, 64], trials=trials)
