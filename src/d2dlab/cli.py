@@ -30,7 +30,13 @@ from .ingest import LogFormatError, dedup_unique, parse_log, to_empirical
 from .network import NetworkConfig
 from .policy import optimal_policy, theoretical_mstar
 from .popularity import PopularityModel, fit_mzipf
-from .simulator import _check_trials, build_grid, run_monte_carlo, simulate_tradeoff
+from .simulator import (
+    _check_seed,
+    _check_trials,
+    build_grid,
+    run_monte_carlo,
+    simulate_tradeoff,
+)
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -177,9 +183,12 @@ def _tradeoff_rows(args, model, g_c_list) -> list[dict]:
     # Every flag is checked whether or not the chosen mode reads it.
     _check_kappa(args.kappa)
     _check_trials(args.trials)
+    _check_seed(args.seed)
+    if args.n_users is not None and args.n_users < 1:
+        raise ValueError(f"n_users must be >= 1, got {args.n_users}")
     workers = _workers()
     rows = [{"g_c": g} for g in g_c_list]
-    n_users = args.n_users if args.n_users else max(g_c_list)
+    n_users = max(g_c_list) if args.n_users is None else args.n_users
     base = NetworkConfig(
         n_users=max(n_users, max(g_c_list)),
         s_cache=args.s_cache,

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .popularity import PopularityModel
+from .popularity import PopularityModel, _guide_table
 
 __all__ = [
     "CachingPolicy",
@@ -139,6 +139,10 @@ class CachingPolicy:
     @cached_property
     def cdf(self) -> np.ndarray:
         return np.cumsum(self.probs)
+
+    @cached_property
+    def _cdf_guide(self) -> tuple[np.ndarray, np.ndarray]:
+        return _guide_table(self.cdf, self.m_star)
 
 
 def policy_from_probs(probs) -> CachingPolicy:

@@ -72,6 +72,10 @@ class PopularityModel:
     def cdf_values(self) -> np.ndarray:
         return np.cumsum(self.pmf_values)
 
+    @cached_property
+    def _cdf_guide(self) -> tuple[np.ndarray, np.ndarray]:
+        return _guide_table(self.cdf_values, self.m_total)
+
     def pmf(self, f: int) -> float:
         """Probability that rank f is requested, per the MZipf law."""
         if not 1 <= f <= self.m_total:
@@ -79,19 +83,60 @@ class PopularityModel:
         return float(self.pmf_values[f - 1])
 
 
-def _ranks_from_cdf(cdf: np.ndarray, draws, max_rank: int):
-    """Inverse-CDF lookup: the 1-based rank r with cdf[r-2] <= draw < cdf[r-1].
+def _guide_table(cdf: np.ndarray, max_rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Guide table ("indexed search", Chen & Asau 1974) for _ranks_from_cdf.
+
+    Returns the first max_rank-1 cumulative sums closed by an inf sentinel,
+    and, for each of K+1 buckets, the count of those sums at or below a
+    lower bound on every draw u whose computed u*K truncates to the bucket.
+    K is twice the number of sums, which leaves most draws no step to take.
+    A computed u*K >= k implies u >= (k/K)*(1-2^-53); the computed edge k/K
+    is shrunk by 2^-50 to stay below that bound, so each count is at most
+    the lookup's answer even where u*K rounds up into the next bucket. u*K
+    can round up to K itself, hence the last bucket.
+    """
+    sums = np.append(cdf[: max_rank - 1], math.inf)
+    k = 2 * max(sums.size - 1, 1)
+    edges = np.arange(k + 1, dtype=np.float64) / k * (1.0 - 2.0**-50)
+    return sums, np.searchsorted(sums, edges, side="right")
+
+
+# Draws looked up per block, so the lookup's temporaries stay in cache.
+_LOOKUP_BLOCK = 1 << 16
+
+
+def _ranks_from_cdf(cdf: np.ndarray, draws, max_rank: int, guide=None):
+    """Inverse-CDF lookup: the 1-based rank r with cdf[r-2] <= draw < cdf[r-1],
+    for draws in [0, 1).
 
     Ranks are capped at max_rank, which absorbs draws at or above a final
     cumulative sum that rounding left below 1, and keeps draws off a
-    zero-probability tail.
+    zero-probability tail. The answer is min(searchsorted(cdf, u, "right"),
+    max_rank-1) + 1: each draw starts at its bucket's count in the guide
+    table (built from cdf and max_rank when not given) and steps forward
+    while the next sum is at or below it.
     """
-    return np.minimum(np.searchsorted(cdf, draws, side="right"), max_rank - 1) + 1
+    sums, start = _guide_table(cdf, max_rank) if guide is None else guide
+    k = start.size - 1
+    u = np.asarray(draws, dtype=np.float64)
+    ranks = np.empty(u.shape, dtype=np.intp)
+    flat_u, flat_r = u.reshape(-1), ranks.reshape(-1)
+    for lo in range(0, flat_u.size, _LOOKUP_BLOCK):
+        block = flat_u[lo : lo + _LOOKUP_BLOCK]
+        j = start[(block * k).astype(np.intp)]
+        moving = (sums[j] <= block).nonzero()[0]
+        while moving.size:
+            stepped = j[moving] + 1
+            j[moving] = stepped
+            moving = moving[sums[stepped] <= block[moving]]
+        j += 1
+        flat_r[lo : lo + _LOOKUP_BLOCK] = j
+    return ranks
 
 
 def sample_ranks(model: PopularityModel, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw size i.i.d. ranks from the model by inverse-CDF lookup."""
-    return _ranks_from_cdf(model.cdf_values, rng.random(size), model.m_total)
+    return _ranks_from_cdf(model.cdf_values, rng.random(size), model.m_total, model._cdf_guide)
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,86 @@ class TrialOutcome:
         return self.d2d_available / self.n_users
 
 
+# Cache entries (users x slots, summed over trials) one batch of trials
+# holds; trials share one lookup, count and link pass. A trial larger than
+# this runs alone. A batch's arrays take about 60 bytes an entry; larger
+# batches saved little per-trial time and raised peak memory.
+_BATCH_ENTRIES = 1 << 12
+
+
+@dataclass(frozen=True)
+class _Trials:
+    """Per-trial counts of consecutive seeds, one row per trial."""
+
+    hits: np.ndarray
+    self_hits: np.ndarray
+    d2d_available: np.ndarray
+    cluster_links: np.ndarray  # (trials, n_clusters)
+    throughput: np.ndarray     # (trials, n_users)
+
+
+def _run_trials(
+    network: GridNetwork,
+    policy: CachingPolicy,
+    popularity: PopularityModel,
+    config: NetworkConfig,
+    seeds: range,
+) -> _Trials:
+    """The Monte Carlo kernel: one network realization per seed.
+
+    Each seed's own default_rng draws that trial's caches (users x slots)
+    and then its requests. One inverse-CDF lookup, one copy count and one
+    link pass then serve every trial.
+    """
+    n_users, ncl = network.n_users, network.n_clusters
+    cache_draws = np.empty((len(seeds), n_users, config.s_cache))
+    request_draws = np.empty((len(seeds), n_users))
+    for row, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        rng.random(out=cache_draws[row])
+        rng.random(out=request_draws[row])
+    caches = _ranks_from_cdf(policy.cdf, cache_draws, policy.m_star, policy._cdf_guide)
+    requests = _ranks_from_cdf(
+        popularity.cdf_values, request_draws, popularity.m_total, popularity._cdf_guide
+    )
+    own = (caches == requests[:, :, None]).sum(axis=2)
+
+    # Count the copies of each file per cluster with one bincount over
+    # (trial, cluster, file) keys. File 0 never enters a cache, so requests
+    # for files no device caches look it up and find no copy.
+    cluster = np.empty(n_users, dtype=np.intp)
+    cluster[network.members] = np.arange(ncl)[:, None]
+    group = np.arange(len(seeds))[:, None] * ncl + cluster
+    width = policy.m_star + 1
+    base = group * width
+    caches += base[:, :, None]
+    copies = np.bincount(caches.reshape(-1), minlength=len(seeds) * ncl * width)
+    in_cluster = copies[base + np.where(requests < width, requests, 0)]
+
+    self_hit = own > 0
+    other_has = in_cluster > own
+    potential = other_has & ~self_hit
+    links = np.bincount(group[potential], minlength=len(seeds) * ncl).reshape(-1, ncl)
+
+    per_link_rate = np.zeros(links.shape)
+    np.divide(config.cluster_rate, links, out=per_link_rate, where=links > 0)
+    return _Trials(
+        hits=(self_hit | other_has).sum(axis=1),
+        self_hits=self_hit.sum(axis=1),
+        d2d_available=other_has.sum(axis=1),
+        cluster_links=links,
+        throughput=potential * per_link_rate.reshape(-1)[group],
+    )
+
+
+def _check_config(network: GridNetwork, config: NetworkConfig) -> None:
+    if config.cluster_size != network.cluster_size:
+        raise ValueError(
+            f"config cluster_size {config.cluster_size} does not match "
+            f"network cluster_size {network.cluster_size}"
+        )
+
+
 def run_trial(
     network: GridNetwork,
     policy: CachingPolicy,
@@ -137,57 +217,19 @@ def run_trial(
     Deterministic given the seed; cache draws consume the random stream
     before request draws.
     """
-    if config.cluster_size != network.cluster_size:
-        raise ValueError(
-            f"config cluster_size {config.cluster_size} does not match "
-            f"network cluster_size {network.cluster_size}"
-        )
-    rng = np.random.default_rng(seed)
-    n_users = network.n_users
-    s = config.s_cache
-    m_total = popularity.m_total
-
-    caches = _ranks_from_cdf(policy.cdf, rng.random((n_users, s)), policy.m_star)
-    requests = _ranks_from_cdf(popularity.cdf_values, rng.random(n_users), m_total)
-
-    mem = network.members
-    ncl, g = mem.shape
-    req_c = requests[mem]
-    cache_c = caches[mem]
-    own = (cache_c == req_c[:, :, None]).sum(axis=2)
-
-    # Count each request's copies within its cluster by binary search over
-    # the cluster-keyed sorted cache entries (memory stays O(N*S)).
-    offsets = np.arange(ncl, dtype=np.int64)[:, None] * (m_total + 1)
-    entries = (cache_c.reshape(ncl, g * s) + offsets).ravel()
-    entries.sort()
-    queries = (req_c + offsets).ravel()
-    in_cluster = (
-        np.searchsorted(entries, queries, side="right")
-        - np.searchsorted(entries, queries, side="left")
-    ).reshape(ncl, g)
-
-    self_hit = own > 0
-    other_has = (in_cluster - own) > 0
-    hit = self_hit | other_has
-    potential = other_has & ~self_hit
-    links = potential.sum(axis=1)
-
-    per_link_rate = np.zeros(ncl)
-    np.divide(config.cluster_rate, links, out=per_link_rate, where=links > 0)
-    throughput = np.zeros(n_users)
-    throughput[mem] = potential * per_link_rate[:, None]
-
+    _check_config(network, config)
+    t = _run_trials(network, policy, popularity, config, range(seed, seed + 1))
+    links = t.cluster_links[0]
     return TrialOutcome(
-        n_users=n_users,
-        n_clusters=ncl,
-        hits=int(hit.sum()),
-        self_hits=int(self_hit.sum()),
-        d2d_available=int(other_has.sum()),
+        n_users=network.n_users,
+        n_clusters=network.n_clusters,
+        hits=int(t.hits[0]),
+        self_hits=int(t.self_hits[0]),
+        d2d_available=int(t.d2d_available[0]),
         potential_links=int(links.sum()),
         good_clusters=int((links > 0).sum()),
         cluster_links=links,
-        throughput=throughput,
+        throughput=t.throughput[0],
     )
 
 
@@ -222,6 +264,11 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def _stderr(values: np.ndarray) -> float:
     if values.size < 2:
         return 0.0
@@ -239,24 +286,31 @@ def run_monte_carlo(
     """Average run_trial over seeds base_seed .. base_seed+trials-1.
 
     Standard errors are sample standard deviations of the per-trial
-    statistics divided by sqrt(trials). Aggregation order is fixed, so
-    identical inputs reproduce identical outputs.
+    statistics divided by sqrt(trials). Trials run in batches of at most
+    _BATCH_ENTRIES cache entries; every statistic is reduced in the order
+    of one trial at a time, so the batch size changes no bit of the result.
     """
     _check_trials(trials)
+    _check_seed(base_seed)
+    _check_config(network, config)
+    n_users = network.n_users
     hit_fracs = np.empty(trials)
     self_fracs = np.empty(trials)
     d2d_fracs = np.empty(trials)
     tp_means = np.empty(trials)
     good_rates = np.empty(trials)
-    tp_user_sum = np.zeros(network.n_users)
-    for i in range(trials):
-        t = run_trial(network, policy, popularity, config, seed=base_seed + i)
-        hit_fracs[i] = t.hit_frac
-        self_fracs[i] = t.self_hit_frac
-        d2d_fracs[i] = t.d2d_frac
-        tp_means[i] = t.throughput.mean()
-        good_rates[i] = t.good_clusters / t.n_clusters
-        tp_user_sum += t.throughput
+    tp_user_sum = np.zeros(n_users)
+    batch = max(1, _BATCH_ENTRIES // (n_users * config.s_cache))
+    for lo in range(0, trials, batch):
+        hi = min(lo + batch, trials)
+        t = _run_trials(network, policy, popularity, config, range(base_seed + lo, base_seed + hi))
+        hit_fracs[lo:hi] = t.hits / n_users
+        self_fracs[lo:hi] = t.self_hits / n_users
+        d2d_fracs[lo:hi] = t.d2d_available / n_users
+        tp_means[lo:hi] = t.throughput.mean(axis=1)
+        good_rates[lo:hi] = (t.cluster_links > 0).sum(axis=1) / network.n_clusters
+        for row in t.throughput:  # trial by trial, as a sum in seed order
+            tp_user_sum += row
 
     hit = float(hit_fracs.mean())
     return SimOutcome(
@@ -268,7 +322,7 @@ def run_monte_carlo(
         d2d_hit_rate=float(d2d_fracs.mean()),
         good_cluster_rate=float(good_rates.mean()),
         trials=trials,
-        n_users=network.n_users,
+        n_users=n_users,
         hit_prob_se=_stderr(hit_fracs),
         throughput_se=_stderr(tp_means),
         d2d_hit_se=_stderr(d2d_fracs),
@@ -294,12 +348,13 @@ def simulate_tradeoff(
 
     For each cluster size: build the grid, compute the optimal caching
     policy, run the Monte Carlo. Per-point failures, running out of memory
-    included, are recorded on the point rather than raised; trials < 1
-    raises for the whole sweep. Each point consumes a disjoint,
+    included, are recorded on the point rather than raised; trials < 1 and
+    base_seed < 0 raise for the whole sweep. Each point consumes a disjoint,
     position-derived seed range, so results are identical whether points
     run sequentially or on a thread pool.
     """
     _check_trials(trials)
+    _check_seed(base_seed)
 
     def one_point(item: tuple[int, int]) -> SweepPoint:
         i, g_c = item

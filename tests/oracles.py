@@ -31,6 +31,11 @@ def iid_hit_probability(request_pmf, cache_probs, slots: int) -> float:
     return total
 
 
+def searchsorted_ranks(cdf, draws, max_rank: int) -> np.ndarray:
+    """Inverse-CDF ranks by plain binary search: min(#{cdf <= u}, max_rank-1) + 1."""
+    return np.minimum(np.searchsorted(cdf, draws, side="right"), max_rank - 1) + 1
+
+
 def enumerate_single_cluster(request_pmf, cache_probs, g_c: int, rate: float = 1.0) -> dict:
     """Exhaustive enumeration of one cluster with one cache slot per user.
 

@@ -353,3 +353,21 @@ def test_zero_trials_is_a_parameter_error(tmp_path, capsys, mode):
     assert not out.exists()
     assert "trials must be >= 1" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("mode", ["analytic", "simulate", "both"])
+def test_negative_seed_is_a_parameter_error(tmp_path, capsys, mode):
+    out = tmp_path / "out.csv"
+    assert main(["tradeoff", "--gamma", "1.16", "--q", "22", "--m-total", "500",
+                 "--s-cache", "4", "--n-users", "64", "--g-c-list", "16,64", "--mode", mode,
+                 "--trials", "2", "--seed", "-5", "--output", str(out)]) == 2
+    assert not out.exists()
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_users", ["0", "-5"])
+def test_non_positive_user_count_is_a_parameter_error(tmp_path, capsys, n_users):
+    out = tmp_path / "out.csv"
+    assert main(["tradeoff", "--gamma", "1.16", "--q", "22", "--m-total", "500",
+                 "--g-c-list", "16", "--n-users", n_users, "--output", str(out)]) == 2
+    assert not out.exists()
+    assert "n_users must be >= 1" in capsys.readouterr().err

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from d2dlab.policy import optimal_policy
 from d2dlab.popularity import (
     EmpiricalDistribution,
     PopularityModel,
@@ -18,7 +19,7 @@ from d2dlab.popularity import (
     sample_ranks,
 )
 
-from oracles import mzipf_pmf_direct
+from oracles import mzipf_pmf_direct, searchsorted_ranks
 
 
 REGION2 = dict(gamma=1.16, q=22.0, m_total=7345)
@@ -150,6 +151,34 @@ class TestSampling:
             for u, want in zip(draws, expected):
                 assert lookup(model, float(u)) == want
             assert lookup(model, float(cdf[-1])) == model.m_total
+
+    @pytest.mark.parametrize("source", ["region2-s100-policy", "flat-tail-policy",
+                                        "last-sum-below-one"])
+    def test_guide_table_lookup_matches_binary_search(self, source):
+        """Every cdf entry, every guide bucket edge k/K, 0 and the largest
+        double below 1, each with its neighbours on both sides, map to the
+        binary-search rank. The guide table is built on first use only."""
+        if source == "last-sum-below-one":
+            owner = PopularityModel(gamma=1.2, q=0.0, m_total=100)
+            cdf, max_rank = owner.cdf_values, owner.m_total
+            assert cdf[-1] < 1.0
+        else:
+            s_cache, g_c, model = (100, 100, REGION2) if source == "region2-s100-policy" else (
+                4, 4, REGION3)
+            owner = optimal_policy(PopularityModel(**model), s_cache, g_c)
+            cdf, max_rank = owner.cdf, owner.m_star
+            assert (max_rank < cdf.size) == (source == "flat-tail-policy")
+        assert "_cdf_guide" not in owner.__dict__
+        guide = owner._cdf_guide
+        buckets = guide[1].size - 1
+        points = np.concatenate([
+            cdf, np.arange(buckets + 1) / buckets, [0.0, 1.0 - 2.0**-53],
+        ])
+        draws = np.concatenate([points, np.nextafter(points, -1.0), np.nextafter(points, 2.0)])
+        draws = draws[(draws >= 0.0) & (draws < 1.0)]
+        np.testing.assert_array_equal(
+            _ranks_from_cdf(cdf, draws, max_rank, guide), searchsorted_ranks(cdf, draws, max_rank)
+        )
 
     @settings(max_examples=80, deadline=None)
     @given(u=st.floats(0.0, 1.0, exclude_max=True), seed=st.integers(0, 10))

@@ -1,6 +1,7 @@
 """Tests for the clustered-grid Monte Carlo simulator."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from d2dlab.network import NetworkConfig
 from d2dlab.policy import optimal_policy, policy_from_probs
 from d2dlab.popularity import PopularityModel
 from d2dlab.simulator import (
+    SimOutcome,
     build_grid,
     run_monte_carlo,
     run_trial,
@@ -242,6 +244,39 @@ class TestRunMonteCarlo:
             )
 
 
+class TestBatching:
+    """run_monte_carlo runs its trials in batches; the batch size never shows."""
+
+    MODEL = PopularityModel(gamma=1.16, q=22.0, m_total=500)
+    TRIALS = 10
+
+    def case(self):
+        net = build_grid(64, 16)
+        cfg = make_config(net, s=2)
+        return net, optimal_policy(self.MODEL, 2, 16), cfg
+
+    @pytest.mark.parametrize("trials_per_batch", [1, 3])
+    def test_batch_size_leaves_every_field_bit_identical(self, monkeypatch, trials_per_batch):
+        net, policy, cfg = self.case()
+        entries = net.n_users * cfg.s_cache
+        assert simulator._BATCH_ENTRIES >= self.TRIALS * entries  # one batch by default
+        default = run_monte_carlo(net, policy, self.MODEL, cfg, self.TRIALS, base_seed=40)
+        monkeypatch.setattr(simulator, "_BATCH_ENTRIES", trials_per_batch * entries)
+        batched = run_monte_carlo(net, policy, self.MODEL, cfg, self.TRIALS, base_seed=40)
+        for field in dataclasses.fields(SimOutcome):
+            assert getattr(batched, field.name) == getattr(default, field.name), field.name
+
+    def test_trial_hits_sum_to_the_estimate(self):
+        net, policy, cfg = self.case()
+        out = run_monte_carlo(net, policy, self.MODEL, cfg, self.TRIALS, base_seed=40)
+        hits = sum(
+            run_trial(net, policy, self.MODEL, cfg, seed=40 + i).hits for i in range(self.TRIALS)
+        )
+        assert hits / (self.TRIALS * net.n_users) == pytest.approx(
+            out.hit_prob_estimate, rel=1e-12
+        )
+
+
 class TestSimulateTradeoff:
     MODEL = PopularityModel(gamma=1.16, q=22.0, m_total=500)
 
@@ -315,3 +350,11 @@ class TestSimulateTradeoff:
         monkeypatch.setattr(simulator, "build_grid", no_point_may_run)
         with pytest.raises(ValueError, match="trials must be >= 1"):
             simulate_tradeoff(self.MODEL, self.base_config(), [16, 64], trials=trials)
+
+    def test_negative_seed_fails_the_whole_sweep(self, monkeypatch):
+        def no_point_may_run(*args, **kw):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(simulator, "build_grid", no_point_may_run)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            simulate_tradeoff(self.MODEL, self.base_config(), [16, 64], trials=3, base_seed=-5)
