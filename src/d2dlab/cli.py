@@ -115,6 +115,7 @@ def cmd_fit(args) -> str:
     unique = dedup_unique(records)
     empirical = to_empirical(unique)
     result = fit_mzipf(empirical)
+    n_users = unique.n_users
 
     output = Path(args.output)
     payload = {
@@ -123,12 +124,12 @@ def cmd_fit(args) -> str:
         "m_total": result.model.m_total,
         "kl_distance": _round10(result.kl_distance),
         "unique_accesses": unique.n_unique,
-        "users": unique.n_users,
+        "users": n_users,
         "report": {
             "rows": parsed.rows,
             "malformed": parsed.malformed,
             "unique_accesses": unique.n_unique,
-            "distinct_users": unique.n_users,
+            "distinct_users": n_users,
             "distinct_contents": unique.n_contents,
         },
     }

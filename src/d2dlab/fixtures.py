@@ -6,7 +6,6 @@ from the fitted regional popularity models.
 """
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -51,12 +50,12 @@ def write_region_log(
     rng = np.random.default_rng(seed)
     ranks = sample_ranks(model, rng, n_accesses)
     dup = rng.random(n_accesses) < duplicate_rate
+    # The ids need no CSV quoting, so each row is written as csv.writer
+    # would write it, with its \r\n terminator.
+    rows = []
+    for i, (rank, twice) in enumerate(zip(ranks.tolist(), dup.tolist())):
+        row = f"u{i:07d},c{rank:06d},{region}\r\n"
+        rows.append(row + row if twice else row)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_id", "content_id", "region_id"])
-        for i, rank in enumerate(ranks):
-            row = [f"u{i:07d}", f"c{rank:06d}", str(region)]
-            writer.writerow(row)
-            if dup[i]:
-                writer.writerow(row)
+        fh.write("user_id,content_id,region_id\r\n" + "".join(rows))
     return model

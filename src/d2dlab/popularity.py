@@ -194,16 +194,16 @@ def kl_distance(empirical: EmpiricalDistribution, model: PopularityModel) -> flo
     return float(np.sum(p_data * np.log(p_data / p_model)))
 
 
-# Search configuration of fit_mzipf. The coarse stage scans a log-spaced
-# (gamma, q) grid, q from 0 up to M/10; the refinement stage runs coordinate
-# descent with golden-section line searches until both parameters move by
-# less than _REFINE_TOL.
+# Search configuration of fit_mzipf. Gamma stays in [_GAMMA_LO, _GAMMA_HI];
+# the q scan runs from 0 up to M/10. Newton in gamma stops once its step is
+# below _GAMMA_TOL, golden section in q once its bracket is below _Q_TOL. A
+# finer q tolerance only adds models whose KL lies within rounding noise
+# (about 1e-16) of the minimum, where the computed KL can read below 0.
 _GAMMA_LO = 0.5
 _GAMMA_HI = 3.0
-_GAMMA_POINTS = 26
 _Q_POINTS = 26
-_REFINE_TOL = 1e-4
-_MAX_ROUNDS = 40
+_GAMMA_TOL = 1e-12
+_Q_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -237,8 +237,13 @@ def fit_mzipf(empirical: EmpiricalDistribution) -> FitResult:
     """Fit (gamma, q) by KL-distance minimization; M is fixed by the data.
 
     The library size is the number of distinct contents observed, never a
-    fitted parameter. Ties in the coarse grid break toward smaller q, then
-    smaller gamma. Deterministic.
+    fitted parameter. At fixed q the law is an exponential family in
+    L = log(f+q), so KL(gamma, q) = const + gamma*E_data[L] + log Z is
+    convex in gamma with slope E_data[L] - E_model[L] and curvature
+    Var_model[L]. Safeguarded Newton finds the minimizing gamma; the
+    profile over q is scanned on 0 and a log-spaced grid up to M/10, then
+    refined by golden section between the neighbours of the best point.
+    Deterministic.
     """
     n_obs = empirical.n_ranks
     if n_obs < 2:
@@ -250,51 +255,36 @@ def fit_mzipf(empirical: EmpiricalDistribution) -> FitResult:
     counts = empirical.counts[:m_total]
     p_data = counts / counts.sum()
     log_p_data = np.log(p_data)
+    ranks = np.arange(1, m_total + 1, dtype=np.float64)
     q_hi = m_total / 10.0
-
-    def kl_at(gamma: float, q: float) -> float:
-        p_model = PopularityModel(gamma=gamma, q=q, m_total=m_total).pmf_values
-        return float(np.sum(p_data * (log_p_data - np.log(p_model))))
-
     trace: list[tuple[float, float, float]] = []
+    gamma = 1.0  # warm start: each profile call begins at the last one's gamma
 
-    def record(gamma: float, q: float) -> float:
-        v = kl_at(gamma, q)
-        trace.append((gamma, q, v))
-        return v
+    def profile(q: float) -> float:
+        """min over gamma of KL(gamma, q); leaves the minimizer in gamma."""
+        nonlocal gamma
+        log_f = np.log(ranks + q)
+        e_data = float(p_data @ log_f)
+        lo, hi = _GAMMA_LO, _GAMMA_HI
+        while True:
+            p_model = PopularityModel(gamma=gamma, q=q, m_total=m_total).pmf_values
+            kl = float(np.sum(p_data * (log_p_data - np.log(p_model))))
+            trace.append((gamma, q, kl))
+            e_model = float(p_model @ log_f)
+            slope = e_data - e_model
+            if slope > 0:
+                hi = gamma
+            else:
+                lo = gamma
+            step = slope / float(p_model @ np.square(log_f - e_model))
+            if abs(step) < _GAMMA_TOL or hi - lo < _GAMMA_TOL:
+                return kl
+            gamma = gamma - step if lo < gamma - step < hi else 0.5 * (lo + hi)
 
-    gammas = np.geomspace(_GAMMA_LO, _GAMMA_HI, _GAMMA_POINTS)
     qs = np.concatenate([[0.0], np.geomspace(min(0.5, q_hi / 2), q_hi, _Q_POINTS - 1)])
-
-    best = (math.inf, math.inf, math.inf)  # (kl, q, gamma) lexicographic
-    for g in gammas:
-        for q in qs:
-            v = record(float(g), float(q))
-            key = (v, float(q), float(g))
-            if key < best:
-                best = key
-    _, q_best, g_best = best
-
-    g_step = float(gammas[1] - gammas[0])
-    q_step = max(float(qs[1] - qs[0]), q_hi / (_Q_POINTS - 1))
-    for _ in range(_MAX_ROUNDS):
-        g_prev, q_prev = g_best, q_best
-        g_best, _ = _golden_min(
-            lambda g: record(g, q_best),
-            max(_GAMMA_LO, g_best - 2 * g_step),
-            min(_GAMMA_HI, g_best + 2 * g_step),
-            _REFINE_TOL,
-        )
-        q_best, _ = _golden_min(
-            lambda q: record(g_best, q),
-            max(0.0, q_best - 2 * q_step),
-            min(q_hi, q_best + 2 * q_step),
-            _REFINE_TOL,
-        )
-        g_step = max(abs(g_best - g_prev), _REFINE_TOL)
-        q_step = max(abs(q_best - q_prev), _REFINE_TOL)
-        if abs(g_best - g_prev) < _REFINE_TOL and abs(q_best - q_prev) < _REFINE_TOL:
-            break
-
-    model = PopularityModel(gamma=g_best, q=q_best, m_total=m_total)
-    return FitResult(model=model, kl_distance=kl_at(g_best, q_best), search_trace=trace)
+    best = int(np.argmin([profile(float(q)) for q in qs]))
+    q_best, kl = _golden_min(
+        profile, float(qs[max(best - 1, 0)]), float(qs[min(best + 1, _Q_POINTS - 1)]), _Q_TOL
+    )
+    model = PopularityModel(gamma=gamma, q=q_best, m_total=m_total)
+    return FitResult(model=model, kl_distance=kl, search_trace=trace)

@@ -297,8 +297,7 @@ def run_monte_carlo(
     hit_fracs = np.empty(trials)
     self_fracs = np.empty(trials)
     d2d_fracs = np.empty(trials)
-    tp_means = np.empty(trials)
-    good_rates = np.empty(trials)
+    good = np.empty(trials)
     tp_user_sum = np.zeros(n_users)
     batch = max(1, _BATCH_ENTRIES // (n_users * config.s_cache))
     for lo in range(0, trials, batch):
@@ -307,24 +306,27 @@ def run_monte_carlo(
         hit_fracs[lo:hi] = t.hits / n_users
         self_fracs[lo:hi] = t.self_hits / n_users
         d2d_fracs[lo:hi] = t.d2d_available / n_users
-        tp_means[lo:hi] = t.throughput.mean(axis=1)
-        good_rates[lo:hi] = (t.cluster_links > 0).sum(axis=1) / network.n_clusters
+        good[lo:hi] = (t.cluster_links > 0).sum(axis=1)
         for row in t.throughput:  # trial by trial, as a sum in seed order
             tp_user_sum += row
 
     hit = float(hit_fracs.mean())
+    # Each cluster with links carries exactly C/K in total, so a trial's mean
+    # per-user throughput is cluster_rate * good / n_users. Taken from the
+    # integer counts, its standard error is exactly 0 when every trial has
+    # the same number of good clusters.
     return SimOutcome(
         hit_prob_estimate=hit,
         outage_estimate=1.0 - hit,
         min_avg_throughput=float((tp_user_sum / trials).min()),
-        per_user_throughput_mean=float(tp_means.mean()),
+        per_user_throughput_mean=config.cluster_rate * float(good.mean()) / n_users,
         self_hit_rate=float(self_fracs.mean()),
         d2d_hit_rate=float(d2d_fracs.mean()),
-        good_cluster_rate=float(good_rates.mean()),
+        good_cluster_rate=float((good / network.n_clusters).mean()),
         trials=trials,
         n_users=n_users,
         hit_prob_se=_stderr(hit_fracs),
-        throughput_se=_stderr(tp_means),
+        throughput_se=config.cluster_rate * _stderr(good) / n_users,
         d2d_hit_se=_stderr(d2d_fracs),
     )
 

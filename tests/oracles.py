@@ -117,6 +117,30 @@ def mzipf_pmf_direct(gamma: float, q: float, m_total: int) -> np.ndarray:
     return np.array([w / z for w in weights])
 
 
+def profile_kl(p_data: np.ndarray, q: float) -> float:
+    """min over gamma in [0.5, 3] of KL(p_data || MZipf(gamma, q)).
+
+    With L = log(f+q), dKL/dgamma = E_data[L] - E_model[L] rises with gamma,
+    so plain bisection on its sign (60 halvings) finds the minimizer.
+    """
+    ranks = np.arange(1, p_data.size + 1, dtype=np.float64)
+    log_f = np.log(ranks + q)
+    e_data = float(p_data @ log_f)
+
+    def model(gamma):
+        w = (ranks + q) ** -gamma
+        return w / w.sum()
+
+    lo, hi = 0.5, 3.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if e_data > float(model(mid) @ log_f):
+            hi = mid
+        else:
+            lo = mid
+    return float(np.sum(p_data * np.log(p_data / model(0.5 * (lo + hi)))))
+
+
 def regime1_outage_direct(gamma: float, q: float, s_cache: int, g_c: int) -> float:
     """Regime-1 outage expression, re-derived with plain ** arithmetic."""
     n = s_cache * (g_c - 1) - 1

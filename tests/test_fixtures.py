@@ -1,6 +1,8 @@
 """Tests for the synthetic regional log generator."""
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -47,3 +49,22 @@ class TestWriteRegionLog:
         write_region_log(a, region=2, n_accesses=500, seed=9)
         write_region_log(b, region=2, n_accesses=500, seed=9)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("duplicate_rate", [0.0, 0.1, 1.0])
+    def test_bytes_match_csv_writer(self, tmp_path, duplicate_rate):
+        path = tmp_path / "log.csv"
+        write_region_log(path, region=1, n_accesses=3000, seed=5, duplicate_rate=duplicate_rate)
+        model = region_model(1)
+        rng = np.random.default_rng(5)
+        ranks = sample_ranks(model, rng, 3000)
+        dup = rng.random(3000) < duplicate_rate
+        oracle = tmp_path / "oracle.csv"
+        with open(oracle, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["user_id", "content_id", "region_id"])
+            for i, rank in enumerate(ranks):
+                row = [f"u{i:07d}", f"c{rank:06d}", "1"]
+                writer.writerow(row)
+                if dup[i]:
+                    writer.writerow(row)
+        assert path.read_bytes() == oracle.read_bytes()

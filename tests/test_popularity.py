@@ -19,11 +19,26 @@ from d2dlab.popularity import (
     sample_ranks,
 )
 
-from oracles import mzipf_pmf_direct, searchsorted_ranks
+from oracles import mzipf_pmf_direct, profile_kl, searchsorted_ranks
 
 
 REGION2 = dict(gamma=1.16, q=22.0, m_total=7345)
 REGION3 = dict(gamma=1.11, q=18.0, m_total=5405)
+REGION_SAMPLES = [
+    (dict(gamma=1.28, q=34.0, m_total=18553), 400_000),
+    (REGION2, 300_000),
+    (REGION3, 300_000),
+]
+REGION_IDS = ["region1", "region2", "region3"]
+
+
+def region_sample(params, n_samples) -> EmpiricalDistribution:
+    """Ranked counts of n_samples draws from the model, seeded by its M."""
+    truth = PopularityModel(**params)
+    rng = np.random.default_rng(truth.m_total)
+    counts = np.bincount(sample_ranks(truth, rng, n_samples), minlength=truth.m_total + 1)[1:]
+    counts = np.sort(counts)[::-1]
+    return EmpiricalDistribution(counts=counts[counts > 0].astype(float))
 
 
 class TestPmf:
@@ -268,24 +283,29 @@ class TestFit:
         assert result.model.q <= 1.0
         assert result.model.gamma == pytest.approx(1.5, abs=0.02)
 
-    @pytest.mark.parametrize(
-        "params,n_samples",
-        [
-            (dict(gamma=1.28, q=34.0, m_total=18553), 400_000),
-            (REGION2, 300_000),
-            (REGION3, 300_000),
-        ],
-        ids=["region1", "region2", "region3"],
-    )
+    @pytest.mark.parametrize("params,n_samples", REGION_SAMPLES, ids=REGION_IDS)
     def test_region_shaped_samples(self, params, n_samples):
         truth = PopularityModel(**params)
-        rng = np.random.default_rng(truth.m_total)
-        counts = np.bincount(sample_ranks(truth, rng, n_samples), minlength=truth.m_total + 1)[1:]
-        counts = np.sort(counts)[::-1]
-        counts = counts[counts > 0].astype(float)
-        result = fit_mzipf(EmpiricalDistribution(counts=counts))
+        result = fit_mzipf(region_sample(params, n_samples))
         assert result.model.gamma == pytest.approx(truth.gamma, abs=0.05)
         assert result.model.q == pytest.approx(truth.q, rel=0.25)
+
+    # KL of the grid + coordinate-descent fit that the profile fit replaced.
+    KL_BEFORE = [0.001510914851555651, 0.0017467499452549547, 0.0011857889889202778]
+
+    @pytest.mark.parametrize("sample,kl_before", list(zip(REGION_SAMPLES, KL_BEFORE)), ids=REGION_IDS)
+    def test_region_fit_certificate(self, sample, kl_before):
+        """At the fit, dKL/dgamma = E_data[L] - E_model[L] vanishes, the
+        profile KL rises on both sides of q, and KL is no worse than before."""
+        empirical = region_sample(*sample)
+        result = fit_mzipf(empirical)
+        model = result.model
+        p_data = empirical.pmf()[: model.m_total]
+        log_f = np.log(np.arange(1, model.m_total + 1) + model.q)
+        assert abs(p_data @ log_f - model.pmf_values @ log_f) <= 1e-9
+        for q in (model.q * (1 - 1e-3), model.q * (1 + 1e-3)):
+            assert profile_kl(p_data, q) >= result.kl_distance
+        assert result.kl_distance <= kl_before
 
     def test_degenerate_single_rank(self):
         with pytest.raises(UnidentifiableFitError):

@@ -179,9 +179,20 @@ class TestRunMonteCarlo:
         t = run_trial(net, policy, self.MODEL, cfg, seed=17)
         assert out.hit_prob_estimate == t.hit_frac
         assert out.outage_estimate == t.outage_frac
-        assert out.per_user_throughput_mean == t.throughput.mean()
+        assert out.per_user_throughput_mean == cfg.cluster_rate * t.good_clusters / t.n_users
         assert out.min_avg_throughput == t.throughput.min()
         assert out.hit_prob_se == 0.0
+
+    def test_every_cluster_good_gives_zero_throughput_se(self):
+        """Every trial's mean throughput is C/K * good / n_users, so equal
+        good-cluster counts leave no spread, not float noise."""
+        net = build_grid(64, 16)
+        policy = optimal_policy(self.MODEL, 8, 16)
+        cfg = make_config(net, s=8)
+        out = run_monte_carlo(net, policy, self.MODEL, cfg, 50, base_seed=0)
+        assert out.good_cluster_rate == 1.0
+        assert out.throughput_se == 0.0
+        assert out.per_user_throughput_mean == cfg.cluster_rate * net.n_clusters / net.n_users
 
     def test_outage_is_exact_complement(self):
         net = build_grid(64, 16)
