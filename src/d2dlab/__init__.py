@@ -17,8 +17,7 @@ from .analysis import (
     hit_prob_closed_form,
     hit_prob_lower_bound,
     tradeoff_curve,
-    tradeoff_regime1,
-    tradeoff_regime2,
+    tradeoff_point,
 )
 from .fixtures import REGION_PRESETS, region_model, write_region_log
 from .ingest import (
@@ -102,8 +101,7 @@ __all__ = [
     "theoretical_mstar",
     "to_empirical",
     "tradeoff_curve",
-    "tradeoff_regime1",
-    "tradeoff_regime2",
+    "tradeoff_point",
     "write_region_log",
     "z_values",
 ]

@@ -21,8 +21,7 @@ __all__ = [
     "REGIME2",
     "hit_prob_closed_form",
     "hit_prob_lower_bound",
-    "tradeoff_regime1",
-    "tradeoff_regime2",
+    "tradeoff_point",
     "tradeoff_curve",
 ]
 
@@ -40,12 +39,21 @@ class RegimeError(ValueError):
 
 @dataclass(frozen=True)
 class TradeoffPoint:
-    """An achievable (throughput, outage) pair for one cluster size."""
+    """An achievable (throughput, outage) pair for one cluster size.
+
+    hit_prob is the finite-size hit probability of the point's regime: the
+    closed form in regime 1, the lower bound in regime 2, each clamped to
+    [0, 1]. In regime 1 it is not one minus the outage, whose law is
+    asymptotic and meets it only as M grows, like M^-(gamma-1). A failed
+    point has NaN throughput, outage and hit_prob, an empty regime_tag, and
+    its error.
+    """
 
     throughput: float
     outage: float
     regime_tag: str
     g_c_used: int
+    hit_prob: float = math.nan
     clamped: bool = False
     error: str | None = None
 
@@ -79,20 +87,25 @@ def _regime_of(
     return (REGIME1 if below else REGIME2), sc
 
 
-def hit_prob_closed_form(popularity: PopularityModel, config: NetworkConfig) -> float:
-    """Regime-1 hit probability of the optimal policy, in closed form.
-
-    Requires cluster_size < gamma*M/(c1*S); beyond that threshold the
-    closed form does not apply and a RegimeError points at the regime-2
-    lower bound instead. The finite-size evaluation is clamped to [0, 1].
-    """
-    gamma, q, m = popularity.gamma, popularity.q, popularity.m_total
-    regime, sc = _regime_of(popularity, config.s_cache, config.cluster_size)
-    if regime != REGIME1:
+def _in_regime(
+    popularity: PopularityModel, config: NetworkConfig, regime: str
+) -> ScalingConstants:
+    """Scaling constants of a point that must lie in the given regime."""
+    actual, sc = _regime_of(popularity, config.s_cache, config.cluster_size)
+    if actual != regime:
         raise RegimeError(
             f"cluster_size {config.cluster_size} is at or beyond gamma*M/(c1*S); "
             "use hit_prob_lower_bound (regime 2)"
+            if regime == REGIME1
+            else f"implied rho={sc.rho:.4g} < gamma={popularity.gamma}; "
+            "cluster too small for the regime-2 bound (use the closed form)"
         )
+    return sc
+
+
+def _closed_form(popularity: PopularityModel, config: NetworkConfig, sc: ScalingConstants) -> float:
+    """Unclamped regime-1 closed form."""
+    gamma, q, m = popularity.gamma, popularity.q, popularity.m_total
     a = sc.c1 * config.s_cache * config.cluster_size / gamma
     e = 1.0 - gamma
     if abs(e) < _GAMMA_ONE_EPS:
@@ -101,20 +114,12 @@ def hit_prob_closed_form(popularity: PopularityModel, config: NetworkConfig) -> 
     else:
         num = _pow(a + q, e) - e * _pow(a + q, -gamma) * a - _pow(q + 1.0, e)
         den = _pow(m + q, e) - _pow(q + 1.0, e)
-    return _clamp_unit(num / den)[0]
+    return num / den
 
 
-def _lower_bound(
-    popularity: PopularityModel, config: NetworkConfig
-) -> tuple[float, ScalingConstants]:
-    """Unclamped regime-2 bound, with the scaling constants it used."""
+def _lower_bound(popularity: PopularityModel, config: NetworkConfig, sc: ScalingConstants) -> float:
+    """Unclamped regime-2 bound."""
     gamma = popularity.gamma
-    regime, sc = _regime_of(popularity, config.s_cache, config.cluster_size)
-    if regime != REGIME2:
-        raise RegimeError(
-            f"implied rho={sc.rho:.4g} < gamma={gamma}; "
-            "cluster too small for the regime-2 bound (use the closed form)"
-        )
     n = _policy_exponent(config.s_cache, config.cluster_size)
     d, beta = sc.d_ratio, sc.a_prime
     e = 1.0 - gamma
@@ -129,7 +134,18 @@ def _lower_bound(
             factor = decay / math.log((1.0 + d) / d)
         else:
             factor = e * decay / (_pow(1.0 + d, e) - _pow(d, e))
-    return 1.0 - factor * math.exp(-n * math.log(bracket)), sc
+    return 1.0 - factor * math.exp(-n * math.log(bracket))
+
+
+def hit_prob_closed_form(popularity: PopularityModel, config: NetworkConfig) -> float:
+    """Regime-1 hit probability of the optimal policy, in closed form.
+
+    Requires cluster_size < gamma*M/(c1*S); beyond that threshold the
+    closed form does not apply and a RegimeError points at the regime-2
+    lower bound instead. The finite-size evaluation is clamped to [0, 1].
+    """
+    sc = _in_regime(popularity, config, REGIME1)
+    return _clamp_unit(_closed_form(popularity, config, sc))[0]
 
 
 def hit_prob_lower_bound(popularity: PopularityModel, config: NetworkConfig) -> float:
@@ -138,61 +154,47 @@ def hit_prob_lower_bound(popularity: PopularityModel, config: NetworkConfig) -> 
     Applies when the implied rho = c1*S*g_c/M is at least gamma. Clamped
     to [0, 1] at finite parameters.
     """
-    return _clamp_unit(_lower_bound(popularity, config)[0])[0]
+    sc = _in_regime(popularity, config, REGIME2)
+    return _clamp_unit(_lower_bound(popularity, config, sc))[0]
 
 
-def tradeoff_regime1(
+def tradeoff_point(
     popularity: PopularityModel, config: NetworkConfig, kappa: float = 10.0
 ) -> TradeoffPoint:
-    """Throughput-outage point for clusters below the regime boundary.
+    """Throughput-outage point of one cluster size, in the regime it falls in.
 
-    T = (C/K)/g_c exactly; the outage follows the c6 = q/g_c expression.
-    kappa bounds the admissible plateau size q <= kappa*S*g_c/gamma, the
-    finite-size stand-in for q growing no faster than the cluster memory;
-    it must be positive and finite.
+    Below the boundary gamma*M/(c1*S), T = (C/K)/g_c exactly and the outage
+    follows the c6 = q/g_c expression; kappa bounds the admissible plateau
+    size q <= kappa*S*g_c/gamma, the finite-size stand-in for q growing no
+    faster than the cluster memory, and must be positive and finite. At or
+    beyond it, rho = c1*S*g_c/M fixes T = (C/K)*S*c1/(rho*M) and the outage
+    is one minus the regime-2 hit probability lower bound.
     """
     _check_kappa(kappa)
     gamma, q = popularity.gamma, popularity.q
     regime, sc = _regime_of(popularity, config.s_cache, config.cluster_size)
-    if regime != REGIME1:
-        raise RegimeError(
-            f"cluster_size {config.cluster_size} is at or beyond gamma*M/(c1*S); "
-            "use tradeoff_regime2"
-        )
-    if q > kappa * config.s_cache * config.cluster_size / gamma:
-        raise RegimeError(
-            f"plateau factor q={q} exceeds kappa*S*g_c/gamma="
-            f"{kappa * config.s_cache * config.cluster_size / gamma:.4g}; "
-            "the regime-1 outage expression assumes q = O(S*g_c/gamma)"
-        )
-    throughput = config.cluster_rate / config.cluster_size
-    s_c1 = config.s_cache * sc.c1
-    outage_raw = _pow(sc.c6, gamma - 1.0) * (s_c1 + sc.c6) / _pow(s_c1 / gamma + sc.c6, gamma)
+    if regime == REGIME1:
+        if q > kappa * config.s_cache * config.cluster_size / gamma:
+            raise RegimeError(
+                f"plateau factor q={q} exceeds kappa*S*g_c/gamma="
+                f"{kappa * config.s_cache * config.cluster_size / gamma:.4g}; "
+                "the regime-1 outage expression assumes q = O(S*g_c/gamma)"
+            )
+        throughput = config.cluster_rate / config.cluster_size
+        s_c1 = config.s_cache * sc.c1
+        outage_raw = _pow(sc.c6, gamma - 1.0) * (s_c1 + sc.c6) / _pow(s_c1 / gamma + sc.c6, gamma)
+        hit = _closed_form(popularity, config, sc)
+    else:
+        hit = _lower_bound(popularity, config, sc)
+        throughput = config.cluster_rate * config.s_cache * sc.c1 / (sc.rho * popularity.m_total)
+        outage_raw = 1.0 - hit
     outage, clamped = _clamp_unit(outage_raw)
     return TradeoffPoint(
         throughput=throughput,
         outage=outage,
-        regime_tag=REGIME1,
+        regime_tag=regime,
         g_c_used=config.cluster_size,
-        clamped=clamped,
-    )
-
-
-def tradeoff_regime2(popularity: PopularityModel, config: NetworkConfig) -> TradeoffPoint:
-    """Throughput-outage point for clusters at or beyond the regime boundary.
-
-    The cluster size fixes rho = c1*S*g_c/M (which must be >= gamma);
-    T = (C/K)*S*c1/(rho*M) and the outage is one minus the regime-2 hit
-    probability lower bound.
-    """
-    bound, sc = _lower_bound(popularity, config)  # raises RegimeError below the boundary
-    throughput = config.cluster_rate * config.s_cache * sc.c1 / (sc.rho * popularity.m_total)
-    outage, clamped = _clamp_unit(1.0 - bound)
-    return TradeoffPoint(
-        throughput=throughput,
-        outage=outage,
-        regime_tag=REGIME2,
-        g_c_used=config.cluster_size,
+        hit_prob=_clamp_unit(hit)[0],
         clamped=clamped,
     )
 
@@ -203,24 +205,18 @@ def tradeoff_curve(
     g_c_list: list[int],
     kappa: float = 10.0,
 ) -> list[TradeoffPoint]:
-    """Evaluate the tradeoff across cluster sizes, dispatching per regime.
+    """tradeoff_point at each cluster size, in input order.
 
-    Each cluster size strictly below gamma*M/(c1*S) goes to regime 1,
-    everything at or above to regime 2. Per-point failures (e.g. clusters
-    too small for any policy) are recorded on the point, not raised; a
-    kappa that is not positive and finite raises for the whole curve. The
-    result is sorted by outage, failed points last.
+    Per-point failures (e.g. clusters too small for any policy) are
+    recorded on the point, not raised; a kappa that is not positive and
+    finite raises for the whole curve.
     """
     _check_kappa(kappa)
     points: list[TradeoffPoint] = []
     for g_c in g_c_list:
         try:
             cfg = replace(base, cluster_size=g_c, n_users=max(base.n_users, g_c))
-            regime, _ = _regime_of(popularity, cfg.s_cache, g_c)
-            if regime == REGIME1:
-                points.append(tradeoff_regime1(popularity, cfg, kappa))
-            else:
-                points.append(tradeoff_regime2(popularity, cfg))
+            points.append(tradeoff_point(popularity, cfg, kappa))
         except ValueError as exc:  # includes RegimeError
             points.append(
                 TradeoffPoint(
@@ -231,4 +227,4 @@ def tradeoff_curve(
                     error=str(exc),
                 )
             )
-    return sorted(points, key=lambda p: (math.isnan(p.outage), p.outage))
+    return points

@@ -13,19 +13,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .analysis import (
-    REGIME1,
-    TradeoffPoint,
-    _check_kappa,
-    hit_prob_closed_form,
-    hit_prob_lower_bound,
-    tradeoff_curve,
-)
+from .analysis import _check_kappa, tradeoff_curve
 from .ingest import LogFormatError, dedup_unique, parse_log, to_empirical
 from .network import NetworkConfig
 from .policy import optimal_policy, theoretical_mstar
@@ -45,7 +37,9 @@ EXIT_INTERNAL = 4
 
 
 def _fmt(x) -> str:
-    """Render a number with 10 significant digits; empty for None/NaN."""
+    """Render a number with 10 significant digits; empty for None/NaN; strings as is."""
+    if isinstance(x, str):
+        return x
     if x is None:
         return ""
     if isinstance(x, float) and math.isnan(x):
@@ -198,22 +192,13 @@ def _tradeoff_rows(args, model, g_c_list) -> list[dict]:
         cluster_size=min(g_c_list),
     )
     if args.mode in ("analytic", "both"):
-        by_gc: dict[int, TradeoffPoint] = {
-            p.g_c_used: p for p in tradeoff_curve(model, base, g_c_list, kappa=args.kappa)
-        }
-        for row in rows:
-            p = by_gc[row["g_c"]]
+        for row, p in zip(rows, tradeoff_curve(model, base, g_c_list, kappa=args.kappa)):
             row["regime"] = p.regime_tag
             row["T_analytic"] = p.throughput
             row["Po_analytic"] = p.outage
+            row["hit_analytic"] = p.hit_prob
             row["clamped"] = p.clamped
-            if p.error:
-                row["error"] = p.error
-            else:
-                # Unlike the asymptotic regime-1 Po_analytic, which converges like
-                # M^-(gamma-1), hit_analytic is the finite-size per-regime value.
-                hit_prob = hit_prob_closed_form if p.regime_tag == REGIME1 else hit_prob_lower_bound
-                row["hit_analytic"] = hit_prob(model, replace(base, cluster_size=row["g_c"]))
+            row["error"] = p.error
     if args.mode in ("simulate", "both"):
         points = simulate_tradeoff(
             model, base, g_c_list, trials=args.trials, base_seed=args.seed,
@@ -243,11 +228,7 @@ def cmd_tradeoff(args) -> str:
         writer = csv.writer(fh)
         writer.writerow(_TRADEOFF_COLUMNS)
         for row in rows:
-            writer.writerow([
-                _fmt(row.get(col)) if col not in ("regime", "error")
-                else row.get(col, "")
-                for col in _TRADEOFF_COLUMNS
-            ])
+            writer.writerow([_fmt(row.get(col)) for col in _TRADEOFF_COLUMNS])
     return f"tradeoff: {len(rows)} points ({args.mode}) -> {output}"
 
 

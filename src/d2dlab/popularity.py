@@ -105,18 +105,17 @@ def _guide_table(cdf: np.ndarray, max_rank: int) -> tuple[np.ndarray, np.ndarray
 _LOOKUP_BLOCK = 1 << 16
 
 
-def _ranks_from_cdf(cdf: np.ndarray, draws, max_rank: int, guide=None):
-    """Inverse-CDF lookup: the 1-based rank r with cdf[r-2] <= draw < cdf[r-1],
-    for draws in [0, 1).
+def _ranks_from_cdf(guide: tuple[np.ndarray, np.ndarray], draws):
+    """Inverse-CDF lookup through a _guide_table(cdf, max_rank): the 1-based
+    rank r with cdf[r-2] <= draw < cdf[r-1], for draws in [0, 1).
 
     Ranks are capped at max_rank, which absorbs draws at or above a final
     cumulative sum that rounding left below 1, and keeps draws off a
     zero-probability tail. The answer is min(searchsorted(cdf, u, "right"),
     max_rank-1) + 1: each draw starts at its bucket's count in the guide
-    table (built from cdf and max_rank when not given) and steps forward
-    while the next sum is at or below it.
+    table and steps forward while the next sum is at or below it.
     """
-    sums, start = _guide_table(cdf, max_rank) if guide is None else guide
+    sums, start = guide
     k = start.size - 1
     u = np.asarray(draws, dtype=np.float64)
     ranks = np.empty(u.shape, dtype=np.intp)
@@ -136,7 +135,7 @@ def _ranks_from_cdf(cdf: np.ndarray, draws, max_rank: int, guide=None):
 
 def sample_ranks(model: PopularityModel, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw size i.i.d. ranks from the model by inverse-CDF lookup."""
-    return _ranks_from_cdf(model.cdf_values, rng.random(size), model.m_total, model._cdf_guide)
+    return _ranks_from_cdf(model._cdf_guide, rng.random(size))
 
 
 @dataclass(frozen=True)
@@ -266,7 +265,9 @@ def fit_mzipf(empirical: EmpiricalDistribution) -> FitResult:
         log_f = np.log(ranks + q)
         e_data = float(p_data @ log_f)
         lo, hi = _GAMMA_LO, _GAMMA_HI
+        hi_tried = False
         while True:
+            hi_tried |= gamma == _GAMMA_HI
             p_model = PopularityModel(gamma=gamma, q=q, m_total=m_total).pmf_values
             kl = float(np.sum(p_data * (log_p_data - np.log(p_model))))
             trace.append((gamma, q, kl))
@@ -279,7 +280,18 @@ def fit_mzipf(empirical: EmpiricalDistribution) -> FitResult:
             step = slope / float(p_model @ np.square(log_f - e_model))
             if abs(step) < _GAMMA_TOL or hi - lo < _GAMMA_TOL:
                 return kl
-            gamma = gamma - step if lo < gamma - step < hi else 0.5 * (lo + hi)
+            target = gamma - step
+            if lo < target < hi:
+                gamma = target
+            elif target >= hi == _GAMMA_HI and not hi_tried:
+                # For gamma >= 1, L is right-skewed under the model, so the
+                # slope is concave and an upward Newton step undershoots: a
+                # target past _GAMMA_HI puts the minimizer past it too. One
+                # evaluation at the bound then closes the bracket there
+                # instead of bisecting toward it.
+                gamma = _GAMMA_HI
+            else:
+                gamma = 0.5 * (lo + hi)
 
     qs = np.concatenate([[0.0], np.geomspace(min(0.5, q_hi / 2), q_hi, _Q_POINTS - 1)])
     best = int(np.argmin([profile(float(q)) for q in qs]))

@@ -116,14 +116,6 @@ class TrialOutcome:
         # Exact complement so the per-trial outage identity holds to the bit.
         return 1.0 - self.hit_frac
 
-    @property
-    def self_hit_frac(self) -> float:
-        return self.self_hits / self.n_users
-
-    @property
-    def d2d_frac(self) -> float:
-        return self.d2d_available / self.n_users
-
 
 # Cache entries (users x slots, summed over trials) one batch of trials
 # holds; trials share one lookup, count and link pass. A trial larger than
@@ -163,10 +155,8 @@ def _run_trials(
         rng = np.random.default_rng(seed)
         rng.random(out=cache_draws[row])
         rng.random(out=request_draws[row])
-    caches = _ranks_from_cdf(policy.cdf, cache_draws, policy.m_star, policy._cdf_guide)
-    requests = _ranks_from_cdf(
-        popularity.cdf_values, request_draws, popularity.m_total, popularity._cdf_guide
-    )
+    caches = _ranks_from_cdf(policy._cdf_guide, cache_draws)
+    requests = _ranks_from_cdf(popularity._cdf_guide, request_draws)
     own = (caches == requests[:, :, None]).sum(axis=2)
 
     # Count the copies of each file per cluster with one bincount over

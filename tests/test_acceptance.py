@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from d2dlab.analysis import hit_prob_closed_form, hit_prob_lower_bound, tradeoff_regime1
+from d2dlab.analysis import REGIME1, hit_prob_closed_form, hit_prob_lower_bound, tradeoff_point
 from d2dlab.network import NetworkConfig
 from d2dlab.policy import (
     optimal_policy,
@@ -180,9 +180,10 @@ def test_criterion_5_regime1_throughput_law():
     model = PopularityModel(gamma=1.16, q=22.0, m_total=7345)
     cfg100 = NetworkConfig(n_users=10_000, s_cache=1, rate_c=1.0, reuse_k=4, cluster_size=100)
     cfg200 = NetworkConfig(n_users=10_000, s_cache=1, rate_c=1.0, reuse_k=4, cluster_size=200)
-    t100 = tradeoff_regime1(model, cfg100).throughput
-    t200 = tradeoff_regime1(model, cfg200).throughput
-    analytic_ok = t100 == (1.0 / 4) / 100 and t200 == t100 / 2
+    p100, p200 = tradeoff_point(model, cfg100), tradeoff_point(model, cfg200)
+    t100, t200 = p100.throughput, p200.throughput
+    analytic_ok = (p100.regime_tag == p200.regime_tag == REGIME1
+                   and t100 == (1.0 / 4) / 100 and t200 == t100 / 2)
 
     g_c, s, rate, k = 16, 1, 1.0, 4
     small = PopularityModel(gamma=1.16, q=5.0, m_total=50)

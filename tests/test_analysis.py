@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from d2dlab import analysis
 from d2dlab.analysis import (
     REGIME1,
     REGIME2,
@@ -14,8 +15,7 @@ from d2dlab.analysis import (
     hit_prob_closed_form,
     hit_prob_lower_bound,
     tradeoff_curve,
-    tradeoff_regime1,
-    tradeoff_regime2,
+    tradeoff_point,
 )
 from d2dlab.network import NetworkConfig
 from d2dlab.policy import optimal_policy, scaling_constants, solve_c1
@@ -29,6 +29,13 @@ def config(g_c: int, s: int = 1, c: float = 1.0, k: int = 4, n: int | None = Non
         n_users=n if n is not None else max(10_000, g_c),
         s_cache=s, rate_c=c, reuse_k=k, cluster_size=g_c,
     )
+
+
+def point_in(regime: str, model: PopularityModel, cfg: NetworkConfig, kappa: float = 10.0):
+    """tradeoff_point, asserting the regime the point falls in."""
+    point = tradeoff_point(model, cfg, kappa)
+    assert point.regime_tag == regime
+    return point
 
 
 class TestClosedForm:
@@ -146,14 +153,14 @@ class TestRegime1:
     MODEL = PopularityModel(gamma=1.16, q=22.0, m_total=7345)
 
     def test_throughput_is_exact_ratio(self):
-        point = tradeoff_regime1(self.MODEL, config(100, s=1, c=1.0, k=4))
+        point = point_in(REGIME1, self.MODEL, config(100, s=1, c=1.0, k=4))
         assert point.throughput == (1.0 / 4) / 100
         assert point.regime_tag == REGIME1
 
     def test_outage_value_fixed_by_oracle(self):
         """gamma=1.16, q=22, S=1, g_c=100: independent re-evaluation gives
         0.8351483790 (c6=0.22, c1 from the 22*1.16/98 fixed point)."""
-        point = tradeoff_regime1(self.MODEL, config(100, s=1))
+        point = point_in(REGIME1, self.MODEL, config(100, s=1))
         assert point.outage == pytest.approx(0.8351483790246113, rel=1e-9)
         assert point.outage == pytest.approx(
             regime1_outage_direct(1.16, 22.0, 1, 100), rel=1e-9
@@ -162,8 +169,8 @@ class TestRegime1:
     def test_vanishing_plateau_gives_vanishing_outage(self):
         """P_o -> 0 as q -> 0 (slowly: the leading factor is (q/g_c)^0.16)."""
         outages = [
-            tradeoff_regime1(
-                PopularityModel(gamma=1.16, q=q, m_total=7345), config(100, s=1)
+            point_in(
+                REGIME1, PopularityModel(gamma=1.16, q=q, m_total=7345), config(100, s=1)
             ).outage
             for q in (1.0, 1e-3, 1e-6, 1e-9, 0.0)
         ]
@@ -171,29 +178,26 @@ class TestRegime1:
         assert outages[-1] == 0.0
 
     def test_scale_invariance_in_link_rate(self):
-        base = tradeoff_regime1(self.MODEL, config(100, s=1, c=1.0))
-        doubled = tradeoff_regime1(self.MODEL, config(100, s=1, c=2.0))
+        base = point_in(REGIME1, self.MODEL, config(100, s=1, c=1.0))
+        doubled = point_in(REGIME1, self.MODEL, config(100, s=1, c=2.0))
         assert doubled.throughput == 2.0 * base.throughput
         assert doubled.outage == base.outage
 
     def test_doubling_cluster_halves_throughput_exactly(self):
-        t1 = tradeoff_regime1(self.MODEL, config(100, s=1)).throughput
-        t2 = tradeoff_regime1(self.MODEL, config(200, s=1)).throughput
+        t1 = point_in(REGIME1, self.MODEL, config(100, s=1)).throughput
+        t2 = point_in(REGIME1, self.MODEL, config(200, s=1)).throughput
         assert t2 == t1 / 2
 
     def test_kappa_admissibility(self):
         fat_plateau = PopularityModel(gamma=1.16, q=5000.0, m_total=7345)
         with pytest.raises(RegimeError, match="kappa"):
-            tradeoff_regime1(fat_plateau, config(100, s=1), kappa=10.0)
+            tradeoff_point(fat_plateau, config(100, s=1), kappa=10.0)
+        point_in(REGIME1, fat_plateau, config(100, s=1), kappa=1e6)
 
     @pytest.mark.parametrize("kappa", [math.nan, math.inf, 0.0, -1.0])
     def test_kappa_must_be_positive_and_finite(self, kappa):
         with pytest.raises(ValueError, match="kappa must be positive and finite"):
-            tradeoff_regime1(self.MODEL, config(100, s=1), kappa=kappa)
-
-    def test_regime_error_beyond_boundary(self):
-        with pytest.raises(RegimeError, match="tradeoff_regime2"):
-            tradeoff_regime1(self.MODEL, config(7000, s=4))
+            tradeoff_point(self.MODEL, config(100, s=1), kappa=kappa)
 
     def test_outage_complements_closed_form_in_the_large_library_limit(self):
         """The regime-1 outage law is the M->infinity limit of one minus
@@ -203,7 +207,7 @@ class TestRegime1:
         gaps = []
         for m_total in (10**3, 10**4, 10**5, 10**6):
             model = PopularityModel(gamma=1.16, q=22.0, m_total=m_total)
-            po = tradeoff_regime1(model, cfg).outage
+            po = point_in(REGIME1, model, cfg).outage
             gaps.append(abs(po - (1.0 - hit_prob_closed_form(model, cfg))))
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 0.05
@@ -214,7 +218,7 @@ class TestRegime2:
         model = PopularityModel(gamma=1.11, q=18.0, m_total=5405)
         cfg = config(2500, s=8, c=1.0, k=4)
         sc = scaling_constants(model, 8, 2500)
-        point = tradeoff_regime2(model, cfg)
+        point = point_in(REGIME2, model, cfg)
         assert point.regime_tag == REGIME2
         assert point.throughput == pytest.approx(
             (1.0 / 4) * 8 * sc.c1 / (sc.rho * 5405), rel=1e-12
@@ -226,34 +230,29 @@ class TestRegime2:
         (C/K)/g_c; the two regimes hand off continuously."""
         model = PopularityModel(gamma=1.16, q=22.0, m_total=2000)
         g_c = 2600  # beyond the regime boundary for S=1
-        point = tradeoff_regime2(model, config(g_c, s=1))
+        point = point_in(REGIME2, model, config(g_c, s=1))
         assert point.throughput == pytest.approx((1.0 / 4) / g_c, rel=1e-12)
 
     def test_doubling_library_and_cluster_halves_throughput(self):
         model1 = PopularityModel(gamma=1.16, q=22.0, m_total=2000)
         model2 = PopularityModel(gamma=1.16, q=22.0, m_total=4000)
-        t1 = tradeoff_regime2(model1, config(2600, s=1)).throughput
-        t2 = tradeoff_regime2(model2, config(5200, s=1)).throughput
+        t1 = point_in(REGIME2, model1, config(2600, s=1)).throughput
+        t2 = point_in(REGIME2, model2, config(5200, s=1)).throughput
         assert t2 == pytest.approx(t1 / 2, rel=1e-12)
 
     def test_outage_complements_lower_bound(self):
         model = PopularityModel(gamma=1.16, q=22.0, m_total=2000)
         cfg = config(2600, s=1)
-        point = tradeoff_regime2(model, cfg)
+        point = point_in(REGIME2, model, cfg)
         assert point.outage == pytest.approx(
             1.0 - hit_prob_lower_bound(model, cfg), abs=1e-15
         )
-
-    def test_regime_error_below_boundary(self):
-        model = PopularityModel(gamma=1.16, q=22.0, m_total=10_000)
-        with pytest.raises(RegimeError):
-            tradeoff_regime2(model, config(100, s=1))
 
     def test_clamped_bound_is_flagged(self):
         """q=0, S=2, g_c=900: the raw bound 1-(1-gamma)e^{-(rho-gamma)} is
         above 1, so the outage is clamped to 0 and the point says so."""
         model = PopularityModel(gamma=1.3, q=0.0, m_total=1000)
-        point = tradeoff_regime2(model, config(900, s=2))
+        point = point_in(REGIME2, model, config(900, s=2))
         assert point.clamped is True
         assert point.outage == 0.0
 
@@ -282,10 +281,35 @@ class TestTradeoffCurve:
         assert REGIME1 in tags and REGIME2 in tags
         assert tags == sorted(tags)  # regime1 strictly before regime2
 
-    def test_sorted_by_outage(self):
-        points = tradeoff_curve(self.MODEL, self.base(), [800, 50, 200])
-        outages = [p.outage for p in points]
-        assert outages == sorted(outages)
+    def test_points_in_input_order(self):
+        """Points keep the input order, a repeated cluster size and a
+        failed point in the middle included."""
+        g_list = [50, 2, 800, 200, 800]
+        points = tradeoff_curve(self.MODEL, self.base(), g_list)
+        assert [p.g_c_used for p in points] == g_list
+        assert [p.error is None for p in points] == [True, False, True, True, True]
+        assert points[2] == points[4]
+        assert points[0].outage > points[3].outage > points[2].outage
+
+    def test_hit_prob_is_the_regime_formula(self):
+        model = self.MODEL
+        below = point_in(REGIME1, model, config(100, s=1))
+        assert below.hit_prob == hit_prob_closed_form(model, config(100, s=1))
+        beyond = point_in(REGIME2, model, config(2600, s=1))
+        assert beyond.hit_prob == hit_prob_lower_bound(model, config(2600, s=1))
+
+    def test_one_scaling_constants_call_per_point(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return scaling_constants(*args)
+
+        monkeypatch.setattr(analysis, "scaling_constants", counted)
+        g_list = [50, 100, 800, 2600, 3200]
+        points = tradeoff_curve(self.MODEL, self.base(), g_list)
+        assert {p.regime_tag for p in points} == {REGIME1, REGIME2}
+        assert len(calls) == len(g_list)
 
     def test_pure_zipf_degeneration_stays_finite(self):
         """q=0 collapses to a pure Zipf library: every expression evaluates
@@ -313,5 +337,6 @@ class TestTradeoffCurve:
         assert failed[0].g_c_used == 2
         assert "cluster too small" in failed[0].error
         assert math.isnan(failed[0].throughput)
+        assert math.isnan(failed[0].hit_prob)
         ok = [p for p in points if not p.error]
         assert len(ok) == 1 and ok[0].outage > 0

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 
 from d2dlab.policy import optimal_policy
 from d2dlab.popularity import (
+    _GAMMA_HI,
     EmpiricalDistribution,
     PopularityModel,
     UnidentifiableFitError,
+    _guide_table,
     _ranks_from_cdf,
     fit_mzipf,
     kl_distance,
@@ -118,7 +121,7 @@ class TestPmf:
 
 def lookup(model: PopularityModel, u: float) -> int:
     """The one inverse-CDF lookup, as the simulator and sample_ranks call it."""
-    return int(_ranks_from_cdf(model.cdf_values, u, model.m_total))
+    return int(_ranks_from_cdf(model._cdf_guide, u))
 
 
 class TestSampling:
@@ -162,7 +165,9 @@ class TestSampling:
             expected = (
                 np.minimum(np.searchsorted(cdf, draws, side="right"), model.m_total - 1) + 1
             )
-            np.testing.assert_array_equal(_ranks_from_cdf(cdf, draws, model.m_total), expected)
+            np.testing.assert_array_equal(
+                _ranks_from_cdf(_guide_table(cdf, model.m_total), draws), expected
+            )
             for u, want in zip(draws, expected):
                 assert lookup(model, float(u)) == want
             assert lookup(model, float(cdf[-1])) == model.m_total
@@ -192,7 +197,7 @@ class TestSampling:
         draws = np.concatenate([points, np.nextafter(points, -1.0), np.nextafter(points, 2.0)])
         draws = draws[(draws >= 0.0) & (draws < 1.0)]
         np.testing.assert_array_equal(
-            _ranks_from_cdf(cdf, draws, max_rank, guide), searchsorted_ranks(cdf, draws, max_rank)
+            _ranks_from_cdf(guide, draws), searchsorted_ranks(cdf, draws, max_rank)
         )
 
     @settings(max_examples=80, deadline=None)
@@ -306,6 +311,13 @@ class TestFit:
         for q in (model.q * (1 - 1e-3), model.q * (1 + 1e-3)):
             assert profile_kl(p_data, q) >= result.kl_distance
         assert result.kl_distance <= kl_before
+
+    def test_one_evaluation_at_the_gamma_bound(self):
+        """On region 1, gamma*(q) lies past _GAMMA_HI at the top scan points;
+        each q evaluates near that bound once rather than bisecting toward it."""
+        result = fit_mzipf(region_sample(*REGION_SAMPLES[0]))
+        near = Counter(q for g, q, _ in result.search_trace if abs(g - _GAMMA_HI) <= 1e-6)
+        assert near and max(near.values()) == 1
 
     def test_degenerate_single_rank(self):
         with pytest.raises(UnidentifiableFitError):
