@@ -51,10 +51,6 @@ def _fmt(x) -> str:
     return f"{x:.10g}"
 
 
-def _round10(x: float) -> float:
-    return float(f"{x:.10g}")
-
-
 def _workers() -> int:
     """Sweep worker threads from D2DLAB_THREADS; unset or empty means 1."""
     raw = os.environ.get("D2DLAB_THREADS", "")
@@ -86,8 +82,29 @@ def _write_manifest(args, started: str) -> None:
     )
 
 
+def _rounded(value):
+    """value with every float in it rounded to 10 significant digits."""
+    if isinstance(value, float):
+        return float(f"{value:.10g}")
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_rounded(item) for item in value]
+    return value
+
+
 def _write_json(output: Path, payload: dict) -> None:
-    output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Write payload as sorted, indented JSON, floats at 10 significant digits."""
+    text = json.dumps(_rounded(payload), indent=2, sort_keys=True)
+    output.write_text(text + "\n", encoding="utf-8")
+
+
+def _write_csv(output: Path, header: list[str], rows) -> None:
+    """Write a header and rows, each cell rendered by _fmt."""
+    with open(output, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(cell) for cell in row] for row in rows)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -113,10 +130,10 @@ def cmd_fit(args) -> str:
 
     output = Path(args.output)
     payload = {
-        "gamma": _round10(result.model.gamma),
-        "q": _round10(result.model.q),
+        "gamma": result.model.gamma,
+        "q": result.model.q,
         "m_total": result.model.m_total,
-        "kl_distance": _round10(result.kl_distance),
+        "kl_distance": result.kl_distance,
         "unique_accesses": unique.n_unique,
         "users": n_users,
         "report": {
@@ -130,11 +147,8 @@ def cmd_fit(args) -> str:
     _write_json(output, payload)
 
     ranks_csv = Path(args.ranks_csv) if args.ranks_csv else output.with_name(output.stem + "_ranks.csv")
-    with open(ranks_csv, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "count"])
-        for rank, count in enumerate(empirical.counts, start=1):
-            writer.writerow([rank, _fmt(int(count))])
+    _write_csv(ranks_csv, ["rank", "count"],
+               ((rank, int(count)) for rank, count in enumerate(empirical.counts, start=1)))
 
     return (f"fit: gamma={_fmt(result.model.gamma)} q={_fmt(result.model.q)} "
             f"M={result.model.m_total} kl={_fmt(result.kl_distance)} -> {output}")
@@ -145,10 +159,10 @@ def cmd_policy(args) -> str:
     policy = optimal_policy(model, args.s_cache, args.g_c)
     output = Path(args.output)
     payload = {
-        "nu": _round10(policy.water_level),
+        "nu": policy.water_level,
         "m_star": policy.m_star,
-        "theoretical_m_star": _round10(theoretical_mstar(model, args.s_cache, args.g_c)),
-        "p_c": [_round10(p) for p in policy.probs],
+        "theoretical_m_star": theoretical_mstar(model, args.s_cache, args.g_c),
+        "p_c": policy.probs.tolist(),
     }
     _write_json(output, payload)
     return f"policy: m_star={policy.m_star} nu={_fmt(policy.water_level)} -> {output}"
@@ -157,14 +171,13 @@ def cmd_policy(args) -> str:
 def cmd_validate_mstar(args) -> str:
     model = _model_from_args(args)
     g_c_list = _parse_int_list(args.g_c_list)
+    rows = []
+    for g_c in g_c_list:
+        m_star = optimal_policy(model, args.s_cache, g_c).m_star
+        theo = theoretical_mstar(model, args.s_cache, g_c)
+        rows.append((g_c, m_star, theo, abs(m_star - theo) / m_star))
     output = Path(args.output)
-    with open(output, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["g_c", "kkt_m_star", "theoretical_m_star", "rel_deviation"])
-        for g_c in g_c_list:
-            m_star = optimal_policy(model, args.s_cache, g_c).m_star
-            theo = theoretical_mstar(model, args.s_cache, g_c)
-            writer.writerow([g_c, m_star, _fmt(theo), _fmt(abs(m_star - theo) / m_star)])
+    _write_csv(output, ["g_c", "kkt_m_star", "theoretical_m_star", "rel_deviation"], rows)
     return f"validate-mstar: {len(g_c_list)} points -> {output}"
 
 
@@ -224,11 +237,8 @@ def cmd_tradeoff(args) -> str:
         raise ValueError("g_c list must not be empty")
     rows = _tradeoff_rows(args, model, g_c_list)
     output = Path(args.output)
-    with open(output, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_TRADEOFF_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in _TRADEOFF_COLUMNS])
+    _write_csv(output, _TRADEOFF_COLUMNS,
+               ([row.get(col) for col in _TRADEOFF_COLUMNS] for row in rows))
     return f"tradeoff: {len(rows)} points ({args.mode}) -> {output}"
 
 
@@ -251,15 +261,15 @@ def cmd_simulate(args) -> str:
         "padding": network.padding,
         "trials": outcome.trials,
         "m_star": policy.m_star,
-        "hit_prob": _round10(outcome.hit_prob_estimate),
-        "outage": _round10(outcome.outage_estimate),
-        "min_avg_throughput": _round10(outcome.min_avg_throughput),
-        "per_user_throughput_mean": _round10(outcome.per_user_throughput_mean),
-        "self_hit_rate": _round10(outcome.self_hit_rate),
-        "d2d_hit_rate": _round10(outcome.d2d_hit_rate),
-        "good_cluster_rate": _round10(outcome.good_cluster_rate),
-        "hit_prob_se": _round10(outcome.hit_prob_se),
-        "throughput_se": _round10(outcome.throughput_se),
+        "hit_prob": outcome.hit_prob_estimate,
+        "outage": outcome.outage_estimate,
+        "min_avg_throughput": outcome.min_avg_throughput,
+        "per_user_throughput_mean": outcome.per_user_throughput_mean,
+        "self_hit_rate": outcome.self_hit_rate,
+        "d2d_hit_rate": outcome.d2d_hit_rate,
+        "good_cluster_rate": outcome.good_cluster_rate,
+        "hit_prob_se": outcome.hit_prob_se,
+        "throughput_se": outcome.throughput_se,
     }
     _write_json(output, payload)
     return (f"simulate: hit={_fmt(outcome.hit_prob_estimate)} "
@@ -270,17 +280,15 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, required=True, help="Zipf factor (> 0)")
     p.add_argument("--q", type=float, required=True, help="plateau factor (>= 0)")
     p.add_argument("--m-total", type=int, required=True, dest="m_total", help="library size M")
+    p.add_argument("--s-cache", type=int, default=1, dest="s_cache",
+                   help="cache slots per device")
 
 
-def _add_network_args(p: argparse.ArgumentParser, need_users: bool) -> None:
-    p.add_argument("--s-cache", type=int, default=1, dest="s_cache", help="cache slots per device")
+def _add_network_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rate-c", type=float, default=1.0, dest="rate_c", help="link rate C (bits/s/Hz)")
     p.add_argument("--reuse-k", type=int, default=4, dest="reuse_k", help="TDMA reuse factor K")
-    if need_users:
-        p.add_argument("--n-users", type=int, required=True, dest="n_users", help="users N")
-    else:
-        p.add_argument("--n-users", type=int, default=None, dest="n_users",
-                       help="users N (defaults to the largest cluster size)")
+    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,14 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("policy", help="compute the optimal caching distribution")
     _add_model_args(p)
-    p.add_argument("--s-cache", type=int, default=1, dest="s_cache")
     p.add_argument("--g-c", type=int, required=True, dest="g_c", help="cluster size")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_policy)
 
     p = sub.add_parser("validate-mstar", help="compare water-filled and closed-form m*")
     _add_model_args(p)
-    p.add_argument("--s-cache", type=int, default=1, dest="s_cache")
     p.add_argument("--g-c-list", required=True, dest="g_c_list",
                    help="comma-separated cluster sizes")
     p.add_argument("--output", required=True)
@@ -316,11 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tradeoff", help="throughput-outage curve (analytic and/or simulated)")
     _add_model_args(p)
-    _add_network_args(p, need_users=False)
+    _add_network_args(p)
+    p.add_argument("--n-users", type=int, default=None, dest="n_users",
+                   help="users N (defaults to the largest cluster size)")
     p.add_argument("--g-c-list", required=True, dest="g_c_list")
     p.add_argument("--mode", choices=["analytic", "simulate", "both"], default="analytic")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kappa", type=float, default=10.0,
                    help="admissibility constant for q <= kappa*S*g_c/gamma")
     p.add_argument("--output", required=True)
@@ -328,10 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo run at a single cluster size")
     _add_model_args(p)
-    _add_network_args(p, need_users=True)
+    _add_network_args(p)
+    p.add_argument("--n-users", type=int, required=True, dest="n_users", help="users N")
     p.add_argument("--g-c", type=int, required=True, dest="g_c")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_simulate)
 

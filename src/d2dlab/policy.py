@@ -78,6 +78,11 @@ class ScalingConstants:
 
 
 def _policy_exponent(s_cache: int, cluster_size: int) -> int:
+    if s_cache < 1 or cluster_size < 1:
+        raise ValueError(
+            f"s_cache and cluster_size must be >= 1, "
+            f"got s_cache={s_cache}, cluster_size={cluster_size}"
+        )
     n = s_cache * (cluster_size - 1) - 1
     if n < 1:
         raise ValueError(

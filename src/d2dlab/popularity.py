@@ -154,6 +154,8 @@ class EmpiricalDistribution:
         counts = np.asarray(self.counts, dtype=np.float64)
         if counts.ndim != 1 or counts.size == 0:
             raise ValueError("counts must be a non-empty 1-d vector")
+        if not np.all(np.isfinite(counts)):
+            raise ValueError("counts must be finite")
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
         if np.any(np.diff(counts) > 0):
@@ -207,6 +209,13 @@ _Q_TOL = 1e-4
 
 @dataclass(frozen=True)
 class FitResult:
+    """Fitted model, its KL distance, and one (gamma, q, kl) entry per model evaluation.
+
+    Near the minimum the KL, like the entries of search_trace, can read as
+    low as about -1e-16: the normalization rounding of the data and model
+    pmfs sets this floor, and exact-pmf inputs reach it.
+    """
+
     model: PopularityModel
     kl_distance: float
     search_trace: list[tuple[float, float, float]]  # (gamma, q, kl)

@@ -76,6 +76,8 @@ def build_grid(n_users: int, cluster_size: int) -> GridNetwork:
     """
     if n_users < 1:
         raise ValueError(f"n_users must be >= 1, got {n_users}")
+    if cluster_size < 1:
+        raise ValueError(f"cluster_size must be >= 1, got {cluster_size}")
     cluster_side = math.isqrt(cluster_size)
     if cluster_side * cluster_side != cluster_size:
         raise ValueError(

@@ -146,6 +146,14 @@ class TestValidateMstarCommand:
         for row in read_csv(out):
             assert int(row["kkt_m_star"]) == kkt_mstar(model, 2, int(row["g_c"]))
 
+    def test_bad_cluster_size_leaves_no_partial_csv(self, tmp_path):
+        out = tmp_path / "mstar.csv"
+        assert main([
+            "validate-mstar", "--gamma", "1.16", "--q", "22", "--m-total", "500",
+            "--g-c-list", "10,2", "--output", str(out),
+        ]) == 2
+        assert not out.exists()
+
 
 class TestTradeoffCommand:
     MODEL_ARGS = ["--gamma", "1.16", "--q", "22", "--m-total", "2000"]
@@ -371,3 +379,89 @@ def test_non_positive_user_count_is_a_parameter_error(tmp_path, capsys, n_users)
                  "--g-c-list", "16", "--n-users", n_users, "--output", str(out)]) == 2
     assert not out.exists()
     assert "n_users must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("policy", [*MODEL_FLAGS, "--s-cache", "-1", "--g-c", "-2"]),
+    ("validate-mstar", [*MODEL_FLAGS, "--s-cache", "-1", "--g-c-list=-2,-5"]),
+    ("policy", [*MODEL_FLAGS, "--s-cache", "-3", "--g-c", "0"]),
+    ("simulate", [*MODEL_FLAGS, "--n-users", "16", "--g-c", "0"]),
+    ("simulate", [*MODEL_FLAGS, "--n-users", "16", "--g-c", "-4"]),
+], ids=["policy-neg-neg", "validate-mstar-neg-neg", "policy-zero-cluster",
+        "simulate-zero-cluster", "simulate-neg-cluster"])
+def test_non_positive_cache_or_cluster_is_a_parameter_error(tmp_path, capsys, command, flags):
+    out = tmp_path / "out"
+    assert main([command, *flags, "--output", str(out)]) == 2
+    assert not out.exists()
+    assert "cluster_size" in capsys.readouterr().err
+
+
+def _json_floats(value):
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _json_floats(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _json_floats(item)
+
+
+@pytest.fixture(scope="module")
+def every_output(tmp_path_factory):
+    """Run each command once; map file name to path."""
+    root = tmp_path_factory.mktemp("outputs")
+    log = root / "log.csv"
+    write_region_log(log, region=3, n_accesses=3000, seed=4)
+    runs = [
+        ["fit", str(log), "--output", str(root / "fit.json")],
+        ["policy", *MODEL_FLAGS, "--s-cache", "2", "--g-c", "9",
+         "--output", str(root / "policy.json")],
+        ["validate-mstar", *MODEL_FLAGS, "--g-c-list", "10,50,400",
+         "--output", str(root / "mstar.csv")],
+        ["tradeoff", *MODEL_FLAGS, "--s-cache", "2", "--g-c-list", "4,9,3,100,400",
+         "--mode", "both", "--trials", "5", "--seed", "3", "--output", str(root / "curve.csv")],
+        ["simulate", *MODEL_FLAGS, "--s-cache", "3", "--n-users", "30", "--g-c", "9",
+         "--trials", "7", "--seed", "2", "--output", str(root / "sim.json")],
+    ]
+    for argv in runs:
+        assert main(argv) == 0
+    return {path.name: path for path in root.iterdir()}
+
+
+@pytest.mark.parametrize("name", ["fit.json", "policy.json", "sim.json"])
+def test_json_floats_carry_ten_significant_digits(every_output, name):
+    floats = list(_json_floats(read_json(every_output[name])))
+    assert floats
+    assert [v for v in floats if v != float(f"{v:.10g}")] == []
+
+
+@pytest.mark.parametrize("name", ["fit_ranks.csv", "mstar.csv", "curve.csv"])
+def test_csv_numbers_carry_ten_significant_digits(every_output, name):
+    with open(every_output[name], "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    numbers = []
+    for cell in (cell for row in rows for cell in row):
+        try:
+            numbers.append(float(cell))
+        except ValueError:
+            continue
+    assert numbers
+    assert [v for v in numbers if v != float(f"{v:.10g}")] == []
+
+
+_PARAMETERS = {"command", "func", "output"}
+_MODEL_PARAMETERS = _PARAMETERS | {"gamma", "q", "m_total", "s_cache"}
+_NETWORK_PARAMETERS = _MODEL_PARAMETERS | {"rate_c", "reuse_k", "trials", "seed", "n_users"}
+
+
+@pytest.mark.parametrize("name, keys", [
+    ("fit.json", _PARAMETERS | {"log", "region", "ranks_csv"}),
+    ("policy.json", _MODEL_PARAMETERS | {"g_c"}),
+    ("mstar.csv", _MODEL_PARAMETERS | {"g_c_list"}),
+    ("curve.csv", _NETWORK_PARAMETERS | {"g_c_list", "mode", "kappa"}),
+    ("sim.json", _NETWORK_PARAMETERS | {"g_c"}),
+])
+def test_manifest_parameter_keys_are_pinned(every_output, name, keys):
+    manifest = read_json(every_output[name + ".manifest.json"])
+    assert set(manifest["parameters"]) == keys

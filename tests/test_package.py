@@ -1,6 +1,9 @@
 """The package's public surface: every exported name resolves."""
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import d2dlab
 
 
@@ -11,3 +14,17 @@ def test_every_exported_name_resolves():
     namespace: dict = {}
     exec("from d2dlab import *", namespace)
     assert set(d2dlab.__all__) <= set(namespace)
+
+
+def test_names_the_benchmark_imports_are_exported():
+    """bench/workloads.py fixes the public API: every name it imports is in __all__."""
+    source = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "d2dlab" and node.level == 0
+        for alias in node.names
+    ]
+    assert names
+    assert sorted(set(names) - set(d2dlab.__all__)) == []

@@ -129,6 +129,14 @@ class TestZValues:
         with pytest.raises(ValueError, match="cluster too small"):
             z_values(HAND_MODEL, s, g_c)
 
+    @pytest.mark.parametrize("s,g_c", [(-1, -2), (-3, 0), (0, 5), (2, 0), (-2, 3)])
+    @pytest.mark.parametrize("func", [z_values, scaling_constants, optimal_policy,
+                                      theoretical_mstar])
+    def test_non_positive_cache_or_cluster_rejected(self, func, s, g_c):
+        """Two negative factors can make S*(g_c-1)-1 look admissible; both are checked."""
+        with pytest.raises(ValueError, match="s_cache and cluster_size must be >= 1"):
+            func(PopularityModel(**REGION2), s, g_c)
+
 
 class TestOptimalPolicy:
     def test_hand_water_filling(self):

@@ -264,6 +264,12 @@ class TestEmpiricalDistribution:
         with pytest.raises(ValueError, match="non-negative"):
             EmpiricalDistribution(counts=np.array([2.0, -1.0]))
 
+    @pytest.mark.parametrize("counts", [[math.nan, 3.0, 2.0, 1.0], [math.inf, 3.0, 2.0, 1.0],
+                                        [3.0, 2.0, 1.0, -math.inf], [3.0, math.nan]])
+    def test_rejects_non_finite(self, counts):
+        with pytest.raises(ValueError, match="finite"):
+            EmpiricalDistribution(counts=np.array(counts))
+
     def test_total_and_ranks(self):
         emp = EmpiricalDistribution(counts=np.array([5.0, 3.0, 0.0]))
         assert emp.total == 8.0

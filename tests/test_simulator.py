@@ -53,6 +53,11 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="perfect square"):
             build_grid(100, 10)
 
+    @pytest.mark.parametrize("cluster_size", [0, -4])
+    def test_non_positive_cluster_rejected(self, cluster_size):
+        with pytest.raises(ValueError, match="cluster_size must be >= 1"):
+            build_grid(16, cluster_size)
+
     def test_members_partition_all_users(self):
         net = build_grid(36, 9)
         members = net.members
