@@ -109,9 +109,12 @@ def _write_csv(output: Path, header: list[str], rows) -> None:
 
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.replace(" ", "").split(",") if tok]
+        values = [int(tok) for tok in text.replace(" ", "").split(",") if tok]
     except ValueError:
         raise ValueError(f"expected a comma-separated list of integers, got {text!r}")
+    if not values:
+        raise ValueError("g_c list must not be empty")
+    return values
 
 
 def _model_from_args(args) -> PopularityModel:
@@ -126,7 +129,6 @@ def cmd_fit(args) -> str:
     unique = dedup_unique(records)
     empirical = to_empirical(unique)
     result = fit_mzipf(empirical)
-    n_users = unique.n_users
 
     output = Path(args.output)
     payload = {
@@ -135,20 +137,20 @@ def cmd_fit(args) -> str:
         "m_total": result.model.m_total,
         "kl_distance": result.kl_distance,
         "unique_accesses": unique.n_unique,
-        "users": n_users,
+        "users": unique.n_users,
         "report": {
             "rows": parsed.rows,
             "malformed": parsed.malformed,
             "unique_accesses": unique.n_unique,
-            "distinct_users": n_users,
+            "distinct_users": unique.n_users,
             "distinct_contents": unique.n_contents,
         },
     }
-    _write_json(output, payload)
-
+    # The ranks go first, so a ranks path that cannot be written leaves no JSON.
     ranks_csv = Path(args.ranks_csv) if args.ranks_csv else output.with_name(output.stem + "_ranks.csv")
     _write_csv(ranks_csv, ["rank", "count"],
                ((rank, int(count)) for rank, count in enumerate(empirical.counts, start=1)))
+    _write_json(output, payload)
 
     return (f"fit: gamma={_fmt(result.model.gamma)} q={_fmt(result.model.q)} "
             f"M={result.model.m_total} kl={_fmt(result.kl_distance)} -> {output}")
@@ -233,8 +235,6 @@ def _tradeoff_rows(args, model, g_c_list) -> list[dict]:
 def cmd_tradeoff(args) -> str:
     model = _model_from_args(args)
     g_c_list = _parse_int_list(args.g_c_list)
-    if not g_c_list:
-        raise ValueError("g_c list must not be empty")
     rows = _tradeoff_rows(args, model, g_c_list)
     output = Path(args.output)
     _write_csv(output, _TRADEOFF_COLUMNS,

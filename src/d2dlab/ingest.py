@@ -10,6 +10,7 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,12 +33,12 @@ class LogFormatError(Exception):
     """The input is not in the documented CSV log format."""
 
 
-@dataclass(frozen=True)
-class AccessRecord:
+class AccessRecord(NamedTuple):
+    """One log row; its timestamp, if any, is checked but not kept."""
+
     user_id: str
     content_id: str
     region_id: int
-    timestamp: int | None = None
 
 
 @dataclass
@@ -93,34 +94,25 @@ def _parse_stream(stream) -> ParseResult:
             continue
         try:
             region_id = int(row[2])
+            if has_timestamp and row[3].strip():
+                int(row[3])
         except ValueError:
             malformed += 1
             continue
-        timestamp: int | None = None
-        if has_timestamp and row[3].strip():
-            try:
-                timestamp = int(row[3])
-            except ValueError:
-                malformed += 1
-                continue
-        records.append(AccessRecord(user_id, content_id, region_id, timestamp))
+        records.append(AccessRecord(user_id, content_id, region_id))
     return ParseResult(records=records, rows=rows, malformed=malformed)
 
 
 @dataclass
 class UniqueAccessSet:
-    """Distinct (user, content) pairs and per-content distinct-user counts."""
+    """Per-content distinct-user counts (they sum to the unique pairs) and the user count."""
 
-    pairs: set[tuple[str, str]]
     per_content_counts: dict[str, int]
+    n_users: int
 
     @property
     def n_unique(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def n_users(self) -> int:
-        return len({u for u, _ in self.pairs})
+        return sum(self.per_content_counts.values())
 
     @property
     def n_contents(self) -> int:
@@ -130,12 +122,13 @@ class UniqueAccessSet:
 def dedup_unique(records: list[AccessRecord]) -> UniqueAccessSet:
     """Collapse repeated accesses by one user to one content into one pair.
 
-    Timestamps are ignored: within the log's window, every repeat of the
-    same (user, content) pair counts as the same unique access.
+    Within the log's window every repeat of the same (user, content) pair
+    counts as the same unique access. The pairs are counted per content and
+    per user, then dropped.
     """
     pairs = {(r.user_id, r.content_id) for r in records}
     counts = Counter(content for _, content in pairs)
-    return UniqueAccessSet(pairs=pairs, per_content_counts=dict(counts))
+    return UniqueAccessSet(per_content_counts=dict(counts), n_users=len({u for u, _ in pairs}))
 
 
 def to_empirical(unique: UniqueAccessSet) -> EmpiricalDistribution:
@@ -144,7 +137,7 @@ def to_empirical(unique: UniqueAccessSet) -> EmpiricalDistribution:
     Ties break by content_id lexicographic order so the ranking is
     deterministic regardless of input order.
     """
-    if not unique.pairs:
+    if not unique.per_content_counts:
         raise ValueError("cannot rank an empty access set")
     ranked = sorted(unique.per_content_counts.items(), key=lambda kv: (-kv[1], kv[0]))
     counts = np.array([c for _, c in ranked], dtype=np.float64)

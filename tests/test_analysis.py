@@ -143,6 +143,18 @@ class TestLowerBound:
         assert all(a < b for a, b in zip(values, values[1:]))
         assert values[-1] < 1.0
 
+    def test_gamma_one_limit_form(self):
+        """At gamma = 1 the log-limit branch runs; gamma = 1 -/+ 2e-6 lie outside it
+        and bracket its value within 1e-6."""
+        cfg = config(3000, s=1)
+        below, at, above = (
+            hit_prob_lower_bound(PopularityModel(gamma=g, q=5.0, m_total=1000), cfg)
+            for g in (1.0 - 2e-6, 1.0, 1.0 + 2e-6)
+        )
+        assert analysis._GAMMA_ONE_EPS < 2e-6
+        assert below < at < above
+        assert above - below < 1e-6
+
     def test_regime_error_below_boundary(self):
         model = PopularityModel(gamma=1.16, q=22.0, m_total=10_000)
         with pytest.raises(RegimeError, match="rho"):

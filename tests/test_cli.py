@@ -97,6 +97,17 @@ class TestFitCommand:
         code = main(["fit", str(log), "--output", str(tmp_path / "o.json")])
         assert code == 3
 
+    def test_unwritable_ranks_csv_leaves_no_json(self, tmp_path, capsys):
+        log = tmp_path / "r.csv"
+        write_region_log(log, region=3, n_accesses=3000, seed=5)
+        out = tmp_path / "g.json"
+        code = main(["fit", str(log), "--ranks-csv", str(tmp_path / "nodir" / "x.csv"),
+                     "--output", str(out)])
+        assert code == 3
+        assert "x.csv" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "g.json.manifest.json").exists()
+
 
 class TestPolicyCommand:
     def test_hand_instance(self, tmp_path):
@@ -153,6 +164,21 @@ class TestValidateMstarCommand:
             "--g-c-list", "10,2", "--output", str(out),
         ]) == 2
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate-mstar", "tradeoff"])
+@pytest.mark.parametrize("g_c_list, message", [
+    ("", "g_c list must not be empty"),
+    (",", "g_c list must not be empty"),
+    ("a", "comma-separated list of integers"),
+])
+def test_bad_g_c_list_is_a_parameter_error(tmp_path, capsys, command, g_c_list, message):
+    out = tmp_path / "out.csv"
+    assert main([command, "--gamma", "1.16", "--q", "22", "--m-total", "500",
+                 f"--g-c-list={g_c_list}", "--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "out.csv.manifest.json").exists()
 
 
 class TestTradeoffCommand:

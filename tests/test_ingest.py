@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from d2dlab.ingest import (
     AccessRecord,
     LogFormatError,
+    UniqueAccessSet,
     dedup_unique,
     parse_log,
     to_empirical,
@@ -52,6 +53,7 @@ class TestParseLog:
             parse_log(io.StringIO(""))
 
     def test_timestamp_column(self):
+        """An integer or empty timestamp parses and is not kept; any other value is malformed."""
         stream = io.StringIO(
             "user_id,content_id,region_id,timestamp\n"
             "u1,c1,2,1404165600\n"
@@ -59,8 +61,12 @@ class TestParseLog:
             "u3,c1,2,notanumber\n"
         )
         result = parse_log(stream)
-        assert [r.timestamp for r in result.records] == [1404165600, None]
+        assert result.records == [AccessRecord("u1", "c1", 2), AccessRecord("u2", "c1", 2)]
+        assert result.rows == 3
         assert result.malformed == 1
+
+    def test_record_holds_three_fields(self):
+        assert AccessRecord._fields == ("user_id", "content_id", "region_id")
 
     @pytest.mark.parametrize(
         "row", ["u1,c1", "u1,c1,2,extra", "u1,,2", ",c1,2", "u1,c1,notint"]
@@ -91,9 +97,17 @@ class TestDedup:
             records.extend([AccessRecord(u, c, 1)] * int(rng.integers(1, 4)))
         rng.shuffle(records)
         unique = dedup_unique(records)
-        assert unique.pairs == pairs
+        assert unique.n_unique == len(pairs)
+        assert unique.n_users == len({u for u, _ in pairs})
         expected = Counter(c for _, c in pairs)
         assert unique.per_content_counts == dict(expected)
+
+    def test_keeps_counts_and_user_count_only(self):
+        records = [AccessRecord("u1", "c1", 1), AccessRecord("u1", "c2", 1),
+                   AccessRecord("u2", "c1", 1), AccessRecord("u2", "c1", 1)]
+        unique = dedup_unique(records)
+        assert unique == UniqueAccessSet(per_content_counts={"c1": 2, "c2": 1}, n_users=2)
+        assert (unique.n_unique, unique.n_contents) == (3, 2)
 
     def test_pair_count_bounded_by_records(self):
         records = [AccessRecord(f"u{i % 5}", f"c{i % 3}", 1) for i in range(50)]
@@ -110,10 +124,10 @@ class TestDedup:
     def test_idempotent(self, triples):
         records = [AccessRecord(f"u{a}", f"c{b}", 1) for a, b, times in triples for _ in range(times)]
         once = dedup_unique(records)
-        expanded = [AccessRecord(u, c, 1) for u, c in once.pairs]
-        twice = dedup_unique(expanded)
-        assert once.pairs == twice.pairs
-        assert once.per_content_counts == twice.per_content_counts
+        distinct = {(r.user_id, r.content_id) for r in records}
+        twice = dedup_unique([AccessRecord(u, c, 1) for u, c in distinct])
+        assert once == twice
+        assert once.n_unique == len(distinct)
 
 
 class TestToEmpirical:

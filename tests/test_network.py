@@ -29,3 +29,15 @@ def test_any_float_rate_is_kept_or_rejected(rate_c):
     else:
         with pytest.raises(ValueError):
             make(rate_c=rate_c)
+
+
+@pytest.mark.parametrize("field", ["n_users", "s_cache", "reuse_k", "cluster_size"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_counts_below_one_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        make(**{field: value})
+
+
+def test_cluster_larger_than_network_rejected():
+    with pytest.raises(ValueError, match="cluster_size 25 exceeds n_users 16"):
+        make(cluster_size=25)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import d2dlab
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
 
 def test_every_exported_name_resolves():
     missing = [name for name in d2dlab.__all__ if not hasattr(d2dlab, name)]
@@ -18,7 +20,7 @@ def test_every_exported_name_resolves():
 
 def test_names_the_benchmark_imports_are_exported():
     """bench/workloads.py fixes the public API: every name it imports is in __all__."""
-    source = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    source = BENCH / "workloads.py"
     tree = ast.parse(source.read_text(encoding="utf-8"))
     names = [
         alias.name
@@ -28,3 +30,14 @@ def test_names_the_benchmark_imports_are_exported():
     ]
     assert names
     assert sorted(set(names) - set(d2dlab.__all__)) == []
+
+
+def test_one_benchmark_fit_log_pass(tmp_path, monkeypatch):
+    """The attributes the benchmark's fit_log pass reads of ingest still exist and check out."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracing import Tracer
+    from workloads import WORKLOADS
+
+    tracer = Tracer(False)
+    workload = WORKLOADS["fit_log"](3, "tiny", tmp_path, tracer)
+    workload.check(workload.run_pass(tracer))

@@ -219,6 +219,22 @@ class TestOptimalPolicy:
         positive = policy.probs > 0
         assert positive[: policy.m_star].all() and not positive[policy.m_star :].any()
 
+    def test_one_file_library_rejected(self):
+        with pytest.raises(ValueError, match="library of at least 2 files"):
+            optimal_policy(PopularityModel(gamma=1.0, q=0.0, m_total=1), 1, 4)
+
+
+class TestPolicyFromProbs:
+    @pytest.mark.parametrize("probs", [[], [[0.5, 0.5]]], ids=["empty", "2-d"])
+    def test_shape_rejected(self, probs):
+        with pytest.raises(ValueError, match="probs must be a non-empty 1-d vector"):
+            policy_from_probs(probs)
+
+    @pytest.mark.parametrize("probs", [[1.5, -0.5], [0.5, 0.4]], ids=["negative", "sum-0.9"])
+    def test_not_a_pmf_rejected(self, probs):
+        with pytest.raises(ValueError, match="probs must be non-negative and sum to 1"):
+            policy_from_probs(probs)
+
 
 class TestKktMstar:
     def test_hand_instance(self):

@@ -270,6 +270,15 @@ class TestEmpiricalDistribution:
         with pytest.raises(ValueError, match="finite"):
             EmpiricalDistribution(counts=np.array(counts))
 
+    @pytest.mark.parametrize("counts", [[], [[2.0, 1.0]]], ids=["empty", "2-d"])
+    def test_rejects_shape(self, counts):
+        with pytest.raises(ValueError, match="counts must be a non-empty 1-d vector"):
+            EmpiricalDistribution(counts=np.array(counts))
+
+    def test_rejects_all_zero(self):
+        with pytest.raises(ValueError, match="counts must have positive total"):
+            EmpiricalDistribution(counts=np.zeros(3))
+
     def test_total_and_ranks(self):
         emp = EmpiricalDistribution(counts=np.array([5.0, 3.0, 0.0]))
         assert emp.total == 8.0

@@ -53,6 +53,11 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="perfect square"):
             build_grid(100, 10)
 
+    @pytest.mark.parametrize("n_users", [0, -16])
+    def test_non_positive_user_count_rejected(self, n_users):
+        with pytest.raises(ValueError, match="n_users must be >= 1"):
+            build_grid(n_users, 4)
+
     @pytest.mark.parametrize("cluster_size", [0, -4])
     def test_non_positive_cluster_rejected(self, cluster_size):
         with pytest.raises(ValueError, match="cluster_size must be >= 1"):
