@@ -3,12 +3,16 @@
 Every output data file is deterministic for a fixed command line (seeds
 are explicit flags, never wall-clock derived) and is accompanied by a
 ``<output>.manifest.json`` sidecar recording the invocation. Numbers are
-written with 10 significant digits.
+written with 10 significant digits. A command writes all of its outputs or
+none: each goes to a temporary sibling first, and the temporaries take the
+outputs' places only once every write, the manifest's too, has succeeded.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -77,9 +81,8 @@ def _write_manifest(args, started: str) -> None:
         "started_at": started,
         "finished_at": _utc_now(),
     }
-    Path(args.output + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n", encoding="utf-8"
-    )
+    _write_output(Path(args.output + ".manifest.json"),
+                  json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")
 
 
 def _rounded(value):
@@ -93,18 +96,34 @@ def _rounded(value):
     return value
 
 
+# (temporary, output) pairs written by the running command; main moves them
+# into place when the command has succeeded and removes them when it has not.
+_staged: list[tuple[Path, Path]] = []
+
+
+def _write_output(output: Path, text: str) -> None:
+    """Write text to a temporary sibling of output, staged for main to move into place."""
+    temporary = output.with_name(f".{output.name}.{os.getpid()}.{len(_staged)}.tmp")
+    _staged.append((temporary, output))
+    try:
+        with open(temporary, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:  # name the output the user gave, not its temporary
+        raise OSError(exc.errno, exc.strerror, str(output)) from exc
+
+
 def _write_json(output: Path, payload: dict) -> None:
     """Write payload as sorted, indented JSON, floats at 10 significant digits."""
-    text = json.dumps(_rounded(payload), indent=2, sort_keys=True)
-    output.write_text(text + "\n", encoding="utf-8")
+    _write_output(output, json.dumps(_rounded(payload), indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(output: Path, header: list[str], rows) -> None:
     """Write a header and rows, each cell rendered by _fmt."""
-    with open(output, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_fmt(cell) for cell in row] for row in rows)
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows([_fmt(cell) for cell in row] for row in rows)
+    _write_output(output, buffer.getvalue())
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -146,7 +165,6 @@ def cmd_fit(args) -> str:
             "distinct_contents": unique.n_contents,
         },
     }
-    # The ranks go first, so a ranks path that cannot be written leaves no JSON.
     ranks_csv = Path(args.ranks_csv) if args.ranks_csv else output.with_name(output.stem + "_ranks.csv")
     _write_csv(ranks_csv, ["rank", "count"],
                ((rank, int(count)) for rank, count in enumerate(empirical.counts, start=1)))
@@ -350,6 +368,8 @@ def main(argv=None) -> int:
     try:
         message = args.func(args)
         _write_manifest(args, started)
+        for temporary, output in _staged:
+            os.replace(temporary, output)
     except (LogFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -359,6 +379,11 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        for temporary, _ in _staged:
+            with contextlib.suppress(OSError):
+                temporary.unlink(missing_ok=True)
+        _staged.clear()
     print(message)
     return EXIT_OK
 

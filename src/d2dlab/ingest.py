@@ -7,6 +7,7 @@ single unique access; contents are then ranked by distinct-user count.
 from __future__ import annotations
 
 import csv
+import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +28,9 @@ __all__ = [
 ]
 
 _REQUIRED_COLUMNS = ("user_id", "content_id", "region_id")
+# An integer column: ASCII digits with an optional sign. int() alone also
+# takes digit-group underscores and non-ASCII digits ("1_0", "٢").
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class LogFormatError(Exception):
@@ -53,8 +57,10 @@ class ParseResult:
 def parse_log(source) -> ParseResult:
     """Parse an access log from a path or text stream.
 
-    Malformed rows (wrong arity, empty user/content id, non-integer region
-    or timestamp) are counted in the result, never silently dropped.
+    Malformed rows (wrong arity, empty user/content id, a region or
+    timestamp that is not ASCII digits with an optional sign) are counted in
+    the result, never silently dropped. Whitespace around any field is
+    allowed.
     Raises LogFormatError when the header is missing or wrong.
     """
     if isinstance(source, (str, Path)):
@@ -78,6 +84,9 @@ def _parse_stream(stream) -> ParseResult:
     width = 4 if has_timestamp else 3
 
     records: list[AccessRecord] = []
+    # Parsed region per raw string, None for a malformed one: a log holds a
+    # handful of regions, so each is parsed once.
+    regions: dict[str, int | None] = {}
     rows = 0
     malformed = 0
     for row in reader:
@@ -93,12 +102,18 @@ def _parse_stream(stream) -> ParseResult:
             malformed += 1
             continue
         try:
-            region_id = int(row[2])
-            if has_timestamp and row[3].strip():
-                int(row[3])
-        except ValueError:
+            region_id = regions[row[2]]
+        except KeyError:
+            raw = row[2].strip()
+            region_id = regions[row[2]] = int(raw) if _INTEGER.fullmatch(raw) else None
+        if region_id is None:
             malformed += 1
             continue
+        if has_timestamp:
+            timestamp = row[3].strip()
+            if timestamp and not _INTEGER.fullmatch(timestamp):
+                malformed += 1
+                continue
         records.append(AccessRecord(user_id, content_id, region_id))
     return ParseResult(records=records, rows=rows, malformed=malformed)
 

@@ -113,17 +113,15 @@ def z_values(popularity: PopularityModel, s_cache: int, cluster_size: int) -> np
     """Water-filling weights z_f = P_r(f)^(1/(S*(g_c-1)-1)), non-increasing.
 
     Computed in log space so large libraries and large exponents do not
-    underflow.
+    underflow. The law log P_r(f) comes from the model's memo, so it is
+    evaluated once per model, not once per call; only the division by the
+    exponent and the exp run here.
     """
     n = _policy_exponent(s_cache, cluster_size)
     if n == 1:
         return popularity.pmf_values.copy()
-    # The one evaluation of the law besides PopularityModel's, kept in log
-    # space on purpose: pmf_values underflows to 0 at large gamma, where
-    # this z stays positive.
-    ranks = np.arange(1, popularity.m_total + 1, dtype=np.float64)
-    log_pmf = -popularity.gamma * np.log(ranks + popularity.q) - math.log(popularity.normalizer)
-    return np.exp(log_pmf / n)
+    z = popularity._log_pmf / n
+    return np.exp(z, out=z)
 
 
 @dataclass(frozen=True)
@@ -161,6 +159,11 @@ def policy_from_probs(probs) -> CachingPolicy:
     return CachingPolicy(probs=p, water_level=math.nan, m_star=int(positive[-1]) + 1)
 
 
+# Length of the first prefix optimal_policy searches for m_star; each
+# further prefix is twice as long, up to the library.
+_PREFIX_START = 1 << 12
+
+
 def optimal_policy(
     popularity: PopularityModel, s_cache: int, cluster_size: int
 ) -> CachingPolicy:
@@ -169,18 +172,46 @@ def optimal_policy(
     Water-filling construction: m_star is the largest m whose water level
     nu(m) = (m-1) / sum_{f<=m} 1/z_f still sits below z_m; the caching
     probabilities are max(1 - nu/z_f, 0) and sum to 1 by construction.
+
+    The feasible m (z_m > nu(m)) form a prefix. With C_m = sum_{f<=m} 1/z_f,
+    z_{m+1} <= nu(m+1) = m / (C_m + 1/z_{m+1}) reduces to
+    z_{m+1}*C_m <= m-1, that is to z_{m+1} <= nu(m). So once z_m <= nu(m),
+    the non-increasing z give z_{m+1} <= z_m <= nu(m), and m+1 is
+    infeasible too. m_star is therefore the count of m before the first
+    infeasible one, and only the prefix up to it decides the answer.
+
+    The search runs the running sum, nu and the test on a prefix of
+    _PREFIX_START entries and doubles the prefix until it holds an
+    infeasible m or spans the library. Each extension continues the running
+    sum from the end of the last prefix, so no entry is summed twice.
+    numpy's float64 cumsum adds sequentially, so these sums are bit for bit
+    those of one cumsum over the whole library, and m_star, nu and probs
+    those of a scan for the last feasible m over all of it whenever the
+    rounded test keeps the prefix property (tests check this against such a
+    scan). z stays full length: it is the policy's KKT certificate.
     """
     if popularity.m_total < 2:
         raise ValueError("optimal_policy requires a library of at least 2 files")
     z = z_values(popularity, s_cache, cluster_size)
-    inv_cumsum = np.cumsum(1.0 / z)
-    m = np.arange(1, popularity.m_total + 1, dtype=np.float64)
-    nu_at = (m - 1.0) / inv_cumsum
-    feasible = np.nonzero(z > nu_at)[0]
-    m_star = int(feasible[-1]) + 1
-    nu = float(nu_at[m_star - 1])
-    probs = np.maximum(1.0 - nu / z, 0.0)
-    probs[m_star:] = 0.0
+    m_total = z.size
+    inv_cumsum = np.empty(m_total)  # written, and so resident, only up to the last prefix
+    lo, hi = 0, min(_PREFIX_START, m_total)
+    while True:
+        sums = np.divide(1.0, z[lo:hi], out=inv_cumsum[lo:hi])
+        if lo:
+            sums[0] += inv_cumsum[lo - 1]
+        np.cumsum(sums, out=sums)
+        nu_at = np.arange(lo, hi, dtype=np.float64)  # m-1 for m = lo+1..hi
+        np.divide(nu_at, sums, out=nu_at)
+        infeasible = np.flatnonzero(z[lo:hi] <= nu_at)
+        if infeasible.size or hi == m_total:
+            break
+        lo, hi = hi, min(2 * hi, m_total)
+    m_star = lo + int(infeasible[0]) if infeasible.size else m_total
+    nu = float((m_star - 1) / inv_cumsum[m_star - 1])
+    probs = np.zeros(m_total)
+    head = np.divide(nu, z[:m_star], out=probs[:m_star])
+    np.subtract(1.0, head, out=head)
     return CachingPolicy(probs=probs, water_level=nu, m_star=m_star, z=z)
 
 

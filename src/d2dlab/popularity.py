@@ -76,6 +76,16 @@ class PopularityModel:
     def _cdf_guide(self) -> tuple[np.ndarray, np.ndarray]:
         return _guide_table(self.cdf_values, self.m_total)
 
+    @cached_property
+    def _log_pmf(self) -> np.ndarray:
+        """log P_r(f) for each rank, evaluated in log space.
+
+        pmf_values underflows to 0 at large gamma, where this stays finite;
+        policy.z_values takes its water-filling weights from it.
+        """
+        ranks = np.arange(1, self.m_total + 1, dtype=np.float64)
+        return -self.gamma * np.log(ranks + self.q) - math.log(self.normalizer)
+
     def pmf(self, f: int) -> float:
         """Probability that rank f is requested, per the MZipf law."""
         if not 1 <= f <= self.m_total:

@@ -4,7 +4,10 @@ Everything here is deliberately written from first principles (plain
 loops, exhaustive enumeration, damped fixed-point iteration) so it shares
 no code path with the library implementations it validates. The one
 exception is kkt_mstar, which scans the library's water-filling weights:
-the scan, not the weights, is what it checks.
+the scan, not the weights, is what it checks. full_scan_policy is the
+water-filling construction as it stood before optimal_policy searched a
+growing prefix: one pass over the whole library, its own log-space law,
+and the last feasible index. optimal_policy must match it bit for bit.
 """
 from __future__ import annotations
 
@@ -204,6 +207,37 @@ def kkt_mstar(popularity: PopularityModel, s_cache: int, cluster_size: int) -> i
             f"KKT scan found {len(found)} candidate truncation indices; expected 1"
         )
     return found[0]
+
+
+def log_space_z(popularity: PopularityModel, s_cache: int, cluster_size: int) -> np.ndarray:
+    """Water-filling weights P_r(f)^(1/n), n = S*(g_c-1)-1, with the law evaluated inline.
+
+    At n = 1 they are the pmf itself; otherwise the log-pmf
+    -gamma*log(f+q) - log(Z) is divided by n and exponentiated.
+    """
+    n = s_cache * (cluster_size - 1) - 1
+    if n == 1:
+        return popularity.pmf_values.copy()
+    ranks = np.arange(1, popularity.m_total + 1, dtype=np.float64)
+    log_pmf = -popularity.gamma * np.log(ranks + popularity.q) - math.log(popularity.normalizer)
+    return np.exp(log_pmf / n)
+
+
+def full_scan_policy(popularity: PopularityModel, s_cache: int, cluster_size: int):
+    """(probs, nu, m_star, z) of water-filling over the whole library at once.
+
+    nu(m) = (m-1) / sum_{f<=m} 1/z_f for every m; m_star is the last m
+    with z_m > nu(m), and probs = max(1 - nu/z, 0) cut to zero past it.
+    """
+    z = log_space_z(popularity, s_cache, cluster_size)
+    inv_cumsum = np.cumsum(1.0 / z)
+    m = np.arange(1, popularity.m_total + 1, dtype=np.float64)
+    nu_at = (m - 1.0) / inv_cumsum
+    m_star = int(np.nonzero(z > nu_at)[0][-1]) + 1
+    nu = float(nu_at[m_star - 1])
+    probs = np.maximum(1.0 - nu / z, 0.0)
+    probs[m_star:] = 0.0
+    return probs, nu, m_star, z
 
 
 def c1_relative_error(c1: float, c2: float) -> float:

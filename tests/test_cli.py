@@ -108,6 +108,18 @@ class TestFitCommand:
         assert not out.exists()
         assert not (tmp_path / "g.json.manifest.json").exists()
 
+    @pytest.mark.parametrize("bad", ["ranks", "json"])
+    def test_a_failed_write_leaves_no_output(self, tmp_path, capsys, bad):
+        """Whichever write fails, neither output, no manifest and no temporary remain."""
+        log = tmp_path / "r.csv"
+        write_region_log(log, region=3, n_accesses=3000, seed=5)
+        ranks = tmp_path / ("nodir" if bad == "ranks" else "") / "ranks.csv"
+        out = tmp_path / ("nodir" if bad == "json" else "") / "g.json"
+        code = main(["fit", str(log), "--ranks-csv", str(ranks), "--output", str(out)])
+        assert code == 3
+        assert str(ranks if bad == "ranks" else out) in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
 
 class TestPolicyCommand:
     def test_hand_instance(self, tmp_path):

@@ -65,6 +65,28 @@ class TestParseLog:
         assert result.rows == 3
         assert result.malformed == 1
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0662", "1.0", "0x1", "+", "- 3"],
+                             ids=["underscore", "arabic-indic", "decimal", "hex", "sign", "gap"])
+    @pytest.mark.parametrize("column", ["region", "timestamp"])
+    def test_integer_columns_take_ascii_digits_only(self, column, value):
+        """int() alone would read 1_0 as 10 and the Arabic-Indic digit two as 2."""
+        row = f"u1,c1,{value},7" if column == "region" else f"u1,c1,2,{value}"
+        result = parse_log(io.StringIO("user_id,content_id,region_id,timestamp\n" + row + "\n"))
+        assert result.records == []
+        assert result.malformed == 1
+
+    def test_integer_columns_keep_sign_and_surrounding_whitespace(self):
+        stream = io.StringIO(
+            "user_id,content_id,region_id,timestamp\n"
+            "u1,c1, +2 , -7 \n"
+            "u2,c1,-3,+1404165600\n"
+            "u3,c1,2, \n"
+        )
+        result = parse_log(stream)
+        assert result.records == [AccessRecord("u1", "c1", 2), AccessRecord("u2", "c1", -3),
+                                  AccessRecord("u3", "c1", 2)]
+        assert result.malformed == 0
+
     def test_record_holds_three_fields(self):
         assert AccessRecord._fields == ("user_id", "content_id", "region_id")
 

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from d2dlab import policy as policy_module
 from d2dlab.network import NetworkConfig
 from d2dlab.policy import (
     optimal_policy,
@@ -23,8 +24,10 @@ from d2dlab.simulator import build_grid, run_monte_carlo
 from oracles import (
     c1_fixed_point_iteration,
     c1_relative_error,
+    full_scan_policy,
     iid_hit_probability,
     kkt_mstar,
+    log_space_z,
     simplex_grid,
 )
 
@@ -109,9 +112,10 @@ class TestSolveC1:
 
 class TestZValues:
     def test_exponent_one_identity(self):
-        """S=1, g_c=3 makes the exponent 1, so z equals the pmf exactly."""
+        """S=1, g_c=3 makes the exponent 1, so z is a copy of the pmf."""
         z = z_values(HAND_MODEL, 1, 3)
         np.testing.assert_array_equal(z, HAND_MODEL.pmf_values)
+        assert not np.shares_memory(z, HAND_MODEL.pmf_values)
 
     def test_large_exponent_flattens(self):
         model = PopularityModel(**REGION2)
@@ -123,6 +127,20 @@ class TestZValues:
         model = PopularityModel(gamma=1.7, q=9.0, m_total=400)
         z = z_values(model, 2, 10)
         assert np.all(np.diff(z) <= 0)
+
+    @pytest.mark.parametrize("s,g_c", [(1, 4), (4, 100), (60, 5000)])
+    @pytest.mark.parametrize("model", [PopularityModel(**REGION2),
+                                       PopularityModel(gamma=4.0, q=0.0, m_total=1000)])
+    def test_memoized_law_keeps_the_inline_bits(self, model, s, g_c):
+        """n > 1: the law read from the model's memo gives the inline expression's bits."""
+        assert z_values(model, s, g_c).tobytes() == log_space_z(model, s, g_c).tobytes()
+
+    def test_law_evaluated_once_per_model(self):
+        model = PopularityModel(**REGION2)
+        optimal_policy(model, 4, 100)
+        law = model._log_pmf
+        optimal_policy(model, 1, 400)
+        assert model._log_pmf is law
 
     @pytest.mark.parametrize("s,g_c", [(1, 2), (1, 1), (2, 1)])
     def test_cluster_too_small(self, s, g_c):
@@ -222,6 +240,55 @@ class TestOptimalPolicy:
     def test_one_file_library_rejected(self):
         with pytest.raises(ValueError, match="library of at least 2 files"):
             optimal_policy(PopularityModel(gamma=1.0, q=0.0, m_total=1), 1, 4)
+
+
+def assert_same_bits(policy, reference):
+    probs, nu, m_star, z = reference
+    assert policy.m_star == m_star
+    assert policy.water_level == nu
+    assert policy.probs.tobytes() == probs.tobytes()
+    assert policy.z.tobytes() == z.tobytes()
+
+
+class TestPrefixSearch:
+    """optimal_policy searches m* on a growing prefix; the full scan is its oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gamma=st.floats(0.05, 4.0),
+        q=st.one_of(st.just(0.0), st.floats(0.0, 200.0)),
+        m_total=st.integers(2, 300_000),
+        s=st.integers(1, 60),
+        g_c=st.integers(2, 5000),
+    )
+    @example(gamma=1.16, q=22.0, m_total=7345, s=1, g_c=3)  # n = 1: z is the pmf
+    @example(gamma=1.11, q=18.0, m_total=5405, s=4, g_c=2500)  # m* = M
+    @example(gamma=1.16, q=22.0, m_total=300_000, s=4, g_c=100)  # m* well inside the first prefix
+    def test_matches_the_full_scan(self, gamma, q, m_total, s, g_c):
+        assume(s * (g_c - 1) >= 2)
+        model = PopularityModel(gamma=gamma, q=q, m_total=m_total)
+        assert_same_bits(optimal_policy(model, s, g_c), full_scan_policy(model, s, g_c))
+
+    @pytest.mark.parametrize("start", [1, 2])
+    def test_every_growth_step_at_small_libraries(self, monkeypatch, start):
+        """A tiny first prefix makes small libraries take every growth step:
+        m* inside a prefix, m* exactly at a prefix's end, and m* = M."""
+        monkeypatch.setattr(policy_module, "_PREFIX_START", start)
+        boundaries = {start << k for k in range(12)}
+        seen = set()
+        for m_total in range(2, 70):
+            for gamma, q in [(0.8, 0.0), (1.6, 5.0), (3.0, 40.0)]:
+                model = PopularityModel(gamma=gamma, q=q, m_total=m_total)
+                for s, g_c in [(1, 3), (1, 4), (2, 6), (4, 30), (8, 200)]:
+                    policy = optimal_policy(model, s, g_c)
+                    assert_same_bits(policy, full_scan_policy(model, s, g_c))
+                    if policy.m_star == m_total:
+                        seen.add("m* = M")
+                    elif policy.m_star in boundaries:
+                        seen.add("m* at a prefix end")
+                    else:
+                        seen.add("m* inside a prefix")
+        assert seen == {"m* = M", "m* at a prefix end", "m* inside a prefix"}
 
 
 class TestPolicyFromProbs:
