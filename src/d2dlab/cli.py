@@ -17,12 +17,14 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
+from time import perf_counter
 
 from . import __version__
 from .analysis import _check_kappa, tradeoff_curve
-from .ingest import LogFormatError, dedup_unique, parse_log, to_empirical
+from .ingest import LogFormatError, read_counts
 from .network import NetworkConfig
 from .policy import optimal_policy, theoretical_mstar
 from .popularity import PopularityModel, fit_mzipf
@@ -71,9 +73,9 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_manifest(args, started: str) -> None:
-    """Record the invocation next to its output as <output>.manifest.json."""
-    manifest = {
+def _write_manifest(args, started: str, record: dict) -> None:
+    """Record the invocation, and what the command reports of its run, as <output>.manifest.json."""
+    manifest = record | {
         "command": args.command,
         "parameters": dict(sorted((vars(args) | {"func": args.command}).items())),
         "seed": getattr(args, "seed", None),
@@ -140,13 +142,10 @@ def _model_from_args(args) -> PopularityModel:
     return PopularityModel(gamma=args.gamma, q=args.q, m_total=args.m_total)
 
 
-def cmd_fit(args) -> str:
-    parsed = parse_log(args.log)
-    records = parsed.records
-    if args.region is not None:
-        records = [r for r in records if r.region_id == args.region]
-    unique = dedup_unique(records)
-    empirical = to_empirical(unique)
+def cmd_fit(args) -> tuple[str, dict]:
+    started = perf_counter()
+    empirical, report = read_counts(args.log, args.region)
+    ingest = asdict(report) | {"wall_s": perf_counter() - started}
     result = fit_mzipf(empirical)
 
     output = Path(args.output)
@@ -155,14 +154,14 @@ def cmd_fit(args) -> str:
         "q": result.model.q,
         "m_total": result.model.m_total,
         "kl_distance": result.kl_distance,
-        "unique_accesses": unique.n_unique,
-        "users": unique.n_users,
+        "unique_accesses": report.unique_pairs,
+        "users": report.distinct_users,
         "report": {
-            "rows": parsed.rows,
-            "malformed": parsed.malformed,
-            "unique_accesses": unique.n_unique,
-            "distinct_users": unique.n_users,
-            "distinct_contents": unique.n_contents,
+            "rows": report.rows,
+            "malformed": report.malformed,
+            "unique_accesses": report.unique_pairs,
+            "distinct_users": report.distinct_users,
+            "distinct_contents": report.distinct_contents,
         },
     }
     ranks_csv = Path(args.ranks_csv) if args.ranks_csv else output.with_name(output.stem + "_ranks.csv")
@@ -171,10 +170,10 @@ def cmd_fit(args) -> str:
     _write_json(output, payload)
 
     return (f"fit: gamma={_fmt(result.model.gamma)} q={_fmt(result.model.q)} "
-            f"M={result.model.m_total} kl={_fmt(result.kl_distance)} -> {output}")
+            f"M={result.model.m_total} kl={_fmt(result.kl_distance)} -> {output}"), {"ingest": ingest}
 
 
-def cmd_policy(args) -> str:
+def cmd_policy(args) -> tuple[str, dict]:
     model = _model_from_args(args)
     policy = optimal_policy(model, args.s_cache, args.g_c)
     output = Path(args.output)
@@ -185,10 +184,10 @@ def cmd_policy(args) -> str:
         "p_c": policy.probs.tolist(),
     }
     _write_json(output, payload)
-    return f"policy: m_star={policy.m_star} nu={_fmt(policy.water_level)} -> {output}"
+    return f"policy: m_star={policy.m_star} nu={_fmt(policy.water_level)} -> {output}", {}
 
 
-def cmd_validate_mstar(args) -> str:
+def cmd_validate_mstar(args) -> tuple[str, dict]:
     model = _model_from_args(args)
     g_c_list = _parse_int_list(args.g_c_list)
     rows = []
@@ -198,7 +197,7 @@ def cmd_validate_mstar(args) -> str:
         rows.append((g_c, m_star, theo, abs(m_star - theo) / m_star))
     output = Path(args.output)
     _write_csv(output, ["g_c", "kkt_m_star", "theoretical_m_star", "rel_deviation"], rows)
-    return f"validate-mstar: {len(g_c_list)} points -> {output}"
+    return f"validate-mstar: {len(g_c_list)} points -> {output}", {}
 
 
 _TRADEOFF_COLUMNS = [
@@ -250,17 +249,17 @@ def _tradeoff_rows(args, model, g_c_list) -> list[dict]:
     return rows
 
 
-def cmd_tradeoff(args) -> str:
+def cmd_tradeoff(args) -> tuple[str, dict]:
     model = _model_from_args(args)
     g_c_list = _parse_int_list(args.g_c_list)
     rows = _tradeoff_rows(args, model, g_c_list)
     output = Path(args.output)
     _write_csv(output, _TRADEOFF_COLUMNS,
                ([row.get(col) for col in _TRADEOFF_COLUMNS] for row in rows))
-    return f"tradeoff: {len(rows)} points ({args.mode}) -> {output}"
+    return f"tradeoff: {len(rows)} points ({args.mode}) -> {output}", {}
 
 
-def cmd_simulate(args) -> str:
+def cmd_simulate(args) -> tuple[str, dict]:
     model = _model_from_args(args)
     network = build_grid(args.n_users, args.g_c)
     config = NetworkConfig(
@@ -291,7 +290,7 @@ def cmd_simulate(args) -> str:
     }
     _write_json(output, payload)
     return (f"simulate: hit={_fmt(outcome.hit_prob_estimate)} "
-            f"outage={_fmt(outcome.outage_estimate)} -> {output}")
+            f"outage={_fmt(outcome.outage_estimate)} -> {output}"), {}
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -362,12 +361,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command, write its manifest sidecar, and print its summary line."""
+    """Run one command, write its manifest sidecar, and print its summary line.
+
+    A command returns its summary line and the fields it adds to the manifest.
+    """
     args = build_parser().parse_args(argv)
     started = _utc_now()
     try:
-        message = args.func(args)
-        _write_manifest(args, started)
+        message, record = args.func(args)
+        _write_manifest(args, started, record)
         for temporary, output in _staged:
             os.replace(temporary, output)
     except (LogFormatError, OSError) as exc:

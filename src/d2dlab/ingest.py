@@ -3,12 +3,16 @@
 Input format is UTF-8 CSV with header ``user_id,content_id,region_id[,timestamp]``.
 Repeated accesses by the same user to the same content collapse into a
 single unique access; contents are then ranked by distinct-user count.
+``read_counts`` does all of this in one pass over the log. ``parse_log``,
+``dedup_unique`` and ``to_empirical`` take the same steps one at a time,
+through the same row check and the same counting.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import re
-from collections import Counter
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -19,10 +23,12 @@ from .popularity import EmpiricalDistribution
 
 __all__ = [
     "AccessRecord",
+    "IngestReport",
     "LogFormatError",
     "ParseResult",
     "UniqueAccessSet",
     "parse_log",
+    "read_counts",
     "dedup_unique",
     "to_empirical",
 ]
@@ -54,6 +60,48 @@ class ParseResult:
     malformed: int
 
 
+@dataclass(frozen=True)
+class IngestReport:
+    """Row accounting of one log read.
+
+    rows counts the non-blank rows after the header and malformed those of
+    them that failed the row check. kept counts the checked rows in the
+    region asked for, or every checked row when none was. unique_pairs,
+    distinct_users and distinct_contents describe the kept rows after
+    repeats of a (user, content) pair collapse.
+    """
+
+    rows: int
+    malformed: int
+    kept: int
+    unique_pairs: int
+    distinct_users: int
+    distinct_contents: int
+
+
+def read_counts(source, region: int | None = None) -> tuple[EmpiricalDistribution, IngestReport]:
+    """Read an access log from a path or text stream into ranked distinct-user counts.
+
+    One pass checks each row as parse_log does, keeps the rows of `region`
+    (every checked row when it is None) and interns their user and content
+    ids to int codes; repeats then collapse in one np.unique.
+    Raises LogFormatError when the header is missing or wrong, and
+    ValueError when no row is kept.
+    """
+    with _opened(source) as stream:
+        rows = _CheckedRows(stream)
+        pairs = _count_pairs(rows if region is None else (row for row in rows if row[2] == region))
+    report = IngestReport(
+        rows=rows.rows,
+        malformed=rows.malformed,
+        kept=pairs.kept,
+        unique_pairs=pairs.unique,
+        distinct_users=len(pairs.users),
+        distinct_contents=len(pairs.contents),
+    )
+    return _ranked(pairs.counts), report
+
+
 def parse_log(source) -> ParseResult:
     """Parse an access log from a path or text stream.
 
@@ -63,59 +111,118 @@ def parse_log(source) -> ParseResult:
     allowed.
     Raises LogFormatError when the header is missing or wrong.
     """
+    with _opened(source) as stream:
+        rows = _CheckedRows(stream)
+        records = [AccessRecord(*row) for row in rows]
+    return ParseResult(records=records, rows=rows.rows, malformed=rows.malformed)
+
+
+def _opened(source):
+    """A context manager for a text stream: a path opened as UTF-8, or the stream given."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return _parse_stream(fh)
-    return _parse_stream(source)
+        return open(source, "r", encoding="utf-8", newline="")
+    return contextlib.nullcontext(source)
 
 
-def _parse_stream(stream) -> ParseResult:
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise LogFormatError("empty input: missing header row") from None
-    header = [h.strip() for h in header]
-    has_timestamp = tuple(header) == (*_REQUIRED_COLUMNS, "timestamp")
-    if not has_timestamp and tuple(header) != _REQUIRED_COLUMNS:
-        raise LogFormatError(
-            f"bad header {header!r}; expected user_id,content_id,region_id[,timestamp]"
-        )
-    width = 4 if has_timestamp else 3
+class _CheckedRows:
+    """The rows of a log that pass the row check, as (user_id, content_id, region_id).
 
-    records: list[AccessRecord] = []
-    # Parsed region per raw string, None for a malformed one: a log holds a
-    # handful of regions, so each is parsed once.
-    regions: dict[str, int | None] = {}
-    rows = 0
-    malformed = 0
-    for row in reader:
-        if not row:
-            continue
-        rows += 1
-        if len(row) != width:
-            malformed += 1
-            continue
-        user_id = row[0].strip()
-        content_id = row[1].strip()
-        if not user_id or not content_id:
-            malformed += 1
-            continue
+    The header is checked on construction. Iterating reads the rows once;
+    after that, rows holds the number of non-blank rows read and malformed
+    the number of those that failed the check.
+    """
+
+    def __init__(self, stream) -> None:
+        self._reader = csv.reader(stream)
         try:
-            region_id = regions[row[2]]
-        except KeyError:
-            raw = row[2].strip()
-            region_id = regions[row[2]] = int(raw) if _INTEGER.fullmatch(raw) else None
-        if region_id is None:
-            malformed += 1
-            continue
-        if has_timestamp:
-            timestamp = row[3].strip()
-            if timestamp and not _INTEGER.fullmatch(timestamp):
+            header = next(self._reader)
+        except StopIteration:
+            raise LogFormatError("empty input: missing header row") from None
+        header = [h.strip() for h in header]
+        self._has_timestamp = tuple(header) == (*_REQUIRED_COLUMNS, "timestamp")
+        if not self._has_timestamp and tuple(header) != _REQUIRED_COLUMNS:
+            raise LogFormatError(
+                f"bad header {header!r}; expected user_id,content_id,region_id[,timestamp]"
+            )
+        self.rows = 0
+        self.malformed = 0
+
+    def __iter__(self):
+        has_timestamp = self._has_timestamp
+        width = 4 if has_timestamp else 3
+        # Parsed region per raw string, None for a malformed one: a log holds
+        # a handful of regions, so each is parsed once.
+        regions: dict[str, int | None] = {}
+        rows = 0
+        malformed = 0
+        for row in self._reader:
+            if not row:
+                continue
+            rows += 1
+            if len(row) != width:
                 malformed += 1
                 continue
-        records.append(AccessRecord(user_id, content_id, region_id))
-    return ParseResult(records=records, rows=rows, malformed=malformed)
+            user_id = row[0].strip()
+            content_id = row[1].strip()
+            if not user_id or not content_id:
+                malformed += 1
+                continue
+            try:
+                region_id = regions[row[2]]
+            except KeyError:
+                raw = row[2].strip()
+                region_id = regions[row[2]] = int(raw) if _INTEGER.fullmatch(raw) else None
+            if region_id is None:
+                malformed += 1
+                continue
+            if has_timestamp:
+                timestamp = row[3].strip()
+                if timestamp and not _INTEGER.fullmatch(timestamp):
+                    malformed += 1
+                    continue
+            yield user_id, content_id, region_id
+        self.rows = rows
+        self.malformed = malformed
+
+
+class _PairCounts(NamedTuple):
+    users: dict[str, int]  # user id -> code, in order of first appearance
+    contents: dict[str, int]  # content id -> code, in order of first appearance
+    kept: int  # rows counted, repeats included
+    unique: int  # distinct (user, content) pairs
+    counts: np.ndarray  # distinct users per content, indexed by content code
+
+
+def _count_pairs(rows) -> _PairCounts:
+    """Count the distinct users of each content over (user_id, content_id, region_id) rows.
+
+    Each id gets an int code, so a pair is the one int64 key
+    user*n_contents + content: dedup is one np.unique and the per-content
+    counts one np.bincount.
+    """
+    users: dict[str, int] = {}
+    contents: dict[str, int] = {}
+    user_codes = array("q")
+    content_codes = array("q")
+    for user_id, content_id, _ in rows:
+        user_codes.append(users.setdefault(user_id, len(users)))
+        content_codes.append(contents.setdefault(content_id, len(contents)))
+    n_contents = len(contents)
+    pairs = np.unique(np.frombuffer(user_codes, np.int64) * n_contents
+                      + np.frombuffer(content_codes, np.int64))
+    counts = np.bincount(pairs % n_contents, minlength=n_contents)
+    return _PairCounts(users, contents, len(user_codes), pairs.size, counts)
+
+
+def _ranked(counts: np.ndarray) -> EmpiricalDistribution:
+    """Distinct-user counts in descending order, rank 1 first.
+
+    Only the counts are kept, so which of two equally counted contents
+    takes the lower rank reaches no output.
+    """
+    if not counts.size:
+        raise ValueError("cannot rank an empty access set")
+    return EmpiricalDistribution(counts=np.sort(counts)[::-1].astype(np.float64))
 
 
 @dataclass
@@ -141,19 +248,15 @@ def dedup_unique(records: list[AccessRecord]) -> UniqueAccessSet:
     counts as the same unique access. The pairs are counted per content and
     per user, then dropped.
     """
-    pairs = {(r.user_id, r.content_id) for r in records}
-    counts = Counter(content for _, content in pairs)
-    return UniqueAccessSet(per_content_counts=dict(counts), n_users=len({u for u, _ in pairs}))
+    pairs = _count_pairs(records)
+    return UniqueAccessSet(per_content_counts=dict(zip(pairs.contents, pairs.counts.tolist())),
+                           n_users=len(pairs.users))
 
 
 def to_empirical(unique: UniqueAccessSet) -> EmpiricalDistribution:
     """Rank contents by descending distinct-user count.
 
-    Ties break by content_id lexicographic order so the ranking is
-    deterministic regardless of input order.
+    The distribution keeps the counts only, not which content holds which
+    rank.
     """
-    if not unique.per_content_counts:
-        raise ValueError("cannot rank an empty access set")
-    ranked = sorted(unique.per_content_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    counts = np.array([c for _, c in ranked], dtype=np.float64)
-    return EmpiricalDistribution(counts=counts)
+    return _ranked(np.fromiter(unique.per_content_counts.values(), np.int64, unique.n_contents))

@@ -8,11 +8,16 @@ the scan, not the weights, is what it checks. full_scan_policy is the
 water-filling construction as it stood before optimal_policy searched a
 growing prefix: one pass over the whole library, its own log-space law,
 and the last feasible index. optimal_policy must match it bit for bit.
+reference_counts is log ingest as it stood before read_counts: a row
+loop, a set of (user, content) pairs and a Counter.
 """
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
+from collections import Counter
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -252,3 +257,51 @@ def c1_relative_error(c1: float, c2: float) -> float:
         x, c = Decimal(c1), Decimal(c2)
         residual = x - 1 - c * (1 + x / c).ln()
         return float(abs(residual * (c + x) / x) / x)
+
+
+def _ascii_integer(text: str) -> bool:
+    """text, stripped, is ASCII digits with an optional sign."""
+    text = text.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    return digits != "" and all(ch in "0123456789" for ch in digits)
+
+
+def reference_counts(text: str, region: int | None) -> tuple[list[float], dict]:
+    """(ranked distinct-user counts, report fields) of a log held in text.
+
+    Checks each non-blank row: arity, non-empty ids, an integer region and
+    an empty or integer timestamp. Keeps the rows of region (all when None),
+    collapses them into a set of (user, content) pairs and counts each
+    content's pairs. The counts come back sorted in descending order; the
+    report has the IngestReport field names.
+    """
+    reader = csv.reader(io.StringIO(text))
+    header = tuple(h.strip() for h in next(reader))
+    width = 4 if header == ("user_id", "content_id", "region_id", "timestamp") else 3
+    rows = malformed = 0
+    kept = []
+    for row in reader:
+        if not row:
+            continue
+        rows += 1
+        if len(row) != width:
+            malformed += 1
+            continue
+        user, content = row[0].strip(), row[1].strip()
+        valid = (user != "" and content != "" and _ascii_integer(row[2])
+                 and (width == 3 or row[3].strip() == "" or _ascii_integer(row[3])))
+        if not valid:
+            malformed += 1
+        elif region is None or int(row[2]) == region:
+            kept.append((user, content))
+    pairs = set(kept)
+    per_content = Counter(content for _, content in pairs)
+    report = {
+        "rows": rows,
+        "malformed": malformed,
+        "kept": len(kept),
+        "unique_pairs": len(pairs),
+        "distinct_users": len({user for user, _ in pairs}),
+        "distinct_contents": len(per_content),
+    }
+    return sorted(map(float, per_content.values()), reverse=True), report

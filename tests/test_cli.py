@@ -62,6 +62,19 @@ class TestFitCommand:
         out = tmp_path / "fit.json"
         assert main(["fit", str(log), "--region", "3", "--output", str(out)]) == 0
         assert read_json(out)["report"]["distinct_contents"] == 2
+        ingest = read_json(tmp_path / "fit.json.manifest.json")["ingest"]
+        assert ingest.pop("wall_s") >= 0.0
+        assert ingest == {"rows": 100, "malformed": 0, "kept": 40, "unique_pairs": 40,
+                          "distinct_users": 40, "distinct_contents": 2}
+
+    @pytest.mark.parametrize("body", ["u1,c1,2\nu2,c1,3\n", ""], ids=["other-regions", "header-only"])
+    def test_region_with_no_rows_leaves_no_output(self, tmp_path, capsys, body):
+        log = tmp_path / "log.csv"
+        log.write_text("user_id,content_id,region_id\n" + body, encoding="utf-8")
+        code = main(["fit", str(log), "--region", "9", "--output", str(tmp_path / "fit.json")])
+        assert code == 2
+        assert "cannot rank an empty access set" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
 
     def test_pure_zipf_fixture_recovers_near_zero_plateau(self, tmp_path):
         from d2dlab.popularity import PopularityModel, sample_ranks
@@ -350,7 +363,7 @@ def test_every_command_writes_its_manifest(tmp_path, command, flags, seed):
     assert main([command, *flags, "--output", str(out)]) == 0
     manifest = read_json(tmp_path / "out.manifest.json")
     assert set(manifest) == {"command", "parameters", "seed", "version", "started_at",
-                             "finished_at"}
+                             "finished_at"} | ({"ingest"} if command == "fit" else set())
     assert manifest["command"] == command
     assert manifest["parameters"]["func"] == command
     assert manifest["parameters"]["output"] == str(out)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,12 +12,16 @@ from hypothesis import strategies as st
 
 from d2dlab.ingest import (
     AccessRecord,
+    IngestReport,
     LogFormatError,
     UniqueAccessSet,
     dedup_unique,
     parse_log,
+    read_counts,
     to_empirical,
 )
+
+from oracles import reference_counts
 
 HEADER = "user_id,content_id,region_id\n"
 
@@ -201,3 +206,74 @@ class TestToEmpirical:
         assert sorted(emp.counts.tolist(), reverse=True) == sorted(
             float(v) for v in by_content.values()
         )[::-1]
+
+
+# Field values that pass or fail the row check; a padded value passes.
+_USERS = ["a", "b", "c", " a", "b ", "", " "]
+_CONTENTS = ["x", "y", "z", " x ", "", "\t"]
+_REGIONS = ["1", "2", " 2 ", "+2", "-3", "10", "1_0", "\u0662", "2.0", "", "r"]
+_TIMESTAMPS = ["", " ", "7", "-7", "+1404165600", "1_0", "\u0662", "t"]
+_ROW = st.tuples(
+    st.sampled_from(["row", "row", "row", "blank", "short", "long"]),
+    st.sampled_from(_USERS),
+    st.sampled_from(_CONTENTS),
+    st.sampled_from(_REGIONS),
+    st.sampled_from(_TIMESTAMPS),
+)
+
+
+def _log_text(has_timestamp: bool, rows) -> str:
+    lines = ["user_id,content_id,region_id" + (",timestamp" if has_timestamp else "")]
+    for kind, user, content, region, timestamp in rows:
+        fields = [user, content, region] + ([timestamp] if has_timestamp else [])
+        if kind == "blank":
+            fields = []
+        elif kind == "short":
+            fields = fields[:-1]
+        elif kind == "long":
+            fields = fields + ["extra"]
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+class TestReadCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(st.booleans(), st.lists(_ROW, max_size=40),
+           st.sampled_from([None, 1, 2, -3, 10, 9]))
+    def test_matches_reference_and_staged_path(self, has_timestamp, rows, region):
+        """read_counts and parse_log -> filter -> dedup_unique -> to_empirical agree with the oracle."""
+        text = _log_text(has_timestamp, rows)
+        counts, report = reference_counts(text, region)
+        parsed = parse_log(io.StringIO(text))
+        assert (parsed.rows, parsed.malformed) == (report["rows"], report["malformed"])
+        records = [r for r in parsed.records if region is None or r.region_id == region]
+        assert len(records) == report["kept"]
+        unique = dedup_unique(records)
+        assert (unique.n_unique, unique.n_users, unique.n_contents) == (
+            report["unique_pairs"], report["distinct_users"], report["distinct_contents"])
+        if not counts:
+            with pytest.raises(ValueError, match="empty"):
+                read_counts(io.StringIO(text), region)
+            with pytest.raises(ValueError, match="empty"):
+                to_empirical(unique)
+            return
+        empirical, ingest = read_counts(io.StringIO(text), region)
+        assert empirical.counts.tolist() == counts
+        assert asdict(ingest) == report
+        assert to_empirical(unique).counts.tolist() == counts
+
+    def test_path_and_stream_read_alike(self, tmp_path):
+        text = HEADER + "u1,c1,2\nu2,c1,2\nu1,c2,3\nu1,c1,2\n,c3,2\n"
+        path = tmp_path / "log.csv"
+        path.write_text(text, encoding="utf-8")
+        for source in (path, str(path), io.StringIO(text)):
+            empirical, report = read_counts(source, region=2)
+            assert empirical.counts.tolist() == [2.0]
+            assert report == IngestReport(rows=5, malformed=1, kept=3, unique_pairs=2,
+                                          distinct_users=2, distinct_contents=1)
+
+    @pytest.mark.parametrize("text", ["", "u1,c1,2\n", "who,what,where\n"],
+                             ids=["empty", "no-header", "bad-header"])
+    def test_header_checked(self, text):
+        with pytest.raises(LogFormatError, match="header"):
+            read_counts(io.StringIO(text))
