@@ -85,8 +85,8 @@ def read_counts(source, region: int | None = None) -> tuple[EmpiricalDistributio
     One pass checks each row as parse_log does, keeps the rows of `region`
     (every checked row when it is None) and interns their user and content
     ids to int codes; repeats then collapse in one np.unique.
-    Raises LogFormatError when the header is missing or wrong, and
-    ValueError when no row is kept.
+    Raises LogFormatError when the header is missing or wrong or a line
+    cannot be read, and ValueError when no row is kept.
     """
     with _opened(source) as stream:
         rows = _CheckedRows(stream)
@@ -109,7 +109,9 @@ def parse_log(source) -> ParseResult:
     timestamp that is not ASCII digits with an optional sign) are counted in
     the result, never silently dropped. Whitespace around any field is
     allowed.
-    Raises LogFormatError when the header is missing or wrong.
+    Raises LogFormatError when the header is missing or wrong, or when a
+    line cannot be read: a field over csv.field_size_limit(), or text that
+    is not UTF-8.
     """
     with _opened(source) as stream:
         rows = _CheckedRows(stream)
@@ -138,6 +140,8 @@ class _CheckedRows:
             header = next(self._reader)
         except StopIteration:
             raise LogFormatError("empty input: missing header row") from None
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise self._unreadable(exc) from None
         header = [h.strip() for h in header]
         self._has_timestamp = tuple(header) == (*_REQUIRED_COLUMNS, "timestamp")
         if not self._has_timestamp and tuple(header) != _REQUIRED_COLUMNS:
@@ -155,34 +159,47 @@ class _CheckedRows:
         regions: dict[str, int | None] = {}
         rows = 0
         malformed = 0
-        for row in self._reader:
-            if not row:
-                continue
-            rows += 1
-            if len(row) != width:
-                malformed += 1
-                continue
-            user_id = row[0].strip()
-            content_id = row[1].strip()
-            if not user_id or not content_id:
-                malformed += 1
-                continue
-            try:
-                region_id = regions[row[2]]
-            except KeyError:
-                raw = row[2].strip()
-                region_id = regions[row[2]] = int(raw) if _INTEGER.fullmatch(raw) else None
-            if region_id is None:
-                malformed += 1
-                continue
-            if has_timestamp:
-                timestamp = row[3].strip()
-                if timestamp and not _INTEGER.fullmatch(timestamp):
+        try:
+            for row in self._reader:
+                if not row:
+                    continue
+                rows += 1
+                if len(row) != width:
                     malformed += 1
                     continue
-            yield user_id, content_id, region_id
+                user_id = row[0].strip()
+                content_id = row[1].strip()
+                if not user_id or not content_id:
+                    malformed += 1
+                    continue
+                try:
+                    region_id = regions[row[2]]
+                except KeyError:
+                    raw = row[2].strip()
+                    region_id = regions[row[2]] = int(raw) if _INTEGER.fullmatch(raw) else None
+                if region_id is None:
+                    malformed += 1
+                    continue
+                if has_timestamp:
+                    timestamp = row[3].strip()
+                    if timestamp and not _INTEGER.fullmatch(timestamp):
+                        malformed += 1
+                        continue
+                yield user_id, content_id, region_id
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise self._unreadable(exc) from None
         self.rows = rows
         self.malformed = malformed
+
+    def _unreadable(self, exc: csv.Error | UnicodeDecodeError) -> LogFormatError:
+        """The format error for a line the csv reader could not read."""
+        if isinstance(exc, UnicodeDecodeError):
+            # Text is decoded ahead of the reader, so the bad byte can lie
+            # past the line the reader stands at.
+            return LogFormatError(
+                f"not UTF-8 text at or after line {self._reader.line_num + 1}: {exc.reason}"
+            )
+        return LogFormatError(f"line {self._reader.line_num}: {exc}")
 
 
 class _PairCounts(NamedTuple):

@@ -99,14 +99,16 @@ def _guide_table(cdf: np.ndarray, max_rank: int) -> tuple[np.ndarray, np.ndarray
     Returns the first max_rank-1 cumulative sums closed by an inf sentinel,
     and, for each of K+1 buckets, the count of those sums at or below a
     lower bound on every draw u whose computed u*K truncates to the bucket.
-    K is twice the number of sums, which leaves most draws no step to take.
+    K is four times the number of sums. A sum moves only the draws above it
+    in its own bucket, at most 1/K of them, so a draw takes at most a
+    quarter of a step on average; twice that K ran no faster.
     A computed u*K >= k implies u >= (k/K)*(1-2^-53); the computed edge k/K
     is shrunk by 2^-50 to stay below that bound, so each count is at most
     the lookup's answer even where u*K rounds up into the next bucket. u*K
     can round up to K itself, hence the last bucket.
     """
     sums = np.append(cdf[: max_rank - 1], math.inf)
-    k = 2 * max(sums.size - 1, 1)
+    k = 4 * max(sums.size - 1, 1)
     edges = np.arange(k + 1, dtype=np.float64) / k * (1.0 - 2.0**-50)
     return sums, np.searchsorted(sums, edges, side="right")
 
@@ -115,7 +117,7 @@ def _guide_table(cdf: np.ndarray, max_rank: int) -> tuple[np.ndarray, np.ndarray
 _LOOKUP_BLOCK = 1 << 16
 
 
-def _ranks_from_cdf(guide: tuple[np.ndarray, np.ndarray], draws):
+def _ranks_from_cdf(guide: tuple[np.ndarray, np.ndarray], draws, out=None, scratch=None):
     """Inverse-CDF lookup through a _guide_table(cdf, max_rank): the 1-based
     rank r with cdf[r-2] <= draw < cdf[r-1], for draws in [0, 1).
 
@@ -124,22 +126,34 @@ def _ranks_from_cdf(guide: tuple[np.ndarray, np.ndarray], draws):
     zero-probability tail. The answer is min(searchsorted(cdf, u, "right"),
     max_rank-1) + 1: each draw starts at its bucket's count in the guide
     table and steps forward while the next sum is at or below it.
+
+    The ranks go to out, a C-contiguous intp array of the draws' shape, and
+    each block's temporaries to scratch, a float64 array of at least
+    min(draws.size, _LOOKUP_BLOCK) entries; each is made when not given. A
+    caller that looks up many arrays passes its own, so that their memory
+    is not handed back to the system and faulted in again between calls.
     """
     sums, start = guide
     k = start.size - 1
     u = np.asarray(draws, dtype=np.float64)
-    ranks = np.empty(u.shape, dtype=np.intp)
+    ranks = np.empty(u.shape, dtype=np.intp) if out is None else out
+    if scratch is None:
+        scratch = np.empty(min(u.size, _LOOKUP_BLOCK))
     flat_u, flat_r = u.reshape(-1), ranks.reshape(-1)
     for lo in range(0, flat_u.size, _LOOKUP_BLOCK):
         block = flat_u[lo : lo + _LOOKUP_BLOCK]
-        j = start[(block * k).astype(np.intp)]
-        moving = (sums[j] <= block).nonzero()[0]
+        j = flat_r[lo : lo + block.size]
+        bucket, edge = scratch.view(np.intp)[: block.size], scratch[: block.size]
+        np.multiply(block, k, out=bucket, casting="unsafe")  # truncates, as astype does
+        # mode="clip", which no index needs, keeps take from buffering out.
+        np.take(start, bucket, out=j, mode="clip")
+        np.take(sums, j, out=edge, mode="clip")  # the buckets are spent
+        moving = (edge <= block).nonzero()[0]
         while moving.size:
             stepped = j[moving] + 1
             j[moving] = stepped
             moving = moving[sums[stepped] <= block[moving]]
         j += 1
-        flat_r[lo : lo + _LOOKUP_BLOCK] = j
     return ranks
 
 

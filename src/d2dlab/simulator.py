@@ -18,7 +18,7 @@ import numpy as np
 
 from .network import NetworkConfig
 from .policy import CachingPolicy, optimal_policy
-from .popularity import PopularityModel, _ranks_from_cdf
+from .popularity import _LOOKUP_BLOCK, PopularityModel, _ranks_from_cdf
 
 __all__ = [
     "GridNetwork",
@@ -119,11 +119,14 @@ class TrialOutcome:
         return 1.0 - self.hit_frac
 
 
-# Cache entries (users x slots, summed over trials) one batch of trials
-# holds; trials share one lookup, count and link pass. A trial larger than
-# this runs alone. A batch's arrays take about 60 bytes an entry; larger
-# batches saved little per-trial time and raised peak memory.
-_BATCH_ENTRIES = 1 << 12
+# Cache entries (users x slots) the kernel holds at once. Trials that fit
+# run in batches of up to this many entries, about 60 bytes each, which
+# share one lookup, copy count and link pass. A larger trial runs alone, in
+# strips of as many whole cluster rows as fit, and at least one row. Every
+# batch or strip costs a few dozen numpy calls: at 2**12 entries they made
+# a trial of 4*10**4 entries (S=4, N=10**4) about 1.3x slower in strips
+# than whole, and small-trial batches about 1.3x slower than at 2**14.
+_BATCH_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -133,8 +136,8 @@ class _Trials:
     hits: np.ndarray
     self_hits: np.ndarray
     d2d_available: np.ndarray
-    cluster_links: np.ndarray  # (trials, n_clusters)
-    throughput: np.ndarray     # (trials, n_users)
+    cluster_links: np.ndarray  # (trials, clusters run)
+    throughput: np.ndarray     # (trials, users run)
 
 
 def _run_trials(
@@ -143,41 +146,79 @@ def _run_trials(
     popularity: PopularityModel,
     config: NetworkConfig,
     seeds: range,
+    rows: range,
 ) -> _Trials:
-    """The Monte Carlo kernel: one network realization per seed.
+    """The Monte Carlo kernel: one network realization per seed, over the
+    cluster rows rows.start .. rows.stop-1, in strips of rows.step rows.
 
-    Each seed's own default_rng draws that trial's caches (users x slots)
-    and then its requests. One inverse-CDF lookup, one copy count and one
-    link pass then serve every trial.
+    Each seed's own default_rng draws the trial's caches (users x slots)
+    and then its requests. A strip holds the contiguous user ids lo .. hi-1,
+    so its cache draws start at offset lo*S of that stream; user u's request
+    sits at N*S + u, and the first strip draws the requests of all the rows
+    run. bit_generator.advance moves between the two, since one double
+    takes one 64-bit output; a run of the whole grid draws straight through.
+    One inverse-CDF lookup, one own-cache test and one copy count serve
+    every trial of a strip, in buffers that every strip reuses; one link
+    pass then serves all the rows run.
     """
-    n_users, ncl = network.n_users, network.n_clusters
-    cache_draws = np.empty((len(seeds), n_users, config.s_cache))
-    request_draws = np.empty((len(seeds), n_users))
-    for row, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        rng.random(out=cache_draws[row])
-        rng.random(out=request_draws[row])
-    caches = _ranks_from_cdf(policy._cdf_guide, cache_draws)
-    requests = _ranks_from_cdf(popularity._cdf_guide, request_draws)
-    own = (caches == requests[:, :, None]).sum(axis=2)
-
-    # Count the copies of each file per cluster with one bincount over
-    # (trial, cluster, file) keys. File 0 never enters a cache, so requests
-    # for files no device caches look it up and find no copy.
+    n, s, n_users = len(seeds), config.s_cache, network.n_users
+    blocks = network.side // network.cluster_side
+    row_users = n_users // blocks
+    first, run_users = rows.start * row_users, (rows.stop - rows.start) * row_users
+    height = min(rows.step, rows.stop - rows.start)
+    ncl = (rows.stop - rows.start) * blocks
     cluster = np.empty(n_users, dtype=np.intp)
-    cluster[network.members] = np.arange(ncl)[:, None]
-    group = np.arange(len(seeds))[:, None] * ncl + cluster
+    cluster[network.members] = np.arange(network.n_clusters)[:, None]
+    group = np.arange(n)[:, None] * ncl + cluster[first : first + run_users] - rows.start * blocks
     width = policy.m_star + 1
-    base = group * width
-    caches += base[:, :, None]
-    copies = np.bincount(caches.reshape(-1), minlength=len(seeds) * ncl * width)
-    in_cluster = copies[base + np.where(requests < width, requests, 0)]
+    # Copy-count keys, with clusters counted from the strip's first, stay below this.
+    bins = ((n - 1) * ncl + height * blocks) * width
 
-    self_hit = own > 0
-    other_has = in_cluster > own
+    cache_draws = np.empty(n * height * row_users * s)
+    caches = np.empty(cache_draws.size, dtype=np.intp)
+    same = np.empty(cache_draws.size, dtype=bool)
+    request_draws = np.empty((n, run_users))
+    scratch = np.empty(min(max(cache_draws.size, request_draws.size), _LOOKUP_BLOCK))
+    self_hit = np.empty((n, run_users), dtype=bool)
+    other_has = np.empty((n, run_users), dtype=bool)
+    streams = [np.random.default_rng(seed) for seed in seeds]
+    at = 0  # where every stream stands, in 64-bit outputs
+    for r0 in rows:
+        lo, hi = r0 * row_users, min(r0 + rows.step, rows.stop) * row_users
+        u0, u1 = lo - first, hi - first
+        shape = (n, hi - lo, s)
+        draws = cache_draws[: n * (hi - lo) * s].reshape(shape)
+        to_caches = (lo * s - at) % 2**128  # the period is 2**128: a step back is a step on
+        for row, rng in enumerate(streams):
+            if to_caches:
+                rng.bit_generator.advance(to_caches)
+            rng.random(out=draws[row])
+        at = hi * s
+        if r0 == rows.start:
+            to_requests = n_users * s + first - at
+            for row, rng in enumerate(streams):
+                if to_requests:
+                    rng.bit_generator.advance(to_requests)
+                rng.random(out=request_draws[row])
+            at = n_users * s + first + run_users
+            requests = _ranks_from_cdf(popularity._cdf_guide, request_draws, scratch=scratch)
+        ranks = _ranks_from_cdf(policy._cdf_guide, draws, caches[: draws.size].reshape(shape),
+                                scratch)
+        wanted = requests[:, u0:u1]
+        own = np.equal(ranks, wanted[:, :, None], out=same[: draws.size].reshape(shape)).sum(axis=2)
+
+        # Count the copies of each file per cluster with one bincount over
+        # (trial, cluster, file) keys. File 0 never enters a cache, so
+        # requests for files no device caches look it up and find no copy.
+        base = (group[:, u0:u1] - (r0 - rows.start) * blocks) * width
+        ranks += base[:, :, None]
+        copies = np.bincount(ranks.reshape(-1), minlength=bins)
+        in_cluster = copies[base + np.where(wanted < width, wanted, 0)]
+        np.greater(own, 0, out=self_hit[:, u0:u1])
+        np.greater(in_cluster, own, out=other_has[:, u0:u1])
+
     potential = other_has & ~self_hit
-    links = np.bincount(group[potential], minlength=len(seeds) * ncl).reshape(-1, ncl)
-
+    links = np.bincount(group[potential], minlength=n * ncl).reshape(-1, ncl)
     per_link_rate = np.zeros(links.shape)
     np.divide(config.cluster_rate, links, out=per_link_rate, where=links > 0)
     return _Trials(
@@ -197,6 +238,13 @@ def _check_config(network: GridNetwork, config: NetworkConfig) -> None:
         )
 
 
+def _strips(network: GridNetwork, config: NetworkConfig) -> range:
+    """The grid's cluster rows, in strips of as many as fit _BATCH_ENTRIES and at least one."""
+    blocks = network.side // network.cluster_side
+    row_entries = network.n_users // blocks * config.s_cache
+    return range(0, blocks, max(1, _BATCH_ENTRIES // row_entries))
+
+
 def run_trial(
     network: GridNetwork,
     policy: CachingPolicy,
@@ -206,11 +254,18 @@ def run_trial(
 ) -> TrialOutcome:
     """One network realization: caches, requests, links, and throughput.
 
-    Deterministic given the seed; cache draws consume the random stream
-    before request draws.
+    Deterministic given the seed: default_rng(seed) draws the S cache
+    entries of each user in turn and then one request per user, so user u's
+    cache draws sit at stream offsets u*S .. u*S+S-1 and its request at
+    N*S + u. A trial of more than _BATCH_ENTRIES cache entries runs in
+    strips of as many whole cluster rows as fit that budget, at least one,
+    each reaching its stretch of the stream by bit_generator.advance. Its
+    memory then grows with one strip's entries and the trial's N users,
+    not with N*S. The strips change no bit of the outcome.
     """
     _check_config(network, config)
-    t = _run_trials(network, policy, popularity, config, range(seed, seed + 1))
+    t = _run_trials(network, policy, popularity, config, range(seed, seed + 1),
+                    _strips(network, config))
     links = t.cluster_links[0]
     return TrialOutcome(
         n_users=network.n_users,
@@ -279,8 +334,11 @@ def run_monte_carlo(
 
     Standard errors are sample standard deviations of the per-trial
     statistics divided by sqrt(trials). Trials run in batches of at most
-    _BATCH_ENTRIES cache entries; every statistic is reduced in the order
-    of one trial at a time, so the batch size changes no bit of the result.
+    _BATCH_ENTRIES cache entries, and a trial larger than that alone, in
+    strips of whole cluster rows as in run_trial, so memory is bounded by
+    one batch or one strip beside the per-user arrays. Every statistic is
+    reduced in the order of one trial at a time, so neither batches nor
+    strips change a bit of the result.
     """
     _check_trials(trials)
     _check_seed(base_seed)
@@ -292,9 +350,11 @@ def run_monte_carlo(
     good = np.empty(trials)
     tp_user_sum = np.zeros(n_users)
     batch = max(1, _BATCH_ENTRIES // (n_users * config.s_cache))
+    rows = _strips(network, config)
     for lo in range(0, trials, batch):
         hi = min(lo + batch, trials)
-        t = _run_trials(network, policy, popularity, config, range(base_seed + lo, base_seed + hi))
+        seeds = range(base_seed + lo, base_seed + hi)
+        t = _run_trials(network, policy, popularity, config, seeds, rows)
         hit_fracs[lo:hi] = t.hits / n_users
         self_fracs[lo:hi] = t.self_hits / n_users
         d2d_fracs[lo:hi] = t.d2d_available / n_users

@@ -9,7 +9,9 @@ water-filling construction as it stood before optimal_policy searched a
 growing prefix: one pass over the whole library, its own log-space law,
 and the last feasible index. optimal_policy must match it bit for bit.
 reference_counts is log ingest as it stood before read_counts: a row
-loop, a set of (user, content) pairs and a Counter.
+loop, a set of (user, content) pairs and a Counter. whole_trial is one
+Monte Carlo trial drawn whole from one generator and counted cluster by
+cluster, with no strips, batches or copy-count keys.
 """
 from __future__ import annotations
 
@@ -42,6 +44,49 @@ def iid_hit_probability(request_pmf, cache_probs, slots: int) -> float:
 def searchsorted_ranks(cdf, draws, max_rank: int) -> np.ndarray:
     """Inverse-CDF ranks by plain binary search: min(#{cdf <= u}, max_rank-1) + 1."""
     return np.minimum(np.searchsorted(cdf, draws, side="right"), max_rank - 1) + 1
+
+
+def whole_trial(network, policy, popularity, config, seed: int) -> dict:
+    """One trial drawn whole from one generator, counted cluster by cluster.
+
+    default_rng(seed) draws every cache (users x slots) and then every
+    request; searchsorted_ranks maps the draws to ranks. Each cluster's
+    members are then compared with one another directly: a user self-hits
+    when the request sits in its own cache and has D2D access when it sits
+    in another member's; the users with access but no self-hit share the
+    cluster rate equally. Returns the TrialOutcome fields by name.
+    """
+    rng = np.random.default_rng(seed)
+    caches = searchsorted_ranks(
+        policy.cdf, rng.random((network.n_users, config.s_cache)), policy.m_star
+    )
+    requests = searchsorted_ranks(
+        popularity.cdf_values, rng.random(network.n_users), popularity.m_total
+    )
+    self_hit = np.zeros(network.n_users, dtype=bool)
+    other_has = np.zeros(network.n_users, dtype=bool)
+    links = np.zeros(network.n_clusters, dtype=np.int64)
+    throughput = np.zeros(network.n_users)
+    for c, members in enumerate(network.members):
+        for u in members:
+            self_hit[u] = bool((caches[u] == requests[u]).any())
+            others = members[members != u]
+            other_has[u] = bool((caches[others] == requests[u]).any())
+        linked = members[other_has[members] & ~self_hit[members]]
+        links[c] = linked.size
+        if linked.size:
+            throughput[linked] = config.cluster_rate / linked.size
+    return {
+        "n_users": network.n_users,
+        "n_clusters": network.n_clusters,
+        "hits": int((self_hit | other_has).sum()),
+        "self_hits": int(self_hit.sum()),
+        "d2d_available": int(other_has.sum()),
+        "potential_links": int(links.sum()),
+        "good_clusters": int((links > 0).sum()),
+        "cluster_links": links,
+        "throughput": throughput,
+    }
 
 
 def enumerate_single_cluster(request_pmf, cache_probs, g_c: int, rate: float = 1.0) -> dict:

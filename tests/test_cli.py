@@ -110,6 +110,18 @@ class TestFitCommand:
         code = main(["fit", str(log), "--output", str(tmp_path / "o.json")])
         assert code == 3
 
+    @pytest.mark.parametrize("row, message", [
+        (f"u2,{'c' * 200_000},2\n".encode(), "line 3: field larger than field limit"),
+        (b"u2,c\xff2,2\n", "not UTF-8"),
+    ], ids=["oversized-field", "not-utf8"])
+    def test_unreadable_log_is_a_format_error(self, tmp_path, capsys, row, message):
+        log = tmp_path / "log.csv"
+        log.write_bytes(b"user_id,content_id,region_id\nu1,c1,2\n" + row)
+        code = main(["fit", str(log), "--output", str(tmp_path / "fit.json")])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
+
     def test_unwritable_ranks_csv_leaves_no_json(self, tmp_path, capsys):
         log = tmp_path / "r.csv"
         write_region_log(log, region=3, n_accesses=3000, seed=5)

@@ -277,3 +277,28 @@ class TestReadCounts:
     def test_header_checked(self, text):
         with pytest.raises(LogFormatError, match="header"):
             read_counts(io.StringIO(text))
+
+
+class TestUnreadableLog:
+    """A log the csv reader cannot read is a format error, whichever entry reads it."""
+
+    READERS = [read_counts, parse_log]
+
+    @pytest.mark.parametrize("reader", READERS, ids=["read_counts", "parse_log"])
+    @pytest.mark.parametrize("as_path", [False, True], ids=["stream", "path"])
+    def test_field_over_the_csv_limit(self, tmp_path, reader, as_path):
+        text = HEADER + "u1,c1,2\n" + f"u2,{'c' * 200_000},2\n" + "u3,c3,2\n"
+        source = io.StringIO(text)
+        if as_path:
+            source = tmp_path / "log.csv"
+            source.write_text(text, encoding="utf-8")
+        with pytest.raises(LogFormatError, match=r"^line 3: field larger than field limit"):
+            reader(source)
+
+    @pytest.mark.parametrize("reader", READERS, ids=["read_counts", "parse_log"])
+    @pytest.mark.parametrize("head", [b"", b"u0,c0,2\n" * 5000], ids=["first-chunk", "later"])
+    def test_bytes_that_are_not_utf8(self, tmp_path, reader, head):
+        path = tmp_path / "log.csv"
+        path.write_bytes(HEADER.encode() + head + b"u1,c\xff1,2\nu2,c2,2\n")
+        with pytest.raises(LogFormatError, match="not UTF-8"):
+            reader(path)

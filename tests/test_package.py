@@ -5,6 +5,7 @@ import ast
 from pathlib import Path
 
 import d2dlab
+from d2dlab import simulator
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -41,3 +42,22 @@ def test_one_benchmark_fit_log_pass(tmp_path, monkeypatch):
     tracer = Tracer(False)
     workload = WORKLOADS["fit_log"](3, "tiny", tmp_path, tracer)
     workload.check(workload.run_pass(tracer))
+
+
+def test_one_benchmark_mc_large_cache_pass_in_strips(tmp_path, monkeypatch):
+    """The benchmark's mc_large_cache pass checks out when its trials run in strips.
+
+    The tiny size holds 4,000 cache entries a trial, under the default
+    budget, so the budget is set below one cluster row (2,000 entries) to
+    put it on the strip path.
+    """
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracing import Tracer
+    from workloads import WORKLOADS
+
+    monkeypatch.setattr(simulator, "_BATCH_ENTRIES", 1_000)
+    tracer = Tracer(False)
+    workload = WORKLOADS["mc_large_cache"](3, "tiny", tmp_path, tracer)
+    out = workload.run_pass(tracer)
+    assert simulator._strips(out["network"], workload.config) == range(2)  # one row a strip
+    workload.check(out)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,13 +14,14 @@ from d2dlab.policy import optimal_policy, policy_from_probs
 from d2dlab.popularity import PopularityModel
 from d2dlab.simulator import (
     SimOutcome,
+    TrialOutcome,
     build_grid,
     run_monte_carlo,
     run_trial,
     simulate_tradeoff,
 )
 
-from oracles import enumerate_single_cluster, iid_hit_probability
+from oracles import enumerate_single_cluster, iid_hit_probability, whole_trial
 
 
 def make_config(network, s=1, c=1.0, k=4) -> NetworkConfig:
@@ -296,6 +298,78 @@ class TestBatching:
         assert hits / (self.TRIALS * net.n_users) == pytest.approx(
             out.hit_prob_estimate, rel=1e-12
         )
+
+
+class TestStrips:
+    """A trial over the budget runs in strips of whole cluster rows; the strips never show."""
+
+    MODEL = PopularityModel(gamma=1.16, q=22.0, m_total=500)
+    BUDGETS = [None, 1, 2]  # the default, then cluster rows per strip
+
+    def case(self):
+        net = build_grid(100, 4)  # 5 cluster rows, so strips of 2 rows leave a short last one
+        cfg = make_config(net, s=3, c=2.0)
+        return net, optimal_policy(self.MODEL, 3, 4), cfg
+
+    def set_budget(self, monkeypatch, net, cfg, rows):
+        entries = net.n_users * cfg.s_cache
+        if rows is None:
+            assert simulator._BATCH_ENTRIES >= entries  # the whole trial at once
+        else:
+            row_entries = entries * net.cluster_side // net.side
+            monkeypatch.setattr(simulator, "_BATCH_ENTRIES", rows * row_entries)
+
+    @pytest.mark.parametrize("rows", BUDGETS, ids=["default", "one-row", "two-rows"])
+    def test_trial_matches_the_whole_trial_oracle(self, monkeypatch, rows):
+        net, policy, cfg = self.case()
+        self.set_budget(monkeypatch, net, cfg, rows)
+        for seed in (0, 1, 7):
+            trial = run_trial(net, policy, self.MODEL, cfg, seed=seed)
+            expected = whole_trial(net, policy, self.MODEL, cfg, seed)
+            for field in dataclasses.fields(TrialOutcome):
+                got, want = getattr(trial, field.name), expected[field.name]
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field.name
+                else:
+                    assert type(got) is type(want) and got == want, field.name
+
+    @pytest.mark.parametrize("rows", BUDGETS[1:], ids=["one-row", "two-rows"])
+    def test_monte_carlo_is_bit_identical_in_strips(self, monkeypatch, rows):
+        net, policy, cfg = self.case()
+        whole = run_monte_carlo(net, policy, self.MODEL, cfg, 6, base_seed=3)
+        self.set_budget(monkeypatch, net, cfg, rows)
+        stripped = run_monte_carlo(net, policy, self.MODEL, cfg, 6, base_seed=3)
+        for field in dataclasses.fields(SimOutcome):
+            assert getattr(stripped, field.name) == getattr(whole, field.name), field.name
+
+    def test_a_band_of_rows_is_its_slice_of_the_grid(self):
+        """The kernel run over cluster rows 1..3 of two trials, in strips of two rows
+        (the last one short), matches those rows of the whole-grid run."""
+        net, policy, cfg = self.case()
+        seeds = range(4, 6)
+        grid = simulator._run_trials(net, policy, self.MODEL, cfg, seeds, range(0, 5, 5))
+        band = simulator._run_trials(net, policy, self.MODEL, cfg, seeds, range(1, 4, 2))
+        users = slice(net.n_users // 5, 4 * net.n_users // 5)
+        np.testing.assert_array_equal(band.cluster_links, grid.cluster_links[:, 5:20])
+        np.testing.assert_array_equal(band.throughput, grid.throughput[:, users])
+
+    def test_one_row_strips_bound_the_peak_memory(self, monkeypatch):
+        net = build_grid(1024, 4)  # 16 cluster rows
+        cfg = make_config(net, s=32)
+        policy = optimal_policy(self.MODEL, 32, 4)
+        entries = net.n_users * cfg.s_cache
+
+        def peak(budget: int) -> int:
+            monkeypatch.setattr(simulator, "_BATCH_ENTRIES", budget)
+            run_trial(net, policy, self.MODEL, cfg, seed=5)  # builds the cached lookup tables
+            tracemalloc.start()
+            try:
+                run_trial(net, policy, self.MODEL, cfg, seed=5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert 4 * peak(entries // 16) <= peak(entries)
 
 
 class TestSimulateTradeoff:
