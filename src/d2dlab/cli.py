@@ -375,8 +375,8 @@ def main(argv=None) -> int:
     except (LogFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:  # parameters too large to run are bad parameters
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_PARAMS
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)

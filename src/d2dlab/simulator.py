@@ -11,6 +11,7 @@ expectation, one link active at a time.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -136,8 +137,8 @@ class _Trials:
     hits: np.ndarray
     self_hits: np.ndarray
     d2d_available: np.ndarray
-    cluster_links: np.ndarray  # (trials, clusters run)
-    throughput: np.ndarray     # (trials, users run)
+    cluster_links: np.ndarray  # (trials, clusters)
+    throughput: np.ndarray     # (trials, users)
 
 
 def _run_trials(
@@ -146,88 +147,92 @@ def _run_trials(
     popularity: PopularityModel,
     config: NetworkConfig,
     seeds: range,
-    rows: range,
-) -> _Trials:
-    """The Monte Carlo kernel: one network realization per seed, over the
-    cluster rows rows.start .. rows.stop-1, in strips of rows.step rows.
+) -> Iterator[_Trials]:
+    """The Monte Carlo kernel: one network realization per seed, yielded in
+    batches of consecutive seeds, in seed order.
 
-    Each seed's own default_rng draws the trial's caches (users x slots)
-    and then its requests. A strip holds the contiguous user ids lo .. hi-1,
-    so its cache draws start at offset lo*S of that stream; user u's request
-    sits at N*S + u, and the first strip draws the requests of all the rows
-    run. bit_generator.advance moves between the two, since one double
-    takes one 64-bit output; a run of the whole grid draws straight through.
-    One inverse-CDF lookup, one own-cache test and one copy count serve
-    every trial of a strip, in buffers that every strip reuses; one link
-    pass then serves all the rows run.
+    It plans its batches and strips from _BATCH_ENTRIES. Each seed's own
+    default_rng draws the trial's caches (users x slots) and then its
+    requests. A strip holds the contiguous user ids lo .. hi-1, so its cache
+    draws start at offset lo*S of that stream; user u's request sits at
+    N*S + u, and the first strip draws every request. bit_generator.advance
+    moves between the two, since one double takes one 64-bit output; a
+    trial of one strip draws straight through. One inverse-CDF lookup, one
+    own-cache test and one copy count serve every trial of a strip, and one
+    link pass every trial of a batch, in buffers made once per call.
     """
-    n, s, n_users = len(seeds), config.s_cache, network.n_users
+    s, n_users, n_clusters = config.s_cache, network.n_users, network.n_clusters
     blocks = network.side // network.cluster_side
     row_users = n_users // blocks
-    first, run_users = rows.start * row_users, (rows.stop - rows.start) * row_users
-    height = min(rows.step, rows.stop - rows.start)
-    ncl = (rows.stop - rows.start) * blocks
-    cluster = np.empty(n_users, dtype=np.intp)
-    cluster[network.members] = np.arange(network.n_clusters)[:, None]
-    group = np.arange(n)[:, None] * ncl + cluster[first : first + run_users] - rows.start * blocks
+    step = max(1, _BATCH_ENTRIES // (row_users * s))  # cluster rows a strip
+    n = min(max(1, step // blocks), len(seeds))  # trials a batch
+    height = min(step, blocks)
     width = policy.m_star + 1
-    # Copy-count keys, with clusters counted from the strip's first, stay below this.
-    bins = ((n - 1) * ncl + height * blocks) * width
+    cluster = np.empty(n_users, dtype=np.intp)
+    cluster[network.members] = np.arange(n_clusters)[:, None]
+    group = np.arange(n)[:, None] * n_clusters + cluster
 
     cache_draws = np.empty(n * height * row_users * s)
     caches = np.empty(cache_draws.size, dtype=np.intp)
     same = np.empty(cache_draws.size, dtype=bool)
-    request_draws = np.empty((n, run_users))
+    request_draws = np.empty((n, n_users))
+    requests = np.empty((n, n_users), dtype=np.intp)
     scratch = np.empty(min(max(cache_draws.size, request_draws.size), _LOOKUP_BLOCK))
-    self_hit = np.empty((n, run_users), dtype=bool)
-    other_has = np.empty((n, run_users), dtype=bool)
-    streams = [np.random.default_rng(seed) for seed in seeds]
-    at = 0  # where every stream stands, in 64-bit outputs
-    for r0 in rows:
-        lo, hi = r0 * row_users, min(r0 + rows.step, rows.stop) * row_users
-        u0, u1 = lo - first, hi - first
-        shape = (n, hi - lo, s)
-        draws = cache_draws[: n * (hi - lo) * s].reshape(shape)
-        to_caches = (lo * s - at) % 2**128  # the period is 2**128: a step back is a step on
-        for row, rng in enumerate(streams):
-            if to_caches:
-                rng.bit_generator.advance(to_caches)
-            rng.random(out=draws[row])
-        at = hi * s
-        if r0 == rows.start:
-            to_requests = n_users * s + first - at
+    self_hit = np.empty((n, n_users), dtype=bool)
+    other_has = np.empty((n, n_users), dtype=bool)
+    for first in range(0, len(seeds), n):
+        streams = [np.random.default_rng(seed) for seed in seeds[first : first + n]]
+        k = len(streams)
+        # Copy-count keys, with clusters counted from the strip's first, stay below this.
+        bins = ((k - 1) * n_clusters + height * blocks) * width
+        at = 0  # where every stream stands, in 64-bit outputs
+        for r0 in range(0, blocks, step):
+            lo, hi = r0 * row_users, min(r0 + step, blocks) * row_users
+            shape = (k, hi - lo, s)
+            draws = cache_draws[: k * (hi - lo) * s].reshape(shape)
+            to_caches = (lo * s - at) % 2**128  # the period is 2**128: a step back is a step on
             for row, rng in enumerate(streams):
-                if to_requests:
-                    rng.bit_generator.advance(to_requests)
-                rng.random(out=request_draws[row])
-            at = n_users * s + first + run_users
-            requests = _ranks_from_cdf(popularity._cdf_guide, request_draws, scratch=scratch)
-        ranks = _ranks_from_cdf(policy._cdf_guide, draws, caches[: draws.size].reshape(shape),
-                                scratch)
-        wanted = requests[:, u0:u1]
-        own = np.equal(ranks, wanted[:, :, None], out=same[: draws.size].reshape(shape)).sum(axis=2)
+                if to_caches:
+                    rng.bit_generator.advance(to_caches)
+                rng.random(out=draws[row])
+            at = hi * s
+            if r0 == 0:
+                to_requests = n_users * s - at
+                for row, rng in enumerate(streams):
+                    if to_requests:
+                        rng.bit_generator.advance(to_requests)
+                    rng.random(out=request_draws[row])
+                at = n_users * s + n_users
+                _ranks_from_cdf(popularity._cdf_guide, request_draws[:k], requests[:k], scratch)
+            ranks = _ranks_from_cdf(policy._cdf_guide, draws, caches[: draws.size].reshape(shape),
+                                    scratch)
+            wanted = requests[:k, lo:hi]
+            own = np.equal(ranks, wanted[:, :, None],
+                           out=same[: draws.size].reshape(shape)).sum(axis=2)
 
-        # Count the copies of each file per cluster with one bincount over
-        # (trial, cluster, file) keys. File 0 never enters a cache, so
-        # requests for files no device caches look it up and find no copy.
-        base = (group[:, u0:u1] - (r0 - rows.start) * blocks) * width
-        ranks += base[:, :, None]
-        copies = np.bincount(ranks.reshape(-1), minlength=bins)
-        in_cluster = copies[base + np.where(wanted < width, wanted, 0)]
-        np.greater(own, 0, out=self_hit[:, u0:u1])
-        np.greater(in_cluster, own, out=other_has[:, u0:u1])
+            # Count the copies of each file per cluster with one bincount over
+            # (trial, cluster, file) keys, and keep only the requested files'
+            # counts, so that the next strip or batch never holds this one's.
+            # File 0 never enters a cache, so requests for files no device
+            # caches look it up and find no copy.
+            base = (group[:k, lo:hi] - r0 * blocks) * width
+            ranks += base[:, :, None]
+            in_cluster = np.bincount(ranks.reshape(-1), minlength=bins)[
+                base + np.where(wanted < width, wanted, 0)]
+            np.greater(own, 0, out=self_hit[:k, lo:hi])
+            np.greater(in_cluster, own, out=other_has[:k, lo:hi])
 
-    potential = other_has & ~self_hit
-    links = np.bincount(group[potential], minlength=n * ncl).reshape(-1, ncl)
-    per_link_rate = np.zeros(links.shape)
-    np.divide(config.cluster_rate, links, out=per_link_rate, where=links > 0)
-    return _Trials(
-        hits=(self_hit | other_has).sum(axis=1),
-        self_hits=self_hit.sum(axis=1),
-        d2d_available=other_has.sum(axis=1),
-        cluster_links=links,
-        throughput=potential * per_link_rate.reshape(-1)[group],
-    )
+        potential = other_has[:k] & ~self_hit[:k]
+        links = np.bincount(group[:k][potential], minlength=k * n_clusters).reshape(k, n_clusters)
+        per_link_rate = np.zeros(links.shape)
+        np.divide(config.cluster_rate, links, out=per_link_rate, where=links > 0)
+        yield _Trials(
+            hits=(self_hit[:k] | other_has[:k]).sum(axis=1),
+            self_hits=self_hit[:k].sum(axis=1),
+            d2d_available=other_has[:k].sum(axis=1),
+            cluster_links=links,
+            throughput=potential * per_link_rate.reshape(-1)[group[:k]],
+        )
 
 
 def _check_config(network: GridNetwork, config: NetworkConfig) -> None:
@@ -236,13 +241,6 @@ def _check_config(network: GridNetwork, config: NetworkConfig) -> None:
             f"config cluster_size {config.cluster_size} does not match "
             f"network cluster_size {network.cluster_size}"
         )
-
-
-def _strips(network: GridNetwork, config: NetworkConfig) -> range:
-    """The grid's cluster rows, in strips of as many as fit _BATCH_ENTRIES and at least one."""
-    blocks = network.side // network.cluster_side
-    row_entries = network.n_users // blocks * config.s_cache
-    return range(0, blocks, max(1, _BATCH_ENTRIES // row_entries))
 
 
 def run_trial(
@@ -261,11 +259,11 @@ def run_trial(
     strips of as many whole cluster rows as fit that budget, at least one,
     each reaching its stretch of the stream by bit_generator.advance. Its
     memory then grows with one strip's entries and the trial's N users,
-    not with N*S. The strips change no bit of the outcome.
+    not with N*S. One kernel call runs every strip in buffers it makes once.
+    The strips change no bit of the outcome.
     """
     _check_config(network, config)
-    t = _run_trials(network, policy, popularity, config, range(seed, seed + 1),
-                    _strips(network, config))
+    t = next(_run_trials(network, policy, popularity, config, range(seed, seed + 1)))
     links = t.cluster_links[0]
     return TrialOutcome(
         n_users=network.n_users,
@@ -336,9 +334,10 @@ def run_monte_carlo(
     statistics divided by sqrt(trials). Trials run in batches of at most
     _BATCH_ENTRIES cache entries, and a trial larger than that alone, in
     strips of whole cluster rows as in run_trial, so memory is bounded by
-    one batch or one strip beside the per-user arrays. Every statistic is
-    reduced in the order of one trial at a time, so neither batches nor
-    strips change a bit of the result.
+    one batch or one strip beside the per-user arrays. One kernel call
+    serves the whole run and reuses its buffers across every batch and
+    strip. Every statistic is reduced in the order of one trial at a time,
+    so neither batches nor strips change a bit of the result.
     """
     _check_trials(trials)
     _check_seed(base_seed)
@@ -349,12 +348,10 @@ def run_monte_carlo(
     d2d_fracs = np.empty(trials)
     good = np.empty(trials)
     tp_user_sum = np.zeros(n_users)
-    batch = max(1, _BATCH_ENTRIES // (n_users * config.s_cache))
-    rows = _strips(network, config)
-    for lo in range(0, trials, batch):
-        hi = min(lo + batch, trials)
-        seeds = range(base_seed + lo, base_seed + hi)
-        t = _run_trials(network, policy, popularity, config, seeds, rows)
+    hi = 0
+    seeds = range(base_seed, base_seed + trials)
+    for t in _run_trials(network, policy, popularity, config, seeds):
+        lo, hi = hi, hi + t.hits.size
         hit_fracs[lo:hi] = t.hits / n_users
         self_fracs[lo:hi] = t.self_hits / n_users
         d2d_fracs[lo:hi] = t.d2d_available / n_users

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from d2dlab import cli
 from d2dlab.cli import main
 from d2dlab.fixtures import write_region_log
 from d2dlab.popularity import PopularityModel
@@ -352,6 +353,25 @@ class TestSimulateCommand:
             "--output", str(tmp_path / "o.json"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 7.28 TiB for an array", "Unable to allocate 7.28 TiB"),
+        ("", "MemoryError"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_is_a_parameter_error(self, tmp_path, monkeypatch, capsys,
+                                                message, shown):
+        def out_of_memory(*args, **kw):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run_monte_carlo", out_of_memory)
+        code = main([
+            "simulate", "--gamma", "1.16", "--q", "22", "--m-total", "500",
+            "--s-cache", "2", "--n-users", "16", "--g-c", "4",
+            "--output", str(tmp_path / "o.json"),
+        ])
+        assert code == 2
+        assert f"error: {shown}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 MODEL_FLAGS = ["--gamma", "1.16", "--q", "22", "--m-total", "500"]

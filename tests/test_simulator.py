@@ -267,6 +267,22 @@ class TestRunMonteCarlo:
             )
 
 
+def count_kernel_calls(monkeypatch) -> list[list[int]]:
+    """Wrap the kernel so that each call appends the trial count of every batch it yields."""
+    calls = []
+    kernel = simulator._run_trials
+
+    def counted(*args):
+        batches = []
+        calls.append(batches)
+        for t in kernel(*args):
+            batches.append(t.hits.size)
+            yield t
+
+    monkeypatch.setattr(simulator, "_run_trials", counted)
+    return calls
+
+
 class TestBatching:
     """run_monte_carlo runs its trials in batches; the batch size never shows."""
 
@@ -288,6 +304,13 @@ class TestBatching:
         batched = run_monte_carlo(net, policy, self.MODEL, cfg, self.TRIALS, base_seed=40)
         for field in dataclasses.fields(SimOutcome):
             assert getattr(batched, field.name) == getattr(default, field.name), field.name
+
+    def test_one_kernel_call_serves_every_batch(self, monkeypatch):
+        net, policy, cfg = self.case()
+        monkeypatch.setattr(simulator, "_BATCH_ENTRIES", 3 * net.n_users * cfg.s_cache)
+        calls = count_kernel_calls(monkeypatch)
+        run_monte_carlo(net, policy, self.MODEL, cfg, self.TRIALS, base_seed=40)
+        assert calls == [[3, 3, 3, 1]]
 
     def test_trial_hits_sum_to_the_estimate(self):
         net, policy, cfg = self.case()
@@ -342,16 +365,12 @@ class TestStrips:
         for field in dataclasses.fields(SimOutcome):
             assert getattr(stripped, field.name) == getattr(whole, field.name), field.name
 
-    def test_a_band_of_rows_is_its_slice_of_the_grid(self):
-        """The kernel run over cluster rows 1..3 of two trials, in strips of two rows
-        (the last one short), matches those rows of the whole-grid run."""
+    def test_one_kernel_call_serves_every_strip(self, monkeypatch):
         net, policy, cfg = self.case()
-        seeds = range(4, 6)
-        grid = simulator._run_trials(net, policy, self.MODEL, cfg, seeds, range(0, 5, 5))
-        band = simulator._run_trials(net, policy, self.MODEL, cfg, seeds, range(1, 4, 2))
-        users = slice(net.n_users // 5, 4 * net.n_users // 5)
-        np.testing.assert_array_equal(band.cluster_links, grid.cluster_links[:, 5:20])
-        np.testing.assert_array_equal(band.throughput, grid.throughput[:, users])
+        self.set_budget(monkeypatch, net, cfg, 1)
+        calls = count_kernel_calls(monkeypatch)
+        run_monte_carlo(net, policy, self.MODEL, cfg, 6, base_seed=3)
+        assert calls == [[1] * 6]
 
     def test_one_row_strips_bound_the_peak_memory(self, monkeypatch):
         net = build_grid(1024, 4)  # 16 cluster rows
