@@ -3,15 +3,22 @@
 Every output data file is deterministic for a fixed command line (seeds
 are explicit flags, never wall-clock derived) and is accompanied by a
 ``<output>.manifest.json`` sidecar recording the invocation. Numbers are
-written with 10 significant digits. A command writes all of its outputs or
-none: each goes to a temporary sibling first, and the temporaries take the
-outputs' places only once every write, the manifest's too, has succeeded.
+written with 10 significant digits.
+
+A command is a function of its flags: it returns its summary line, the
+fields it adds to the manifest, and its outputs as (path, text) pairs,
+and it writes nothing. ``main`` is the one writer, and it writes all of a
+command's outputs or none. It refuses outputs that share a path or name a
+directory, writes each output and then the manifest to a temporary
+sibling, and only once every write has succeeded moves the temporaries
+into the outputs' places.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -73,8 +80,8 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_manifest(args, started: str, record: dict) -> None:
-    """Record the invocation, and what the command reports of its run, as <output>.manifest.json."""
+def _manifest(args, started: str, record: dict) -> str:
+    """The invocation, and what the command reports of its run, as manifest JSON."""
     manifest = record | {
         "command": args.command,
         "parameters": dict(sorted((vars(args) | {"func": args.command}).items())),
@@ -83,8 +90,7 @@ def _write_manifest(args, started: str, record: dict) -> None:
         "started_at": started,
         "finished_at": _utc_now(),
     }
-    _write_output(Path(args.output + ".manifest.json"),
-                  json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")
+    return json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n"
 
 
 def _rounded(value):
@@ -98,34 +104,31 @@ def _rounded(value):
     return value
 
 
-# (temporary, output) pairs written by the running command; main moves them
-# into place when the command has succeeded and removes them when it has not.
-_staged: list[tuple[Path, Path]] = []
+def _json(payload: dict) -> str:
+    """payload as sorted, indented JSON, floats at 10 significant digits."""
+    return json.dumps(_rounded(payload), indent=2, sort_keys=True) + "\n"
 
 
-def _write_output(output: Path, text: str) -> None:
-    """Write text to a temporary sibling of output, staged for main to move into place."""
-    temporary = output.with_name(f".{output.name}.{os.getpid()}.{len(_staged)}.tmp")
-    _staged.append((temporary, output))
+def _csv(header: list[str], rows) -> str:
+    """A header and rows as CSV, each cell rendered by _fmt."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows([_fmt(cell) for cell in row] for row in rows)
+    return buffer.getvalue()
+
+
+def _stage(staged: list[tuple[Path, Path]], output: Path, text: str) -> None:
+    """Write text to a temporary sibling of output and add (temporary, output) to staged."""
+    if output.is_dir():  # refused here, before main moves any output into place
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(output))
+    temporary = output.with_name(f".{output.name}.{os.getpid()}.{len(staged)}.tmp")
+    staged.append((temporary, output))
     try:
         with open(temporary, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:  # name the output the user gave, not its temporary
         raise OSError(exc.errno, exc.strerror, str(output)) from exc
-
-
-def _write_json(output: Path, payload: dict) -> None:
-    """Write payload as sorted, indented JSON, floats at 10 significant digits."""
-    _write_output(output, json.dumps(_rounded(payload), indent=2, sort_keys=True) + "\n")
-
-
-def _write_csv(output: Path, header: list[str], rows) -> None:
-    """Write a header and rows, each cell rendered by _fmt."""
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows([_fmt(cell) for cell in row] for row in rows)
-    _write_output(output, buffer.getvalue())
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -142,13 +145,17 @@ def _model_from_args(args) -> PopularityModel:
     return PopularityModel(gamma=args.gamma, q=args.q, m_total=args.m_total)
 
 
-def cmd_fit(args) -> tuple[str, dict]:
+def _network_from_args(args, n_users: int, cluster_size: int) -> NetworkConfig:
+    return NetworkConfig(n_users=n_users, s_cache=args.s_cache, rate_c=args.rate_c,
+                         reuse_k=args.reuse_k, cluster_size=cluster_size)
+
+
+def cmd_fit(args, output: Path) -> tuple[str, dict, list]:
     started = perf_counter()
     empirical, report = read_counts(args.log, args.region)
     ingest = asdict(report) | {"wall_s": perf_counter() - started}
     result = fit_mzipf(empirical)
 
-    output = Path(args.output)
     payload = {
         "gamma": result.model.gamma,
         "q": result.model.q,
@@ -165,29 +172,27 @@ def cmd_fit(args) -> tuple[str, dict]:
         },
     }
     ranks_csv = Path(args.ranks_csv) if args.ranks_csv else output.with_name(output.stem + "_ranks.csv")
-    _write_csv(ranks_csv, ["rank", "count"],
-               ((rank, int(count)) for rank, count in enumerate(empirical.counts, start=1)))
-    _write_json(output, payload)
-
+    ranks = _csv(["rank", "count"],
+                 ((rank, int(count)) for rank, count in enumerate(empirical.counts, start=1)))
     return (f"fit: gamma={_fmt(result.model.gamma)} q={_fmt(result.model.q)} "
-            f"M={result.model.m_total} kl={_fmt(result.kl_distance)} -> {output}"), {"ingest": ingest}
+            f"M={result.model.m_total} kl={_fmt(result.kl_distance)} -> {output}",
+            {"ingest": ingest}, [(ranks_csv, ranks), (output, _json(payload))])
 
 
-def cmd_policy(args) -> tuple[str, dict]:
+def cmd_policy(args, output: Path) -> tuple[str, dict, list]:
     model = _model_from_args(args)
     policy = optimal_policy(model, args.s_cache, args.g_c)
-    output = Path(args.output)
     payload = {
         "nu": policy.water_level,
         "m_star": policy.m_star,
         "theoretical_m_star": theoretical_mstar(model, args.s_cache, args.g_c),
         "p_c": policy.probs.tolist(),
     }
-    _write_json(output, payload)
-    return f"policy: m_star={policy.m_star} nu={_fmt(policy.water_level)} -> {output}", {}
+    return (f"policy: m_star={policy.m_star} nu={_fmt(policy.water_level)} -> {output}", {},
+            [(output, _json(payload))])
 
 
-def cmd_validate_mstar(args) -> tuple[str, dict]:
+def cmd_validate_mstar(args, output: Path) -> tuple[str, dict, list]:
     model = _model_from_args(args)
     g_c_list = _parse_int_list(args.g_c_list)
     rows = []
@@ -195,9 +200,8 @@ def cmd_validate_mstar(args) -> tuple[str, dict]:
         m_star = optimal_policy(model, args.s_cache, g_c).m_star
         theo = theoretical_mstar(model, args.s_cache, g_c)
         rows.append((g_c, m_star, theo, abs(m_star - theo) / m_star))
-    output = Path(args.output)
-    _write_csv(output, ["g_c", "kkt_m_star", "theoretical_m_star", "rel_deviation"], rows)
-    return f"validate-mstar: {len(g_c_list)} points -> {output}", {}
+    return (f"validate-mstar: {len(g_c_list)} points -> {output}", {},
+            [(output, _csv(["g_c", "kkt_m_star", "theoretical_m_star", "rel_deviation"], rows))])
 
 
 _TRADEOFF_COLUMNS = [
@@ -206,7 +210,9 @@ _TRADEOFF_COLUMNS = [
 ]
 
 
-def _tradeoff_rows(args, model, g_c_list) -> list[dict]:
+def cmd_tradeoff(args, output: Path) -> tuple[str, dict, list]:
+    model = _model_from_args(args)
+    g_c_list = _parse_int_list(args.g_c_list)
     # Every flag is checked whether or not the chosen mode reads it.
     _check_kappa(args.kappa)
     _check_trials(args.trials)
@@ -214,15 +220,9 @@ def _tradeoff_rows(args, model, g_c_list) -> list[dict]:
     if args.n_users is not None and args.n_users < 1:
         raise ValueError(f"n_users must be >= 1, got {args.n_users}")
     workers = _workers()
+    # Each sweep sets the cluster size of every point, and checks it there.
+    base = _network_from_args(args, max(args.n_users or 1, *g_c_list), 1)
     rows = [{"g_c": g} for g in g_c_list]
-    n_users = max(g_c_list) if args.n_users is None else args.n_users
-    base = NetworkConfig(
-        n_users=max(n_users, max(g_c_list)),
-        s_cache=args.s_cache,
-        rate_c=args.rate_c,
-        reuse_k=args.reuse_k,
-        cluster_size=min(g_c_list),
-    )
     if args.mode in ("analytic", "both"):
         for row, p in zip(rows, tradeoff_curve(model, base, g_c_list, kappa=args.kappa)):
             row["regime"] = p.regime_tag
@@ -246,32 +246,16 @@ def _tradeoff_rows(args, model, g_c_list) -> list[dict]:
             row["hit_sim"] = out.hit_prob_estimate
             row["hit_se"] = out.hit_prob_se
             row["tp_se"] = out.throughput_se
-    return rows
+    csv_text = _csv(_TRADEOFF_COLUMNS, ([row.get(col) for col in _TRADEOFF_COLUMNS] for row in rows))
+    return f"tradeoff: {len(rows)} points ({args.mode}) -> {output}", {}, [(output, csv_text)]
 
 
-def cmd_tradeoff(args) -> tuple[str, dict]:
-    model = _model_from_args(args)
-    g_c_list = _parse_int_list(args.g_c_list)
-    rows = _tradeoff_rows(args, model, g_c_list)
-    output = Path(args.output)
-    _write_csv(output, _TRADEOFF_COLUMNS,
-               ([row.get(col) for col in _TRADEOFF_COLUMNS] for row in rows))
-    return f"tradeoff: {len(rows)} points ({args.mode}) -> {output}", {}
-
-
-def cmd_simulate(args) -> tuple[str, dict]:
+def cmd_simulate(args, output: Path) -> tuple[str, dict, list]:
     model = _model_from_args(args)
     network = build_grid(args.n_users, args.g_c)
-    config = NetworkConfig(
-        n_users=network.n_users,
-        s_cache=args.s_cache,
-        rate_c=args.rate_c,
-        reuse_k=args.reuse_k,
-        cluster_size=args.g_c,
-    )
+    config = _network_from_args(args, network.n_users, args.g_c)
     policy = optimal_policy(model, args.s_cache, args.g_c)
     outcome = run_monte_carlo(network, policy, model, config, args.trials, args.seed)
-    output = Path(args.output)
     payload = {
         "g_c": args.g_c,
         "n_users": network.n_users,
@@ -288,9 +272,18 @@ def cmd_simulate(args) -> tuple[str, dict]:
         "hit_prob_se": outcome.hit_prob_se,
         "throughput_se": outcome.throughput_se,
     }
-    _write_json(output, payload)
     return (f"simulate: hit={_fmt(outcome.hit_prob_estimate)} "
-            f"outage={_fmt(outcome.outage_estimate)} -> {output}"), {}
+            f"outage={_fmt(outcome.outage_estimate)} -> {output}", {},
+            [(output, _json(payload))])
+
+
+_COMMANDS = {
+    "fit": cmd_fit,
+    "policy": cmd_policy,
+    "validate-mstar": cmd_validate_mstar,
+    "tradeoff": cmd_tradeoff,
+    "simulate": cmd_simulate,
+}
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -302,6 +295,7 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_network_args(p: argparse.ArgumentParser) -> None:
+    _add_model_args(p)
     p.add_argument("--rate-c", type=float, default=1.0, dest="rate_c", help="link rate C (bits/s/Hz)")
     p.add_argument("--reuse-k", type=int, default=4, dest="reuse_k", help="TDMA reuse factor K")
     p.add_argument("--trials", type=int, default=200)
@@ -319,26 +313,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit an MZipf model to an access log")
     p.add_argument("log", help="CSV log: user_id,content_id,region_id[,timestamp]")
     p.add_argument("--region", type=int, default=None, help="keep only this region_id")
-    p.add_argument("--output", required=True, help="output JSON path")
     p.add_argument("--ranks-csv", default=None, dest="ranks_csv",
                    help="rank/count CSV path (default: alongside the JSON)")
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("policy", help="compute the optimal caching distribution")
     _add_model_args(p)
     p.add_argument("--g-c", type=int, required=True, dest="g_c", help="cluster size")
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_policy)
 
     p = sub.add_parser("validate-mstar", help="compare water-filled and closed-form m*")
     _add_model_args(p)
     p.add_argument("--g-c-list", required=True, dest="g_c_list",
                    help="comma-separated cluster sizes")
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_validate_mstar)
 
     p = sub.add_parser("tradeoff", help="throughput-outage curve (analytic and/or simulated)")
-    _add_model_args(p)
     _add_network_args(p)
     p.add_argument("--n-users", type=int, default=None, dest="n_users",
                    help="users N (defaults to the largest cluster size)")
@@ -346,31 +333,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["analytic", "simulate", "both"], default="analytic")
     p.add_argument("--kappa", type=float, default=10.0,
                    help="admissibility constant for q <= kappa*S*g_c/gamma")
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_tradeoff)
 
     p = sub.add_parser("simulate", help="Monte Carlo run at a single cluster size")
-    _add_model_args(p)
     _add_network_args(p)
     p.add_argument("--n-users", type=int, required=True, dest="n_users", help="users N")
     p.add_argument("--g-c", type=int, required=True, dest="g_c")
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_simulate)
 
+    for name, p in sub.choices.items():
+        p.add_argument("--output", required=True,
+                       help="output path; the manifest goes to <output>.manifest.json")
+        p.set_defaults(func=_COMMANDS[name])
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one command, write its manifest sidecar, and print its summary line.
-
-    A command returns its summary line and the fields it adds to the manifest.
-    """
+    """Run one command, write its outputs and manifest sidecar, and print its summary line."""
     args = build_parser().parse_args(argv)
     started = _utc_now()
+    staged: list[tuple[Path, Path]] = []  # (temporary, output), in write order
     try:
-        message, record = args.func(args)
-        _write_manifest(args, started, record)
-        for temporary, output in _staged:
+        message, record, outputs = args.func(args, Path(args.output))
+        manifest = Path(args.output + ".manifest.json")
+        seen = set()
+        for path in [path for path, _ in outputs] + [manifest]:
+            place = os.path.realpath(path)  # unlike Path.resolve, no error on a symlink loop
+            if place in seen:
+                raise ValueError(f"two outputs share the path {path}")
+            seen.add(place)
+        for path, text in outputs:
+            _stage(staged, path, text)
+        _stage(staged, manifest, _manifest(args, started, record))
+        for temporary, output in staged:
             os.replace(temporary, output)
     except (LogFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -382,10 +375,9 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     finally:
-        for temporary, _ in _staged:
+        for temporary, _ in staged:
             with contextlib.suppress(OSError):
                 temporary.unlink(missing_ok=True)
-        _staged.clear()
     print(message)
     return EXIT_OK
 

@@ -1,6 +1,7 @@
 """Access-log ingestion: parse CSV logs, deduplicate accesses, rank contents.
 
-Input format is UTF-8 CSV with header ``user_id,content_id,region_id[,timestamp]``.
+Input format is UTF-8 CSV with header ``user_id,content_id,region_id[,timestamp]``;
+a file may start with a byte-order mark.
 Repeated accesses by the same user to the same content collapse into a
 single unique access; contents are then ranked by distinct-user count.
 ``read_counts`` does all of this in one pass over the log. ``parse_log``,
@@ -120,9 +121,13 @@ def parse_log(source) -> ParseResult:
 
 
 def _opened(source):
-    """A context manager for a text stream: a path opened as UTF-8, or the stream given."""
+    """A context manager for a text stream: a path opened as UTF-8, or the stream given.
+
+    A path may start with a UTF-8 byte-order mark, as spreadsheet "CSV UTF-8"
+    exports do; it is skipped. A stream is read as given.
+    """
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
+        return open(source, "r", encoding="utf-8-sig", newline="")
     return contextlib.nullcontext(source)
 
 

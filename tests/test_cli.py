@@ -146,6 +146,40 @@ class TestFitCommand:
         assert str(ranks if bad == "ranks" else out) in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
 
+    def test_a_log_with_a_byte_order_mark_fits_as_the_plain_log(self, tmp_path):
+        log = tmp_path / "log.csv"
+        write_region_log(log, region=3, n_accesses=3000, seed=5)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + log.read_bytes())
+        assert main(["fit", str(log), "--output", str(tmp_path / "plain.json")]) == 0
+        assert main(["fit", str(bom), "--output", str(tmp_path / "bom.json")]) == 0
+        assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+    def test_a_directory_output_is_refused_before_anything_moves(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        write_region_log(log, region=3, n_accesses=3000, seed=5)
+        (tmp_path / "outdir").mkdir()
+        assert main(["fit", str(log), "--output", str(tmp_path / "outdir")]) == 3
+        err = capsys.readouterr().err
+        assert f"Is a directory: '{tmp_path / 'outdir'}'" in err
+        assert ".tmp" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv", "outdir"]
+        assert list((tmp_path / "outdir").iterdir()) == []
+
+    @pytest.mark.parametrize("ranks, output", [
+        ("P", "P"),
+        ("x.json.manifest.json", "x.json"),
+        ("d/../g.json", "g.json"),
+    ], ids=["same", "manifest", "resolved"])
+    def test_outputs_at_one_path_are_refused(self, tmp_path, capsys, ranks, output):
+        log = tmp_path / "log.csv"
+        write_region_log(log, region=3, n_accesses=3000, seed=5)
+        (tmp_path / "d").mkdir()
+        assert main(["fit", str(log), "--ranks-csv", str(tmp_path / ranks),
+                     "--output", str(tmp_path / output)]) == 2
+        assert "two outputs share the path" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "log.csv"]
+
 
 class TestPolicyCommand:
     def test_hand_instance(self, tmp_path):
@@ -170,6 +204,19 @@ class TestPolicyCommand:
             "--s-cache", "1", "--g-c", "2", "--output", str(tmp_path / "o.json"),
         ])
         assert code == 2
+
+    def test_a_directory_manifest_is_refused_before_anything_moves(self, tmp_path, capsys):
+        (tmp_path / "m.json.manifest.json").mkdir()
+        code = main([
+            "policy", "--gamma", "1.16", "--q", "22", "--m-total", "500",
+            "--s-cache", "2", "--g-c", "4", "--output", str(tmp_path / "m.json"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"Is a directory: '{tmp_path / 'm.json.manifest.json'}'" in err
+        assert ".tmp" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["m.json.manifest.json"]
+        assert list((tmp_path / "m.json.manifest.json").iterdir()) == []
 
 
 class TestValidateMstarCommand:
@@ -316,6 +363,21 @@ class TestTradeoffCommand:
         rows = {r["g_c"]: r for r in read_csv(out)}
         assert "cluster too small" in rows["2"]["error"]
         assert rows["100"]["error"] == ""
+
+    @pytest.mark.parametrize("mode", ["analytic", "both"])
+    @pytest.mark.parametrize("bad", ["0", "-4"])
+    def test_non_positive_cluster_size_fails_at_its_point(self, tmp_path, mode, bad):
+        args = ["tradeoff", *self.MODEL_ARGS, "--s-cache", "4", "--mode", mode,
+                "--trials", "5"]
+        out, alone = tmp_path / "out.csv", tmp_path / "alone.csv"
+        assert main([*args, f"--g-c-list={bad},100", "--output", str(out)]) == 0
+        # Point i of a sweep takes the seeds from seed + i*trials onwards.
+        assert main([*args, "--g-c-list", "100", "--seed", "5", "--output", str(alone)]) == 0
+        failed, point = read_csv(out)
+        assert failed["g_c"] == bad
+        assert failed["error"].split("; ") == (
+            [f"cluster_size must be >= 1, got {bad}"] * (2 if mode == "both" else 1))
+        assert point == read_csv(alone)[0]
 
     def test_deterministic_bytes_and_thread_invariance(self, tmp_path, monkeypatch):
         args = [

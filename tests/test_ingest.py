@@ -272,6 +272,19 @@ class TestReadCounts:
             assert report == IngestReport(rows=5, malformed=1, kept=3, unique_pairs=2,
                                           distinct_users=2, distinct_contents=1)
 
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        """A log saved as "CSV UTF-8" starts with a byte-order mark; it reads as the plain log."""
+        plain = tmp_path / "plain.csv"
+        plain.write_text(HEADER + "u1,c1,2\nu2,c1,2\nu1,c2,3\nu1,c1,2\n,c3,2\n", encoding="utf-8")
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for region in (None, 2):
+            (empirical, report), (bom_empirical, bom_report) = (
+                read_counts(path, region) for path in (plain, bom))
+            assert bom_empirical.counts.tolist() == empirical.counts.tolist()
+            assert bom_report == report
+        assert parse_log(str(bom)) == parse_log(plain)
+
     @pytest.mark.parametrize("text", ["", "u1,c1,2\n", "who,what,where\n"],
                              ids=["empty", "no-header", "bad-header"])
     def test_header_checked(self, text):
