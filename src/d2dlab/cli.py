@@ -11,7 +11,8 @@ and it writes nothing. ``main`` is the one writer, and it writes all of a
 command's outputs or none. It refuses outputs that share a path or name a
 directory, writes each output and then the manifest to a temporary
 sibling, and only once every write has succeeded moves the temporaries
-into the outputs' places.
+into the outputs' places. It also refuses an output at the path of a file
+the command reads.
 """
 from __future__ import annotations
 
@@ -286,6 +287,10 @@ _COMMANDS = {
 }
 
 
+# Flags that name a file a command reads; main writes no output over one.
+_INPUTS = ("log",)
+
+
 def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, required=True, help="Zipf factor (> 0)")
     p.add_argument("--q", type=float, required=True, help="plateau factor (>= 0)")
@@ -354,9 +359,13 @@ def main(argv=None) -> int:
     try:
         message, record, outputs = args.func(args, Path(args.output))
         manifest = Path(args.output + ".manifest.json")
+        # unlike Path.resolve, realpath raises no error on a symlink loop
+        inputs = {os.path.realpath(getattr(args, name)) for name in _INPUTS if hasattr(args, name)}
         seen = set()
         for path in [path for path, _ in outputs] + [manifest]:
-            place = os.path.realpath(path)  # unlike Path.resolve, no error on a symlink loop
+            place = os.path.realpath(path)
+            if place in inputs:
+                raise ValueError(f"output {path} would overwrite an input")
             if place in seen:
                 raise ValueError(f"two outputs share the path {path}")
             seen.add(place)

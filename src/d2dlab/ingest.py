@@ -85,7 +85,7 @@ def read_counts(source, region: int | None = None) -> tuple[EmpiricalDistributio
 
     One pass checks each row as parse_log does, keeps the rows of `region`
     (every checked row when it is None) and interns their user and content
-    ids to int codes; repeats then collapse in one np.unique.
+    ids to int codes; repeats then collapse in one in-place sort.
     Raises LogFormatError when the header is missing or wrong or a line
     cannot be read, and ValueError when no row is kept.
     """
@@ -219,8 +219,10 @@ def _count_pairs(rows) -> _PairCounts:
     """Count the distinct users of each content over (user_id, content_id, region_id) rows.
 
     Each id gets an int code, so a pair is the one int64 key
-    user*n_contents + content: dedup is one np.unique and the per-content
-    counts one np.bincount.
+    user*n_contents + content: dedup sorts the keys in place and keeps the
+    first of each run of equal keys, and the per-content counts are one
+    np.bincount. (np.unique would do the same, but its first call imports
+    numpy.ma, which costs a fit process more time than the dedup.)
     """
     users: dict[str, int] = {}
     contents: dict[str, int] = {}
@@ -230,8 +232,13 @@ def _count_pairs(rows) -> _PairCounts:
         user_codes.append(users.setdefault(user_id, len(users)))
         content_codes.append(contents.setdefault(content_id, len(contents)))
     n_contents = len(contents)
-    pairs = np.unique(np.frombuffer(user_codes, np.int64) * n_contents
-                      + np.frombuffer(content_codes, np.int64))
+    keys = np.frombuffer(user_codes, np.int64) * n_contents
+    keys += np.frombuffer(content_codes, np.int64)
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    pairs = keys[first]
     counts = np.bincount(pairs % n_contents, minlength=n_contents)
     return _PairCounts(users, contents, len(user_codes), pairs.size, counts)
 

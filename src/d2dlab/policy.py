@@ -118,10 +118,22 @@ def z_values(popularity: PopularityModel, s_cache: int, cluster_size: int) -> np
     exponent and the exp run here.
     """
     n = _policy_exponent(s_cache, cluster_size)
+    return _weights(popularity, n, np.empty(popularity.m_total))
+
+
+def _weights(popularity: PopularityModel, n: int, out: np.ndarray, lo: int = 0) -> np.ndarray:
+    """Write z_f = P_r(f)^(1/n) for the ranks f = lo+1..lo+out.size into out; return out.
+
+    At n = 1 they are the pmf itself; otherwise the memoized log-pmf is
+    divided by n and exponentiated. Each entry is computed on its own, so a
+    slice written here has the bits of the same slice of the whole library.
+    """
+    stop = lo + out.size
     if n == 1:
-        return popularity.pmf_values.copy()
-    z = popularity._log_pmf / n
-    return np.exp(z, out=z)
+        np.copyto(out, popularity.pmf_values[lo:stop])
+        return out
+    np.divide(popularity._log_pmf[lo:stop], n, out=out)
+    return np.exp(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -130,8 +142,12 @@ class CachingPolicy:
 
     probs[f-1] is the probability a device caches file f on each of its
     draws; water_level is the Lagrangian threshold nu; m_star the number
-    of files with positive caching probability; z the water-filling
-    weights (NaN-free for water-filled policies, unset for ad-hoc ones).
+    of files with positive caching probability. z holds the water-filling
+    weights of the prefix that optimal_policy searched, unset for ad-hoc
+    policies. That prefix is the whole library when m_star = M, and
+    otherwise reaches past index m_star, where z[m_star] <= nu. The weights
+    are non-increasing, so every file past the prefix has z_f <= nu too:
+    the prefix is the policy's complete KKT certificate.
     """
 
     probs: np.ndarray
@@ -180,30 +196,36 @@ def optimal_policy(
     infeasible too. m_star is therefore the count of m before the first
     infeasible one, and only the prefix up to it decides the answer.
 
-    The search runs the running sum, nu and the test on a prefix of
+    The search evaluates z, the running sum, nu and the test on a prefix of
     _PREFIX_START entries and doubles the prefix until it holds an
-    infeasible m or spans the library. Each extension continues the running
-    sum from the end of the last prefix, so no entry is summed twice.
-    numpy's float64 cumsum adds sequentially, so these sums are bit for bit
-    those of one cumsum over the whole library, and m_star, nu and probs
-    those of a scan for the last feasible m over all of it whenever the
-    rounded test keeps the prefix property (tests check this against such a
-    scan). z stays full length: it is the policy's KKT certificate.
+    infeasible m or spans the library. Each extension evaluates z and
+    continues the running sum only past the end of the last prefix, so no
+    entry is computed twice and none past the last prefix at all. z is
+    computed entry by entry, and numpy's float64 cumsum adds sequentially,
+    so these sums are bit for bit those of one cumsum over the whole
+    library, and m_star, nu and probs those of a scan for the last feasible
+    m over all of it whenever the rounded test keeps the prefix property
+    (tests check this against such a scan). The policy keeps z of the
+    searched prefix: it holds the first infeasible index m_star unless
+    m_star = M, so by the argument above it certifies the whole library.
     """
     if popularity.m_total < 2:
         raise ValueError("optimal_policy requires a library of at least 2 files")
-    z = z_values(popularity, s_cache, cluster_size)
-    m_total = z.size
-    inv_cumsum = np.empty(m_total)  # written, and so resident, only up to the last prefix
+    n = _policy_exponent(s_cache, cluster_size)
+    m_total = popularity.m_total
+    # Both written, and so resident, only up to the last prefix.
+    z = np.empty(m_total)
+    inv_cumsum = np.empty(m_total)
     lo, hi = 0, min(_PREFIX_START, m_total)
     while True:
-        sums = np.divide(1.0, z[lo:hi], out=inv_cumsum[lo:hi])
+        z_new = _weights(popularity, n, z[lo:hi], lo)
+        sums = np.divide(1.0, z_new, out=inv_cumsum[lo:hi])
         if lo:
             sums[0] += inv_cumsum[lo - 1]
         np.cumsum(sums, out=sums)
         nu_at = np.arange(lo, hi, dtype=np.float64)  # m-1 for m = lo+1..hi
         np.divide(nu_at, sums, out=nu_at)
-        infeasible = np.flatnonzero(z[lo:hi] <= nu_at)
+        infeasible = np.flatnonzero(z_new <= nu_at)
         if infeasible.size or hi == m_total:
             break
         lo, hi = hi, min(2 * hi, m_total)
@@ -212,7 +234,7 @@ def optimal_policy(
     probs = np.zeros(m_total)
     head = np.divide(nu, z[:m_star], out=probs[:m_star])
     np.subtract(1.0, head, out=head)
-    return CachingPolicy(probs=probs, water_level=nu, m_star=m_star, z=z)
+    return CachingPolicy(probs=probs, water_level=nu, m_star=m_star, z=z[:hi])
 
 
 def theoretical_mstar(

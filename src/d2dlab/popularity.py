@@ -58,15 +58,16 @@ class PopularityModel:
             raise ValueError(f"q must be non-negative and finite, got {self.q}")
         if self.m_total < 1:
             raise ValueError(f"m_total must be >= 1, got {self.m_total}")
-        ranks = np.arange(1, self.m_total + 1, dtype=np.float64)
-        w = np.power(ranks + self.q, -self.gamma)
+        w = _shifted_ranks(self.m_total, self.q)
+        np.power(w, -self.gamma, out=w)
         z = float(w.sum())
         if not z > 0:
             raise ValueError(
                 f"gamma={self.gamma} and q={self.q} underflow the normalizer to 0"
             )
+        w /= z
         object.__setattr__(self, "normalizer", z)
-        object.__setattr__(self, "pmf_values", w / z)
+        object.__setattr__(self, "pmf_values", w)
 
     @cached_property
     def cdf_values(self) -> np.ndarray:
@@ -81,16 +82,31 @@ class PopularityModel:
         """log P_r(f) for each rank, evaluated in log space.
 
         pmf_values underflows to 0 at large gamma, where this stays finite;
-        policy.z_values takes its water-filling weights from it.
+        policy takes its water-filling weights from it.
         """
-        ranks = np.arange(1, self.m_total + 1, dtype=np.float64)
-        return -self.gamma * np.log(ranks + self.q) - math.log(self.normalizer)
+        w = _shifted_ranks(self.m_total, self.q)
+        np.log(w, out=w)
+        w *= -self.gamma
+        w -= math.log(self.normalizer)
+        return w
 
     def pmf(self, f: int) -> float:
         """Probability that rank f is requested, per the MZipf law."""
         if not 1 <= f <= self.m_total:
             raise ValueError(f"rank {f} outside 1..{self.m_total}")
         return float(self.pmf_values[f - 1])
+
+
+def _shifted_ranks(m_total: int, q: float) -> np.ndarray:
+    """f + q for the ranks f = 1..m_total, as float64.
+
+    The law is then evaluated in this one buffer: each step is the operation
+    an out-of-place expression would apply, in the same order, so the bits
+    are the same and a model peaks at one array of the library's length.
+    """
+    w = np.arange(1, m_total + 1, dtype=np.float64)
+    w += q
+    return w
 
 
 def _guide_table(cdf: np.ndarray, max_rank: int) -> tuple[np.ndarray, np.ndarray]:

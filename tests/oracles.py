@@ -8,6 +8,8 @@ the scan, not the weights, is what it checks. full_scan_policy is the
 water-filling construction as it stood before optimal_policy searched a
 growing prefix: one pass over the whole library, its own log-space law,
 and the last feasible index. optimal_policy must match it bit for bit.
+out_of_place_law is the MZipf law as PopularityModel evaluated it before
+it worked in one buffer: one expression, a temporary per operation.
 reference_counts is log ingest as it stood before read_counts: a row
 loop, a set of (user, content) pairs and a Counter. whole_trial is one
 Monte Carlo trial drawn whole from one generator and counted cluster by
@@ -168,6 +170,15 @@ def mzipf_pmf_direct(gamma: float, q: float, m_total: int) -> np.ndarray:
     weights = [(f + q) ** (-gamma) for f in range(1, m_total + 1)]
     z = sum(weights)
     return np.array([w / z for w in weights])
+
+
+def out_of_place_law(gamma: float, q: float, m_total: int):
+    """(pmf, normalizer, log_pmf) of the MZipf law, each by one numpy expression."""
+    ranks = np.arange(1, m_total + 1, dtype=np.float64)
+    weights = np.power(ranks + q, -gamma)
+    normalizer = float(weights.sum())
+    log_pmf = -gamma * np.log(ranks + q) - math.log(normalizer)
+    return weights / normalizer, normalizer, log_pmf
 
 
 def profile_kl(p_data: np.ndarray, q: float) -> float:

@@ -180,6 +180,23 @@ class TestFitCommand:
         assert "two outputs share the path" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "log.csv"]
 
+    @pytest.mark.parametrize("log_name, flags", [
+        ("log.csv", ["--output", "log.csv"]),
+        ("log.csv", ["--ranks-csv", "log.csv", "--output", "f.json"]),
+        ("f.json.manifest.json", ["--output", "f.json"]),
+        ("log.csv", ["--output", "d/../log.csv"]),
+    ], ids=["output", "ranks", "manifest", "resolved"])
+    def test_an_output_over_the_log_is_refused(self, tmp_path, capsys, log_name, flags):
+        log = tmp_path / log_name
+        write_region_log(log, region=3, n_accesses=3000, seed=5)
+        before = log.read_bytes()
+        (tmp_path / "d").mkdir()
+        flags = [f if f.startswith("-") else str(tmp_path / f) for f in flags]
+        assert main(["fit", str(log), *flags]) == 2
+        assert "would overwrite an input" in capsys.readouterr().err
+        assert log.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["d", log_name])
+
 
 class TestPolicyCommand:
     def test_hand_instance(self, tmp_path):

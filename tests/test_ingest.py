@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import asdict
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import d2dlab
 from d2dlab.ingest import (
     AccessRecord,
     IngestReport,
@@ -284,6 +288,19 @@ class TestReadCounts:
             assert bom_empirical.counts.tolist() == empirical.counts.tolist()
             assert bom_report == report
         assert parse_log(str(bom)) == parse_log(plain)
+
+    def test_dedup_does_not_import_numpy_ma(self):
+        """np.unique imports numpy.ma on its first call, a cost every fit process would pay."""
+        text = HEADER + "u1,c1,2\nu1,c1,2\nu2,c1,2\nu2,c2,2\n"
+        script = ("import io, sys\n"
+                  "from d2dlab.ingest import read_counts\n"
+                  f"read_counts(io.StringIO({text!r}))\n"
+                  "print('numpy.ma' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(d2dlab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                text=True, check=True)
+        assert result.stdout == "False\n"
 
     @pytest.mark.parametrize("text", ["", "u1,c1,2\n", "who,what,where\n"],
                              ids=["empty", "no-header", "bad-header"])

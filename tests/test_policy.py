@@ -243,11 +243,19 @@ class TestOptimalPolicy:
 
 
 def assert_same_bits(policy, reference):
+    """m*, nu and probs equal the full scan's bits, and z its searched prefix.
+
+    The prefix holds index m* unless m* = M, and the scan's z past it sits
+    at or below nu, so the prefix certifies every file the scan's z does.
+    """
     probs, nu, m_star, z = reference
+    size = policy.z.size
     assert policy.m_star == m_star
     assert policy.water_level == nu
     assert policy.probs.tobytes() == probs.tobytes()
-    assert policy.z.tobytes() == z.tobytes()
+    assert size == z.size or size > m_star
+    assert policy.z.tobytes() == z[:size].tobytes()
+    assert np.all(z[size:] <= nu)
 
 
 class TestPrefixSearch:
@@ -268,6 +276,15 @@ class TestPrefixSearch:
         assume(s * (g_c - 1) >= 2)
         model = PopularityModel(gamma=gamma, q=q, m_total=m_total)
         assert_same_bits(optimal_policy(model, s, g_c), full_scan_policy(model, s, g_c))
+
+    def test_z_is_the_searched_prefix_at_a_large_library(self):
+        """m* near 400 of 10^6 files: z stops at the first prefix and still certifies m*."""
+        model = PopularityModel(gamma=1.16, q=22.0, m_total=1_000_000)
+        policy = optimal_policy(model, 4, 100)
+        assert 300 <= policy.m_star <= 500
+        assert policy.z.size == policy_module._PREFIX_START
+        assert policy.z.tobytes() == z_values(model, 4, 100)[: policy.z.size].tobytes()
+        assert policy.z[policy.m_star] <= policy.water_level
 
     @pytest.mark.parametrize("start", [1, 2])
     def test_every_growth_step_at_small_libraries(self, monkeypatch, start):

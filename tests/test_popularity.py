@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -22,7 +23,7 @@ from d2dlab.popularity import (
     sample_ranks,
 )
 
-from oracles import mzipf_pmf_direct, profile_kl, searchsorted_ranks
+from oracles import mzipf_pmf_direct, out_of_place_law, profile_kl, searchsorted_ranks
 
 
 REGION2 = dict(gamma=1.16, q=22.0, m_total=7345)
@@ -42,6 +43,17 @@ def region_sample(params, n_samples) -> EmpiricalDistribution:
     counts = np.bincount(sample_ranks(truth, rng, n_samples), minlength=truth.m_total + 1)[1:]
     counts = np.sort(counts)[::-1]
     return EmpiricalDistribution(counts=counts[counts > 0].astype(float))
+
+
+def traced_peak(build):
+    """build() and the bytes allocated at its peak above what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestPmf:
@@ -68,6 +80,25 @@ class TestPmf:
         model = PopularityModel(gamma=1.4, q=7.0, m_total=50)
         direct = mzipf_pmf_direct(1.4, 7.0, 50)
         np.testing.assert_allclose(model.pmf_values, direct, rtol=1e-13)
+
+    @settings(max_examples=100, deadline=None)
+    @given(gamma=st.floats(0.05, 4.0), q=st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
+           m_total=st.integers(1, 20_000))
+    def test_law_keeps_the_out_of_place_bits(self, gamma, q, m_total):
+        """Built in one buffer, the law has the bits of the plain expressions."""
+        model = PopularityModel(gamma=gamma, q=q, m_total=m_total)
+        pmf, normalizer, log_pmf = out_of_place_law(gamma, q, m_total)
+        assert model.normalizer == normalizer
+        assert model.pmf_values.tobytes() == pmf.tobytes()
+        assert model._log_pmf.tobytes() == log_pmf.tobytes()
+
+    def test_law_peaks_at_one_library_array(self):
+        """The pmf and the log-pmf memo each take one M-length buffer, no temporaries."""
+        m_total = 10**6
+        model, pmf_peak = traced_peak(lambda: PopularityModel(gamma=1.16, q=22.0, m_total=m_total))
+        _, log_pmf_peak = traced_peak(lambda: model._log_pmf)
+        assert pmf_peak <= 1.25 * 8 * m_total
+        assert log_pmf_peak <= 1.25 * 8 * m_total
 
     @pytest.mark.parametrize("bad_rank", [0, -1, 4])
     def test_rank_out_of_range(self, bad_rank):
