@@ -31,6 +31,8 @@ REGIME2 = "regime2"
 # Switch to the log-limit forms when the tail exponent is this close to 1,
 # where the (1-gamma) powers become 0/0.
 _GAMMA_ONE_EPS = 1e-6
+# Regime 1 admits q <= _KAPPA*S*g_c/gamma, since its outage law assumes q = O(S*g_c/gamma).
+_KAPPA = 10.0
 
 
 class RegimeError(ValueError):
@@ -71,11 +73,6 @@ def _clamp_unit(x: float) -> tuple[float, bool]:
     if x > 1.0:
         return 1.0, True
     return x, False
-
-
-def _check_kappa(kappa: float) -> None:
-    if not 0 < kappa < math.inf:
-        raise ValueError(f"kappa must be positive and finite, got {kappa}")
 
 
 def _regime_of(
@@ -158,26 +155,22 @@ def hit_prob_lower_bound(popularity: PopularityModel, config: NetworkConfig) -> 
     return _clamp_unit(_lower_bound(popularity, config, sc))[0]
 
 
-def tradeoff_point(
-    popularity: PopularityModel, config: NetworkConfig, kappa: float = 10.0
-) -> TradeoffPoint:
+def tradeoff_point(popularity: PopularityModel, config: NetworkConfig) -> TradeoffPoint:
     """Throughput-outage point of one cluster size, in the regime it falls in.
 
     Below the boundary gamma*M/(c1*S), T = (C/K)/g_c exactly and the outage
-    follows the c6 = q/g_c expression; kappa bounds the admissible plateau
-    size q <= kappa*S*g_c/gamma, the finite-size stand-in for q growing no
-    faster than the cluster memory, and must be positive and finite. At or
+    follows the c6 = q/g_c expression; a plateau q > 10*S*g_c/gamma is
+    outside what that expression assumes and raises a RegimeError. At or
     beyond it, rho = c1*S*g_c/M fixes T = (C/K)*S*c1/(rho*M) and the outage
     is one minus the regime-2 hit probability lower bound.
     """
-    _check_kappa(kappa)
     gamma, q = popularity.gamma, popularity.q
     regime, sc = _regime_of(popularity, config.s_cache, config.cluster_size)
     if regime == REGIME1:
-        if q > kappa * config.s_cache * config.cluster_size / gamma:
+        if q > _KAPPA * config.s_cache * config.cluster_size / gamma:
             raise RegimeError(
                 f"plateau factor q={q} exceeds kappa*S*g_c/gamma="
-                f"{kappa * config.s_cache * config.cluster_size / gamma:.4g}; "
+                f"{_KAPPA * config.s_cache * config.cluster_size / gamma:.4g}; "
                 "the regime-1 outage expression assumes q = O(S*g_c/gamma)"
             )
         throughput = config.cluster_rate / config.cluster_size
@@ -200,23 +193,19 @@ def tradeoff_point(
 
 
 def tradeoff_curve(
-    popularity: PopularityModel,
-    base: NetworkConfig,
-    g_c_list: list[int],
-    kappa: float = 10.0,
+    popularity: PopularityModel, base: NetworkConfig, g_c_list: list[int]
 ) -> list[TradeoffPoint]:
     """tradeoff_point at each cluster size, in input order.
 
-    Per-point failures (e.g. clusters too small for any policy) are
-    recorded on the point, not raised; a kappa that is not positive and
-    finite raises for the whole curve.
+    Per-point failures (e.g. clusters too small for any policy, or a
+    regime-1 plateau q > 10*S*g_c/gamma) are recorded on the point, not
+    raised.
     """
-    _check_kappa(kappa)
     points: list[TradeoffPoint] = []
     for g_c in g_c_list:
         try:
             cfg = replace(base, cluster_size=g_c, n_users=max(base.n_users, g_c))
-            points.append(tradeoff_point(popularity, cfg, kappa))
+            points.append(tradeoff_point(popularity, cfg))
         except ValueError as exc:  # includes RegimeError
             points.append(
                 TradeoffPoint(

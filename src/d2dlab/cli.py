@@ -5,14 +5,15 @@ are explicit flags, never wall-clock derived) and is accompanied by a
 ``<output>.manifest.json`` sidecar recording the invocation. Numbers are
 written with 10 significant digits.
 
-A command is a function of its flags: it returns its summary line, the
-fields it adds to the manifest, and its outputs as (path, text) pairs,
-and it writes nothing. ``main`` is the one writer, and it writes all of a
-command's outputs or none. It refuses outputs that share a path or name a
-directory, writes each output and then the manifest to a temporary
-sibling, and only once every write has succeeded moves the temporaries
-into the outputs' places. It also refuses an output at the path of a file
-the command reads.
+A command reads only its flags and its input files, never the
+environment. It returns its summary line, the fields it adds to the
+manifest, and its outputs as (path, text) pairs, and it writes nothing.
+``main`` is the one writer, and it writes all of a command's outputs or
+none. It refuses outputs that share a path or name a directory, writes
+each output and then the manifest to a temporary sibling, and only once
+every write has succeeded moves the temporaries into the outputs'
+places. It also refuses an output at the path of a file the command
+reads.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from pathlib import Path
 from time import perf_counter
 
 from . import __version__
-from .analysis import _check_kappa, tradeoff_curve
+from .analysis import tradeoff_curve
 from .ingest import LogFormatError, read_counts
 from .network import NetworkConfig
 from .policy import optimal_policy, theoretical_mstar
@@ -63,18 +64,6 @@ def _fmt(x) -> str:
     if isinstance(x, int):
         return str(x)
     return f"{x:.10g}"
-
-
-def _workers() -> int:
-    """Sweep worker threads from D2DLAB_THREADS; unset or empty means 1."""
-    raw = os.environ.get("D2DLAB_THREADS", "")
-    try:
-        workers = int(raw) if raw else 1
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"D2DLAB_THREADS must be a positive integer, got {raw!r}")
-    return workers
 
 
 def _utc_now() -> str:
@@ -215,17 +204,15 @@ def cmd_tradeoff(args, output: Path) -> tuple[str, dict, list]:
     model = _model_from_args(args)
     g_c_list = _parse_int_list(args.g_c_list)
     # Every flag is checked whether or not the chosen mode reads it.
-    _check_kappa(args.kappa)
     _check_trials(args.trials)
     _check_seed(args.seed)
     if args.n_users is not None and args.n_users < 1:
         raise ValueError(f"n_users must be >= 1, got {args.n_users}")
-    workers = _workers()
     # Each sweep sets the cluster size of every point, and checks it there.
     base = _network_from_args(args, max(args.n_users or 1, *g_c_list), 1)
     rows = [{"g_c": g} for g in g_c_list]
     if args.mode in ("analytic", "both"):
-        for row, p in zip(rows, tradeoff_curve(model, base, g_c_list, kappa=args.kappa)):
+        for row, p in zip(rows, tradeoff_curve(model, base, g_c_list)):
             row["regime"] = p.regime_tag
             row["T_analytic"] = p.throughput
             row["Po_analytic"] = p.outage
@@ -233,10 +220,7 @@ def cmd_tradeoff(args, output: Path) -> tuple[str, dict, list]:
             row["clamped"] = p.clamped
             row["error"] = p.error
     if args.mode in ("simulate", "both"):
-        points = simulate_tradeoff(
-            model, base, g_c_list, trials=args.trials, base_seed=args.seed,
-            max_workers=workers,
-        )
+        points = simulate_tradeoff(model, base, g_c_list, trials=args.trials, base_seed=args.seed)
         for row, point in zip(rows, points):
             if point.error:
                 row["error"] = "; ".join(filter(None, [row.get("error"), point.error]))
@@ -336,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="users N (defaults to the largest cluster size)")
     p.add_argument("--g-c-list", required=True, dest="g_c_list")
     p.add_argument("--mode", choices=["analytic", "simulate", "both"], default="analytic")
-    p.add_argument("--kappa", type=float, default=10.0,
-                   help="admissibility constant for q <= kappa*S*g_c/gamma")
 
     p = sub.add_parser("simulate", help="Monte Carlo run at a single cluster size")
     _add_network_args(p)

@@ -31,9 +31,9 @@ def config(g_c: int, s: int = 1, c: float = 1.0, k: int = 4, n: int | None = Non
     )
 
 
-def point_in(regime: str, model: PopularityModel, cfg: NetworkConfig, kappa: float = 10.0):
+def point_in(regime: str, model: PopularityModel, cfg: NetworkConfig):
     """tradeoff_point, asserting the regime the point falls in."""
-    point = tradeoff_point(model, cfg, kappa)
+    point = tradeoff_point(model, cfg)
     assert point.regime_tag == regime
     return point
 
@@ -201,15 +201,17 @@ class TestRegime1:
         assert t2 == t1 / 2
 
     def test_kappa_admissibility(self):
-        fat_plateau = PopularityModel(gamma=1.16, q=5000.0, m_total=7345)
-        with pytest.raises(RegimeError, match="kappa"):
-            tradeoff_point(fat_plateau, config(100, s=1), kappa=10.0)
-        point_in(REGIME1, fat_plateau, config(100, s=1), kappa=1e6)
-
-    @pytest.mark.parametrize("kappa", [math.nan, math.inf, 0.0, -1.0])
-    def test_kappa_must_be_positive_and_finite(self, kappa):
-        with pytest.raises(ValueError, match="kappa must be positive and finite"):
-            tradeoff_point(self.MODEL, config(100, s=1), kappa=kappa)
+        """Regime 1 admits q <= 10*S*g_c/gamma, 862.07 at gamma=1.16, S=1,
+        g_c=100; beyond it the error names the bound to four digits."""
+        admitted = PopularityModel(gamma=1.16, q=862.0, m_total=100_000)
+        point_in(REGIME1, admitted, config(100, s=1))
+        refused = PopularityModel(gamma=1.16, q=863.0, m_total=100_000)
+        with pytest.raises(RegimeError) as excinfo:
+            tradeoff_point(refused, config(100, s=1))
+        assert str(excinfo.value) == (
+            "plateau factor q=863.0 exceeds kappa*S*g_c/gamma=862.1; "
+            "the regime-1 outage expression assumes q = O(S*g_c/gamma)"
+        )
 
     def test_outage_complements_closed_form_in_the_large_library_limit(self):
         """The regime-1 outage law is the M->infinity limit of one minus
@@ -335,12 +337,6 @@ class TestTradeoffCurve:
         regime1_points = [p for p in points if p.regime_tag == REGIME1]
         assert all(p.outage == 0.0 for p in regime1_points)  # q=0: no plateau miss
         assert math.isfinite(hit_prob_closed_form(model, config(50, s=2)))
-
-    @pytest.mark.parametrize("kappa", [math.nan, math.inf, 0.0, -1.0])
-    def test_bad_kappa_fails_the_whole_curve(self, kappa):
-        """A bad kappa is a parameter error, not a failure of one point."""
-        with pytest.raises(ValueError, match="kappa must be positive and finite"):
-            tradeoff_curve(self.MODEL, self.base(), [100, 1600], kappa=kappa)
 
     def test_per_point_errors_recorded_not_fatal(self):
         points = tradeoff_curve(self.MODEL, self.base(), [2, 100])

@@ -358,17 +358,23 @@ class TestTradeoffCommand:
                 1.0 - float(row["hit_sim"]), abs=1e-9
             )
 
-    def test_kappa_flag_tightens_admissibility(self, tmp_path):
-        out = tmp_path / "kappa.csv"
-        code = main([
-            "tradeoff", *self.MODEL_ARGS, "--s-cache", "1",
-            "--g-c-list", "100,3200", "--mode", "analytic",
-            "--kappa", "0.05", "--output", str(out),
-        ])
-        assert code == 0
-        rows = {r["g_c"]: r for r in read_csv(out)}
-        assert "kappa" in rows["100"]["error"]   # regime-1 point now inadmissible
-        assert rows["3200"]["error"] == ""        # regime 2 has no kappa gate
+    def test_plateau_gate_error_row_and_no_kappa_flag(self, tmp_path):
+        """A regime-1 point with q > 10*S*g_c/gamma lands in error with the
+        bound in it; the bound is a constant, not a flag."""
+        args = ["tradeoff", "--gamma", "1.16", "--q", "863", "--m-total", "100000",
+                "--s-cache", "1", "--g-c-list", "100"]
+        out = tmp_path / "gate.csv"
+        assert main([*args, "--output", str(out)]) == 0
+        (row,) = read_csv(out)
+        assert row["error"] == (
+            "plateau factor q=863.0 exceeds kappa*S*g_c/gamma=862.1; "
+            "the regime-1 outage expression assumes q = O(S*g_c/gamma)"
+        )
+        flagged = tmp_path / "flagged.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main([*args, "--kappa", "10", "--output", str(flagged)])
+        assert excinfo.value.code == 2
+        assert not flagged.exists()
 
     def test_per_point_error_column(self, tmp_path):
         out = tmp_path / "err.csv"
@@ -397,16 +403,23 @@ class TestTradeoffCommand:
         assert point == read_csv(alone)[0]
 
     def test_deterministic_bytes_and_thread_invariance(self, tmp_path, monkeypatch):
+        """The same flags give the same bytes, and no thread setting in the
+        environment is read: D2DLAB_THREADS, valid or not, changes nothing."""
         args = [
             "tradeoff", *self.MODEL_ARGS, "--s-cache", "4", "--n-users", "256",
             "--g-c-list", "16,64", "--mode", "both", "--trials", "20",
             "--seed", "11",
         ]
+        monkeypatch.delenv("D2DLAB_THREADS", raising=False)
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(args + ["--output", str(out_a)]) == 0
-        monkeypatch.setenv("D2DLAB_THREADS", "3")
         assert main(args + ["--output", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+        for threads in ("3", "abc", "0"):
+            monkeypatch.setenv("D2DLAB_THREADS", threads)
+            out = tmp_path / f"threads_{threads}.csv"
+            assert main(args + ["--output", str(out)]) == 0
+            assert out.read_bytes() == out_a.read_bytes()
 
 
 class TestSimulateCommand:
@@ -488,30 +501,15 @@ def test_every_command_writes_its_manifest(tmp_path, command, flags, seed):
                   "--rate-c", "inf"]),
     ("simulate", ["--gamma", "1.16", "--q", "22", "--m-total", "500", "--n-users", "16",
                   "--g-c", "4", "--rate-c", "inf"]),
-    ("tradeoff", ["--gamma", "1.16", "--q", "100", "--m-total", "500", "--g-c-list", "3",
-                  "--kappa", "nan"]),
-    ("tradeoff", ["--gamma", "1.16", "--q", "100", "--m-total", "500", "--g-c-list", "3",
-                  "--kappa", "inf"]),
+    ("tradeoff", ["--gamma", "nan", "--q", "22", "--m-total", "500", "--g-c-list", "3"]),
+    ("tradeoff", ["--gamma", "1.16", "--q", "inf", "--m-total", "500", "--g-c-list", "3"]),
     ("tradeoff", ["--gamma", "1.16", "--q", "22", "--m-total", "500", "--n-users", "64",
-                  "--g-c-list", "16", "--mode", "simulate", "--trials", "2", "--kappa", "nan"]),
+                  "--g-c-list", "16", "--mode", "simulate", "--trials", "2", "--rate-c", "nan"]),
 ])
 def test_non_finite_flags_are_parameter_errors(tmp_path, command, flags):
     out = tmp_path / "out"
     assert main([command, *flags, "--output", str(out)]) == 2
     assert not out.exists()
-
-
-@pytest.mark.parametrize("threads, mode", [
-    ("abc", "simulate"), ("0", "simulate"), ("-3", "simulate"), ("abc", "analytic"),
-], ids=["abc", "0", "-3", "abc-analytic"])
-def test_bad_thread_count_is_a_parameter_error(tmp_path, monkeypatch, capsys, threads, mode):
-    monkeypatch.setenv("D2DLAB_THREADS", threads)
-    out = tmp_path / "out.csv"
-    assert main(["tradeoff", "--gamma", "1.16", "--q", "22", "--m-total", "500",
-                 "--s-cache", "4", "--n-users", "64", "--g-c-list", "16", "--mode", mode,
-                 "--trials", "2", "--output", str(out)]) == 2
-    assert not out.exists()
-    assert "D2DLAB_THREADS" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", ["simulate", "both"])
@@ -621,7 +619,7 @@ _NETWORK_PARAMETERS = _MODEL_PARAMETERS | {"rate_c", "reuse_k", "trials", "seed"
     ("fit.json", _PARAMETERS | {"log", "region", "ranks_csv"}),
     ("policy.json", _MODEL_PARAMETERS | {"g_c"}),
     ("mstar.csv", _MODEL_PARAMETERS | {"g_c_list"}),
-    ("curve.csv", _NETWORK_PARAMETERS | {"g_c_list", "mode", "kappa"}),
+    ("curve.csv", _NETWORK_PARAMETERS | {"g_c_list", "mode"}),
     ("sim.json", _NETWORK_PARAMETERS | {"g_c"}),
 ])
 def test_manifest_parameter_keys_are_pinned(every_output, name, keys):
