@@ -61,9 +61,9 @@ class TradeoffPoint:
 
 
 def _pow(x: float, e: float) -> float:
-    """x**e via log space; 0**e is taken as 0 for any nonzero e."""
+    """x**e via log space, for x >= 0; 0**e is 0 for e > 0, 1 for e = 0 and +inf for e < 0."""
     if x == 0.0:
-        return 0.0 if e != 0.0 else 1.0
+        return 0.0 if e > 0.0 else 1.0 if e == 0.0 else math.inf
     return math.exp(e * math.log(x))
 
 

@@ -21,6 +21,9 @@ REGION_PRESETS: dict[int, tuple[float, float, int]] = {
     3: (1.11, 18.0, 5405),
 }
 
+# Fraction of accesses that write_region_log repeats as a second, identical row.
+_DUPLICATE_RATE = 0.1
+
 
 def region_model(region: int) -> PopularityModel:
     """Popularity model preset for a coverage region (1, 2, or 3)."""
@@ -36,20 +39,19 @@ def write_region_log(
     region: int = 2,
     n_accesses: int = 100_000,
     seed: int = 0,
-    duplicate_rate: float = 0.1,
 ) -> PopularityModel:
     """Write a synthetic access log sampled from a regional model.
 
     Every access gets its own user id, so after deduplication the ranked
-    counts reproduce the sampled multiset exactly. A duplicate_rate
-    fraction of accesses additionally emit a repeat row for the same
+    counts reproduce the sampled multiset exactly. One access in ten
+    (_DUPLICATE_RATE) additionally emits a repeat row for the same
     (user, content) pair, exercising the dedup path. Returns the model
     the log was sampled from.
     """
     model = region_model(region)
     rng = np.random.default_rng(seed)
     ranks = sample_ranks(model, rng, n_accesses)
-    dup = rng.random(n_accesses) < duplicate_rate
+    dup = rng.random(n_accesses) < _DUPLICATE_RATE
     # The ids need no CSV quoting, so each row is written as csv.writer
     # would write it, with its \r\n terminator.
     rows = []

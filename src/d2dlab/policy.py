@@ -20,7 +20,6 @@ __all__ = [
     "CachingPolicy",
     "ScalingConstants",
     "solve_c1",
-    "z_values",
     "optimal_policy",
     "theoretical_mstar",
     "scaling_constants",
@@ -109,33 +108,6 @@ def scaling_constants(
     )
 
 
-def z_values(popularity: PopularityModel, s_cache: int, cluster_size: int) -> np.ndarray:
-    """Water-filling weights z_f = P_r(f)^(1/(S*(g_c-1)-1)), non-increasing.
-
-    Computed in log space so large libraries and large exponents do not
-    underflow. The law log P_r(f) comes from the model's memo, so it is
-    evaluated once per model, not once per call; only the division by the
-    exponent and the exp run here.
-    """
-    n = _policy_exponent(s_cache, cluster_size)
-    return _weights(popularity, n, np.empty(popularity.m_total))
-
-
-def _weights(popularity: PopularityModel, n: int, out: np.ndarray, lo: int = 0) -> np.ndarray:
-    """Write z_f = P_r(f)^(1/n) for the ranks f = lo+1..lo+out.size into out; return out.
-
-    At n = 1 they are the pmf itself; otherwise the memoized log-pmf is
-    divided by n and exponentiated. Each entry is computed on its own, so a
-    slice written here has the bits of the same slice of the whole library.
-    """
-    stop = lo + out.size
-    if n == 1:
-        np.copyto(out, popularity.pmf_values[lo:stop])
-        return out
-    np.divide(popularity._log_pmf[lo:stop], n, out=out)
-    return np.exp(out, out=out)
-
-
 @dataclass(frozen=True)
 class CachingPolicy:
     """Random caching distribution with its water-filling certificate.
@@ -188,6 +160,9 @@ def optimal_policy(
     Water-filling construction: m_star is the largest m whose water level
     nu(m) = (m-1) / sum_{f<=m} 1/z_f still sits below z_m; the caching
     probabilities are max(1 - nu/z_f, 0) and sum to 1 by construction.
+    The weights z_f = P_r(f)^(1/n), n = S*(g_c-1)-1, are the pmf itself at
+    n = 1; otherwise the model's memoized log-pmf is divided by n and
+    exponentiated, so large exponents do not underflow.
 
     The feasible m (z_m > nu(m)) form a prefix. With C_m = sum_{f<=m} 1/z_f,
     z_{m+1} <= nu(m+1) = m / (C_m + 1/z_{m+1}) reduces to
@@ -200,8 +175,8 @@ def optimal_policy(
     _PREFIX_START entries and doubles the prefix until it holds an
     infeasible m or spans the library. Each extension evaluates z and
     continues the running sum only past the end of the last prefix, so no
-    entry is computed twice and none past the last prefix at all. z is
-    computed entry by entry, and numpy's float64 cumsum adds sequentially,
+    entry is computed twice and none past the last prefix at all. Each z_f
+    is computed on its own, and numpy's float64 cumsum adds sequentially,
     so these sums are bit for bit those of one cumsum over the whole
     library, and m_star, nu and probs those of a scan for the last feasible
     m over all of it whenever the rounded test keeps the prefix property
@@ -218,7 +193,11 @@ def optimal_policy(
     inv_cumsum = np.empty(m_total)
     lo, hi = 0, min(_PREFIX_START, m_total)
     while True:
-        z_new = _weights(popularity, n, z[lo:hi], lo)
+        z_new = z[lo:hi]
+        if n == 1:
+            np.copyto(z_new, popularity.pmf_values[lo:hi])
+        else:
+            np.exp(np.divide(popularity._log_pmf[lo:hi], n, out=z_new), out=z_new)
         sums = np.divide(1.0, z_new, out=inv_cumsum[lo:hi])
         if lo:
             sums[0] += inv_cumsum[lo - 1]

@@ -90,12 +90,6 @@ class PopularityModel:
         w -= math.log(self.normalizer)
         return w
 
-    def pmf(self, f: int) -> float:
-        """Probability that rank f is requested, per the MZipf law."""
-        if not 1 <= f <= self.m_total:
-            raise ValueError(f"rank {f} outside 1..{self.m_total}")
-        return float(self.pmf_values[f - 1])
-
 
 def _shifted_ranks(m_total: int, q: float) -> np.ndarray:
     """f + q for the ranks f = 1..m_total, as float64.
@@ -210,9 +204,6 @@ class EmpiricalDistribution:
     def n_ranks(self) -> int:
         """Number of ranks with nonzero count."""
         return int(np.count_nonzero(self.counts))
-
-    def pmf(self) -> np.ndarray:
-        return self.counts / self.total
 
 
 def kl_distance(empirical: EmpiricalDistribution, model: PopularityModel) -> float:

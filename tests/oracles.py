@@ -2,12 +2,14 @@
 
 Everything here is deliberately written from first principles (plain
 loops, exhaustive enumeration, damped fixed-point iteration) so it shares
-no code path with the library implementations it validates. The one
-exception is kkt_mstar, which scans the library's water-filling weights:
-the scan, not the weights, is what it checks. full_scan_policy is the
-water-filling construction as it stood before optimal_policy searched a
-growing prefix: one pass over the whole library, its own log-space law,
-and the last feasible index. optimal_policy must match it bit for bit.
+no code path with the library implementations it validates; the one
+library name used is PopularityModel, for its parameters, normalizer and
+pmf_values. kkt_mstar scans log_space_z, the weights with the law
+evaluated inline, which tests pin bit for bit to optimal_policy's z.
+full_scan_policy is the water-filling construction as it stood before
+optimal_policy searched a growing prefix: one pass over the whole
+library, its own log-space law, and the last feasible index.
+optimal_policy must match it bit for bit.
 out_of_place_law is the MZipf law as PopularityModel evaluated it before
 it worked in one buffer: one expression, a temporary per operation.
 reference_counts is log ingest as it stood before read_counts: a row
@@ -26,7 +28,6 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from d2dlab.policy import z_values
 from d2dlab.popularity import PopularityModel
 
 
@@ -253,7 +254,7 @@ def kkt_mstar(popularity: PopularityModel, s_cache: int, cluster_size: int) -> i
     running sum and returns the unique m where 1 - nu(m)/z_m > 0 while
     1 - nu(m)/z_{m+1} <= 0 (treating z beyond the library as 0).
     """
-    z = z_values(popularity, s_cache, cluster_size)
+    z = log_space_z(popularity, s_cache, cluster_size)
     m_total = popularity.m_total
     found = []
     running = 0.0

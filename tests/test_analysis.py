@@ -189,6 +189,15 @@ class TestRegime1:
         assert all(a > b for a, b in zip(outages, outages[1:]))
         assert outages[-1] == 0.0
 
+    def test_zero_plateau_below_unit_gamma_clamps_to_full_outage(self):
+        """At gamma < 1 the law's leading factor c6^(gamma-1) grows without
+        bound as q -> 0+, so at q = 0 the outage clamps to 1 and is flagged,
+        as it is at q = 1e-9."""
+        cfg = config(100, s=4)
+        for q in (0.0, 1e-9):
+            point = point_in(REGIME1, PopularityModel(gamma=0.8, q=q, m_total=100_000), cfg)
+            assert (point.outage, point.clamped) == (1.0, True)
+
     def test_scale_invariance_in_link_rate(self):
         base = point_in(REGIME1, self.MODEL, config(100, s=1, c=1.0))
         doubled = point_in(REGIME1, self.MODEL, config(100, s=1, c=2.0))

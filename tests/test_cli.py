@@ -27,7 +27,7 @@ def read_csv(path):
 class TestFitCommand:
     def test_region2_fixture(self, tmp_path):
         log = tmp_path / "region2.csv"
-        write_region_log(log, region=2, n_accesses=150_000, seed=12, duplicate_rate=0.1)
+        write_region_log(log, region=2, n_accesses=150_000, seed=12)
         out = tmp_path / "fit.json"
         code = main(["fit", str(log), "--region", "2", "--output", str(out)])
         assert code == 0
@@ -299,6 +299,23 @@ class TestTradeoffCommand:
         assert rows[0]["regime"] == "regime1"
         assert float(rows[0]["T_analytic"]) == 0.25 / 100
         assert rows[0]["T_sim"] == ""
+
+    @pytest.mark.parametrize("gamma, row", [
+        ("0.8", "100,regime1,0.0025,1,0.1969532636,,,,,,1,"),
+        ("1.0", "100,regime1,0.0025,1,0.4335531019,,,,,,0,"),
+        ("1.2", "100,regime1,0.0025,0,0.6938931585,,,,,,0,"),
+    ], ids=["0.8", "1.0", "1.2"])
+    def test_zero_plateau_row(self, tmp_path, gamma, row):
+        """At q=0 the outage law's c6^(gamma-1) is +inf, 1 or 0 as gamma is
+        below, at or above 1; below 1 the outage clamps to 1 and is flagged."""
+        out = tmp_path / "q0.csv"
+        code = main([
+            "tradeoff", "--gamma", gamma, "--q", "0", "--m-total", "100000",
+            "--s-cache", "4", "--g-c-list", "100", "--mode", "analytic",
+            "--output", str(out),
+        ])
+        assert code == 0
+        assert out.read_text(encoding="utf-8").splitlines()[1] == row
 
     def test_region3_sweep_covers_both_regimes(self, tmp_path):
         out = tmp_path / "r3.csv"

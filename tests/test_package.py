@@ -1,4 +1,4 @@
-"""The package's public surface: every exported name resolves."""
+"""The package's public surface, and the test oracles' independence of it."""
 from __future__ import annotations
 
 import ast
@@ -36,6 +36,19 @@ def test_names_the_benchmark_imports_are_exported():
     ]
     assert names
     assert sorted(set(names) - set(d2dlab.__all__)) == []
+
+
+def test_oracles_import_only_the_popularity_model():
+    """tests/oracles.py stays independent of the code it checks: the one
+    d2dlab name it imports is PopularityModel."""
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "d2dlab":
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.split(".")[0] == "d2dlab")
+    assert imported == {"PopularityModel"}
 
 
 @pytest.mark.parametrize("name", BENCHMARK_WORKLOADS)

@@ -16,7 +16,6 @@ from d2dlab.policy import (
     scaling_constants,
     solve_c1,
     theoretical_mstar,
-    z_values,
 )
 from d2dlab.popularity import PopularityModel
 from d2dlab.simulator import build_grid, run_monte_carlo
@@ -113,19 +112,20 @@ class TestSolveC1:
 class TestZValues:
     def test_exponent_one_identity(self):
         """S=1, g_c=3 makes the exponent 1, so z is a copy of the pmf."""
-        z = z_values(HAND_MODEL, 1, 3)
+        z = optimal_policy(HAND_MODEL, 1, 3).z
         np.testing.assert_array_equal(z, HAND_MODEL.pmf_values)
         assert not np.shares_memory(z, HAND_MODEL.pmf_values)
 
     def test_large_exponent_flattens(self):
         model = PopularityModel(**REGION2)
-        z = z_values(model, 4, 200)
+        z = optimal_policy(model, 4, 200).z
         assert z[0] / z[-1] < 1.02
         assert z[0] / z[-1] > 1.0
 
     def test_non_increasing(self):
         model = PopularityModel(gamma=1.7, q=9.0, m_total=400)
-        z = z_values(model, 2, 10)
+        z = optimal_policy(model, 2, 10).z
+        assert z.size == model.m_total
         assert np.all(np.diff(z) <= 0)
 
     @pytest.mark.parametrize("s,g_c", [(1, 4), (4, 100), (60, 5000)])
@@ -133,7 +133,8 @@ class TestZValues:
                                        PopularityModel(gamma=4.0, q=0.0, m_total=1000)])
     def test_memoized_law_keeps_the_inline_bits(self, model, s, g_c):
         """n > 1: the law read from the model's memo gives the inline expression's bits."""
-        assert z_values(model, s, g_c).tobytes() == log_space_z(model, s, g_c).tobytes()
+        z = optimal_policy(model, s, g_c).z
+        assert z.tobytes() == log_space_z(model, s, g_c)[: z.size].tobytes()
 
     def test_law_evaluated_once_per_model(self):
         model = PopularityModel(**REGION2)
@@ -145,11 +146,10 @@ class TestZValues:
     @pytest.mark.parametrize("s,g_c", [(1, 2), (1, 1), (2, 1)])
     def test_cluster_too_small(self, s, g_c):
         with pytest.raises(ValueError, match="cluster too small"):
-            z_values(HAND_MODEL, s, g_c)
+            optimal_policy(HAND_MODEL, s, g_c)
 
     @pytest.mark.parametrize("s,g_c", [(-1, -2), (-3, 0), (0, 5), (2, 0), (-2, 3)])
-    @pytest.mark.parametrize("func", [z_values, scaling_constants, optimal_policy,
-                                      theoretical_mstar])
+    @pytest.mark.parametrize("func", [scaling_constants, optimal_policy, theoretical_mstar])
     def test_non_positive_cache_or_cluster_rejected(self, func, s, g_c):
         """Two negative factors can make S*(g_c-1)-1 look admissible; both are checked."""
         with pytest.raises(ValueError, match="s_cache and cluster_size must be >= 1"):
@@ -283,7 +283,7 @@ class TestPrefixSearch:
         policy = optimal_policy(model, 4, 100)
         assert 300 <= policy.m_star <= 500
         assert policy.z.size == policy_module._PREFIX_START
-        assert policy.z.tobytes() == z_values(model, 4, 100)[: policy.z.size].tobytes()
+        assert policy.z.tobytes() == log_space_z(model, 4, 100)[: policy.z.size].tobytes()
         assert policy.z[policy.m_star] <= policy.water_level
 
     @pytest.mark.parametrize("start", [1, 2])
