@@ -15,7 +15,9 @@ it worked in one buffer: one expression, a temporary per operation.
 reference_counts is log ingest as it stood before read_counts: a row
 loop, a set of (user, content) pairs and a Counter. whole_trial is one
 Monte Carlo trial drawn whole from one generator and counted cluster by
-cluster, with no strips, batches or copy-count keys.
+cluster, with no strips, batches or copy-count keys. reference_region_log
+is the synthetic log as csv.writer writes it, row by row, from one draw
+of every double it needs.
 """
 from __future__ import annotations
 
@@ -362,3 +364,24 @@ def reference_counts(text: str, region: int | None) -> tuple[list[float], dict]:
         "distinct_contents": len(per_content),
     }
     return sorted(map(float, per_content.values()), reverse=True), report
+
+
+def reference_region_log(model: PopularityModel, region: int, n_accesses: int, seed: int) -> bytes:
+    """The bytes of a synthetic region log, one csv.writer row at a time.
+
+    One rng.random(2n) call from default_rng(seed) gives every double: the
+    first n map to ranks through searchsorted_ranks, and one in ten of the
+    next n (a double below 0.1) writes its access's row twice. Access i is
+    user u{i:07d} requesting content c{rank:06d}.
+    """
+    draws = np.random.default_rng(seed).random(2 * n_accesses)
+    ranks = searchsorted_ranks(model.cdf_values, draws[:n_accesses], model.m_total)
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["user_id", "content_id", "region_id"])
+    for i, (rank, repeat) in enumerate(zip(ranks, draws[n_accesses:])):
+        row = [f"u{i:07d}", f"c{rank:06d}", str(region)]
+        writer.writerow(row)
+        if repeat < 0.1:
+            writer.writerow(row)
+    return text.getvalue().encode("ascii")

@@ -1,14 +1,18 @@
 """Tests for the synthetic regional log generator."""
 from __future__ import annotations
 
-import csv
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import reference_region_log
 
+from d2dlab import fixtures
 from d2dlab.fixtures import REGION_PRESETS, region_model, write_region_log
-from d2dlab.ingest import dedup_unique, parse_log, to_empirical
+from d2dlab.ingest import read_counts
 from d2dlab.popularity import sample_ranks
+
+CHUNK = fixtures._CHUNK
 
 
 class TestRegionPresets:
@@ -30,15 +34,16 @@ class TestRegionPresets:
 class TestWriteRegionLog:
     def test_roundtrip_recovers_sampled_multiset(self, tmp_path):
         path = tmp_path / "r3.csv"
-        model = write_region_log(path, region=3, n_accesses=5000, seed=4)
-        parsed = parse_log(path)
-        assert parsed.malformed == 0
-        assert parsed.rows > 5000  # duplicates present
-        unique = dedup_unique(parsed.records)
-        assert unique.n_unique == 5000  # duplicates collapsed
-        emp = to_empirical(unique)
+        n = 5000
+        model = write_region_log(path, region=3, n_accesses=n, seed=4)
+        emp, report = read_counts(path)
+        repeats = int((np.random.default_rng(4).random(2 * n)[n:] < 0.1).sum())
+        assert repeats > 0
+        assert report.malformed == 0
+        assert report.unique_pairs == n  # repeats collapsed
+        assert report.rows == n + repeats
         expected = np.bincount(
-            sample_ranks(model, np.random.default_rng(4), 5000),
+            sample_ranks(model, np.random.default_rng(4), n),
             minlength=model.m_total + 1,
         )[1:]
         expected = np.sort(expected[expected > 0])[::-1].astype(float)
@@ -50,20 +55,44 @@ class TestWriteRegionLog:
         write_region_log(b, region=2, n_accesses=500, seed=9)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_bytes_match_csv_writer(self, tmp_path):
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("region", [1, 2, 3])
+    def test_bytes_match_csv_writer(self, tmp_path, region, n):
         path = tmp_path / "log.csv"
-        write_region_log(path, region=1, n_accesses=3000, seed=5)
-        model = region_model(1)
-        rng = np.random.default_rng(5)
-        ranks = sample_ranks(model, rng, 3000)
-        dup = rng.random(3000) < 0.1  # one access in ten is written twice
-        oracle = tmp_path / "oracle.csv"
-        with open(oracle, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["user_id", "content_id", "region_id"])
-            for i, rank in enumerate(ranks):
-                row = [f"u{i:07d}", f"c{rank:06d}", "1"]
-                writer.writerow(row)
-                if dup[i]:
-                    writer.writerow(row)
-        assert path.read_bytes() == oracle.read_bytes()
+        write_region_log(path, region=region, n_accesses=n, seed=n + region)
+        oracle = reference_region_log(region_model(region), region, n, seed=n + region)
+        assert path.read_bytes() == oracle
+
+    @pytest.mark.parametrize("region", [1, 2, 3])
+    def test_rows_widen_at_ten_million_users(self, region):
+        """User ids grow an eighth digit at 10**7 without 10**7 rows written."""
+        rank = REGION_PRESETS[region][2]
+        for user in range(9_999_998, 10_000_002):
+            rows = fixtures._format_rows(np.array([user]), np.array([rank]), region)
+            assert rows.tobytes() == f"u{user:07d},c{rank:06d},{region}\r\n".encode()
+
+    def test_memory_is_bounded_in_the_log_size(self, tmp_path):
+        """Four times the accesses take no more than 1.5x the traced peak."""
+        def peak(n):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                write_region_log(tmp_path / f"{n}.csv", region=1, n_accesses=n, seed=1)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1 << 19) <= 1.5 * peak(1 << 17)
+
+    @pytest.mark.parametrize("n", [-1, 2.5, 10.0, "10", None])
+    def test_bad_size_rejected_before_any_file(self, tmp_path, n):
+        path = tmp_path / "log.csv"
+        with pytest.raises(ValueError, match="n_accesses"):
+            write_region_log(path, n_accesses=n)
+        assert not path.exists()
+
+    def test_numpy_integer_size(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_region_log(a, n_accesses=np.int64(700), seed=3)
+        write_region_log(b, n_accesses=700, seed=3)
+        assert a.read_bytes() == b.read_bytes()
