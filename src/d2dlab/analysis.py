@@ -115,22 +115,19 @@ def _closed_form(popularity: PopularityModel, config: NetworkConfig, sc: Scaling
 
 
 def _lower_bound(popularity: PopularityModel, config: NetworkConfig, sc: ScalingConstants) -> float:
-    """Unclamped regime-2 bound."""
+    """Unclamped regime-2 bound; at q = 0, where _pow takes the D-powers to
+    their limits, its q -> 0+ limit: 1 - (1-gamma)*exp(gamma - rho/c1) for
+    gamma < 1, and 1 for gamma >= 1."""
     gamma = popularity.gamma
     n = _policy_exponent(config.s_cache, config.cluster_size)
     d, beta = sc.d_ratio, sc.a_prime
     e = 1.0 - gamma
     decay = math.exp(-(sc.rho / sc.c1 - gamma))
-    if d == 0.0:
-        # Pure-Zipf degeneration: both D-powers vanish by convention.
-        factor = e * decay
-        bracket = 1.0
+    bracket = _pow(1.0 + d, beta + 1.0) - _pow(d, beta + 1.0)
+    if abs(e) < _GAMMA_ONE_EPS:
+        factor = decay / math.log((1.0 + d) / d) if d else 0.0
     else:
-        bracket = _pow(1.0 + d, beta + 1.0) - _pow(d, beta + 1.0)
-        if abs(e) < _GAMMA_ONE_EPS:
-            factor = decay / math.log((1.0 + d) / d)
-        else:
-            factor = e * decay / (_pow(1.0 + d, e) - _pow(d, e))
+        factor = e * decay / (_pow(1.0 + d, e) - _pow(d, e))
     return 1.0 - factor * math.exp(-n * math.log(bracket))
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "optimal_policy",
     "theoretical_mstar",
     "scaling_constants",
-    "policy_from_probs",
 ]
 
 _C1_TOL = 1e-10
@@ -115,11 +114,12 @@ class CachingPolicy:
     probs[f-1] is the probability a device caches file f on each of its
     draws; water_level is the Lagrangian threshold nu; m_star the number
     of files with positive caching probability. z holds the water-filling
-    weights of the prefix that optimal_policy searched, unset for ad-hoc
-    policies. That prefix is the whole library when m_star = M, and
-    otherwise reaches past index m_star, where z[m_star] <= nu. The weights
-    are non-increasing, so every file past the prefix has z_f <= nu too:
-    the prefix is the policy's complete KKT certificate.
+    weights of the prefix that optimal_policy searched; it is unset only on
+    policies that tests build by hand. That prefix is the whole library
+    when m_star = M, and otherwise reaches past index m_star, where
+    z[m_star] <= nu. The weights are non-increasing, so every file past the
+    prefix has z_f <= nu too: the prefix is the policy's complete KKT
+    certificate.
     """
 
     probs: np.ndarray
@@ -128,23 +128,8 @@ class CachingPolicy:
     z: np.ndarray | None = None
 
     @cached_property
-    def cdf(self) -> np.ndarray:
-        return np.cumsum(self.probs)
-
-    @cached_property
     def _cdf_guide(self) -> tuple[np.ndarray, np.ndarray]:
-        return _guide_table(self.cdf, self.m_star)
-
-
-def policy_from_probs(probs) -> CachingPolicy:
-    """Wrap an arbitrary caching pmf (e.g. uniform) for the simulator."""
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("probs must be a non-empty 1-d vector")
-    if np.any(p < 0) or not math.isclose(float(p.sum()), 1.0, abs_tol=1e-9):
-        raise ValueError("probs must be non-negative and sum to 1")
-    positive = np.nonzero(p > 0)[0]
-    return CachingPolicy(probs=p, water_level=math.nan, m_star=int(positive[-1]) + 1)
+        return _guide_table(np.cumsum(self.probs), self.m_star)
 
 
 # Length of the first prefix optimal_policy searches for m_star; each

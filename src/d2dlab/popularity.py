@@ -19,7 +19,6 @@ __all__ = [
     "FitResult",
     "UnidentifiableFitError",
     "sample_ranks",
-    "kl_distance",
     "fit_mzipf",
 ]
 
@@ -204,26 +203,6 @@ class EmpiricalDistribution:
     def n_ranks(self) -> int:
         """Number of ranks with nonzero count."""
         return int(np.count_nonzero(self.counts))
-
-
-def kl_distance(empirical: EmpiricalDistribution, model: PopularityModel) -> float:
-    """KL distance sum_m p_m^data * log(p_m^data / p_m^model), natural log.
-
-    The sum runs over ranks with nonzero empirical mass. Returns +inf if
-    the model assigns zero probability to such a rank (cannot happen for
-    finite gamma, q and ranks within the library).
-    """
-    support = np.nonzero(empirical.counts)[0]
-    if support[-1] + 1 > model.m_total:
-        raise ValueError(
-            f"empirical support extends to rank {support[-1] + 1}, "
-            f"beyond the model library of {model.m_total}"
-        )
-    p_data = empirical.counts[support] / empirical.total
-    p_model = model.pmf_values[support]
-    if np.any(p_model <= 0.0):
-        return math.inf
-    return float(np.sum(p_data * np.log(p_data / p_model)))
 
 
 # Search configuration of fit_mzipf. Gamma stays in [_GAMMA_LO, _GAMMA_HI];

@@ -94,15 +94,13 @@ def build_grid(n_users: int, cluster_size: int) -> GridNetwork:
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """Exact per-trial counts and the per-user D2D throughput vector."""
+    """Exact per-trial counts and the per-user D2D throughput vector; cluster
+    counts come from cluster_links, the potential D2D links per cluster."""
 
     n_users: int
-    n_clusters: int
     hits: int
     self_hits: int
     d2d_available: int
-    potential_links: int
-    good_clusters: int
     cluster_links: np.ndarray
     throughput: np.ndarray
 
@@ -264,16 +262,12 @@ def run_trial(
     """
     _check_config(network, config)
     t = next(_run_trials(network, policy, popularity, config, range(seed, seed + 1)))
-    links = t.cluster_links[0]
     return TrialOutcome(
         n_users=network.n_users,
-        n_clusters=network.n_clusters,
         hits=int(t.hits[0]),
         self_hits=int(t.self_hits[0]),
         d2d_available=int(t.d2d_available[0]),
-        potential_links=int(links.sum()),
-        good_clusters=int((links > 0).sum()),
-        cluster_links=links,
+        cluster_links=t.cluster_links[0],
         throughput=t.throughput[0],
     )
 

@@ -17,7 +17,8 @@ loop, a set of (user, content) pairs and a Counter. whole_trial is one
 Monte Carlo trial drawn whole from one generator and counted cluster by
 cluster, with no strips, batches or copy-count keys. reference_region_log
 is the synthetic log as csv.writer writes it, row by row, from one draw
-of every double it needs.
+of every double it needs. kl_to_model is the KL distance from counts
+to a model pmf, which fit_mzipf computes inline.
 """
 from __future__ import annotations
 
@@ -63,7 +64,7 @@ def whole_trial(network, policy, popularity, config, seed: int) -> dict:
     """
     rng = np.random.default_rng(seed)
     caches = searchsorted_ranks(
-        policy.cdf, rng.random((network.n_users, config.s_cache)), policy.m_star
+        np.cumsum(policy.probs), rng.random((network.n_users, config.s_cache)), policy.m_star
     )
     requests = searchsorted_ranks(
         popularity.cdf_values, rng.random(network.n_users), popularity.m_total
@@ -83,12 +84,9 @@ def whole_trial(network, policy, popularity, config, seed: int) -> dict:
             throughput[linked] = config.cluster_rate / linked.size
     return {
         "n_users": network.n_users,
-        "n_clusters": network.n_clusters,
         "hits": int((self_hit | other_has).sum()),
         "self_hits": int(self_hit.sum()),
         "d2d_available": int(other_has.sum()),
-        "potential_links": int(links.sum()),
-        "good_clusters": int((links > 0).sum()),
         "cluster_links": links,
         "throughput": throughput,
     }
@@ -182,6 +180,24 @@ def out_of_place_law(gamma: float, q: float, m_total: int):
     normalizer = float(weights.sum())
     log_pmf = -gamma * np.log(ranks + q) - math.log(normalizer)
     return weights / normalizer, normalizer, log_pmf
+
+
+def kl_to_model(counts, pmf) -> float:
+    """KL(data || model) = sum_m p_m^data * log(p_m^data / p_m^model), natural log.
+
+    The sum runs over ranks with nonzero count; it is +inf if the model
+    gives such a rank probability 0, and a count past the model's library
+    is an error.
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    support = np.nonzero(counts)[0]
+    if support[-1] >= len(pmf):
+        raise ValueError(f"support reaches rank {support[-1] + 1}, past a library of {len(pmf)}")
+    p_data = counts[support] / counts.sum()
+    p_model = np.asarray(pmf)[support]
+    if np.any(p_model <= 0.0):
+        return math.inf
+    return float(np.sum(p_data * np.log(p_data / p_model)))
 
 
 def profile_kl(p_data: np.ndarray, q: float) -> float:

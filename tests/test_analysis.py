@@ -115,15 +115,23 @@ class TestLowerBound:
         assert got == pytest.approx(eq6_direct(1.16, 15.0, 5000, 8, 1369), rel=1e-9)
 
     def test_zero_plateau_reduces_to_zipf_bound(self):
-        """At q=0 the D-powers drop and the bound is 1-(1-gamma)e^{-(rho-gamma)}."""
         model = PopularityModel(gamma=1.3, q=0.0, m_total=1000)
         cfg = config(900, s=2)
         sc = scaling_constants(model, 2, 900)
         assert sc.c1 == 1.0  # q=0 means c2=0
-        raw = 1.0 - (1.0 - 1.3) * math.exp(-(sc.rho - 1.3))
-        assert raw > 1.0
-        # Finite-size overshoot is clamped to the unit interval.
         assert hit_prob_lower_bound(model, cfg) == 1.0
+
+    @pytest.mark.parametrize("gamma", [0.8, 1.0, 1.2, 1.5])
+    def test_rises_to_the_zero_plateau_value_as_q_falls(self, gamma):
+        """M=1000, S=4, g_c=400: the bound rises as q falls through 1e-6,
+        1e-9 and 1e-12 to its value at q=0, with no point clamped."""
+        points = [
+            point_in(REGIME2, PopularityModel(gamma=gamma, q=q, m_total=1000), config(400, s=4))
+            for q in (1e-6, 1e-9, 1e-12, 0.0)
+        ]
+        hits = [p.hit_prob for p in points]
+        assert all(a < b for a, b in zip(hits, hits[1:]))
+        assert not any(p.clamped for p in points)
 
     def test_close_to_exact_hit_probability(self):
         """The asymptotic bound sits within ~1e-3 of the exact value here
@@ -271,13 +279,13 @@ class TestRegime2:
             1.0 - hit_prob_lower_bound(model, cfg), abs=1e-15
         )
 
-    def test_clamped_bound_is_flagged(self):
-        """q=0, S=2, g_c=900: the raw bound 1-(1-gamma)e^{-(rho-gamma)} is
-        above 1, so the outage is clamped to 0 and the point says so."""
+    def test_zero_plateau_point_is_its_limit(self):
+        """Above gamma = 1 the D^(1-gamma) term of the bound grows without
+        limit as q -> 0+, so the q=0 point is that limit: hit 1 and outage 0,
+        with nothing clamped."""
         model = PopularityModel(gamma=1.3, q=0.0, m_total=1000)
         point = point_in(REGIME2, model, config(900, s=2))
-        assert point.clamped is True
-        assert point.outage == 0.0
+        assert (point.hit_prob, point.outage, point.clamped) == (1.0, 0.0, False)
 
 
 class TestTradeoffCurve:

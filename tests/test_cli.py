@@ -317,6 +317,17 @@ class TestTradeoffCommand:
         assert code == 0
         assert out.read_text(encoding="utf-8").splitlines()[1] == row
 
+    def test_zero_plateau_regime2_row_is_not_clamped(self, tmp_path):
+        """At q=0 and gamma > 1 the regime-2 bound is its q -> 0+ limit, 1:
+        outage 0, with nothing clamped."""
+        out = tmp_path / "q0.csv"
+        code = main([
+            "tradeoff", "--gamma", "1.2", "--q", "0", "--m-total", "1000",
+            "--s-cache", "4", "--g-c-list", "400", "--output", str(out),
+        ])
+        assert code == 0
+        assert out.read_text(encoding="utf-8").splitlines()[1] == "400,regime2,0.000625,0,1,,,,,,0,"
+
     def test_region3_sweep_covers_both_regimes(self, tmp_path):
         out = tmp_path / "r3.csv"
         code = main([

@@ -24,18 +24,38 @@ def test_every_exported_name_resolves():
     assert set(d2dlab.__all__) <= set(namespace)
 
 
-def test_names_the_benchmark_imports_are_exported():
-    """bench/workloads.py fixes the public API: every name it imports is in __all__."""
-    source = BENCH / "workloads.py"
-    tree = ast.parse(source.read_text(encoding="utf-8"))
-    names = [
+def benchmark_imports() -> set[str]:
+    """The d2dlab names bench/workloads.py imports."""
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    return {
         alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module == "d2dlab" and node.level == 0
         for alias in node.names
-    ]
+    }
+
+
+def test_names_the_benchmark_imports_are_exported():
+    """bench/workloads.py fixes the public API: every name it imports is in __all__."""
+    names = benchmark_imports()
     assert names
-    assert sorted(set(names) - set(d2dlab.__all__)) == []
+    assert sorted(names - set(d2dlab.__all__)) == []
+
+
+def test_every_exported_name_is_reached_by_the_package_or_the_benchmark():
+    """A name in __all__ is read or imported by some d2dlab module other than
+    __init__.py, or imported by bench/workloads.py. A name only the tests
+    reach belongs in the tests."""
+    reached = set()
+    for path in Path(d2dlab.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reached.add(node.id)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                reached.update(alias.name for alias in node.names)
+    assert sorted(set(d2dlab.__all__) - reached - benchmark_imports()) == []
 
 
 def test_oracles_import_only_the_popularity_model():

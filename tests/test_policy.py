@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from d2dlab import policy as policy_module
 from d2dlab.network import NetworkConfig
 from d2dlab.policy import (
+    CachingPolicy,
     optimal_policy,
-    policy_from_probs,
     scaling_constants,
     solve_c1,
     theoretical_mstar,
@@ -32,6 +32,12 @@ from oracles import (
 
 REGION2 = dict(gamma=1.16, q=22.0, m_total=7345)
 HAND_MODEL = PopularityModel(gamma=1.0, q=0.0, m_total=3)  # pmf (6/11, 3/11, 2/11)
+
+
+def hand_policy(probs) -> CachingPolicy:
+    """A caching pmf built by hand: no water level, m* its last cached file."""
+    p = np.asarray(probs, dtype=np.float64)
+    return CachingPolicy(probs=p, water_level=math.nan, m_star=int(np.flatnonzero(p)[-1]) + 1)
 
 
 def residual(c1: float, c2: float) -> float:
@@ -308,18 +314,6 @@ class TestPrefixSearch:
         assert seen == {"m* = M", "m* at a prefix end", "m* inside a prefix"}
 
 
-class TestPolicyFromProbs:
-    @pytest.mark.parametrize("probs", [[], [[0.5, 0.5]]], ids=["empty", "2-d"])
-    def test_shape_rejected(self, probs):
-        with pytest.raises(ValueError, match="probs must be a non-empty 1-d vector"):
-            policy_from_probs(probs)
-
-    @pytest.mark.parametrize("probs", [[1.5, -0.5], [0.5, 0.4]], ids=["negative", "sum-0.9"])
-    def test_not_a_pmf_rejected(self, probs):
-        with pytest.raises(ValueError, match="probs must be non-negative and sum to 1"):
-            policy_from_probs(probs)
-
-
 class TestKktMstar:
     def test_hand_instance(self):
         assert kkt_mstar(HAND_MODEL, 1, 3) == 2
@@ -373,8 +367,8 @@ class TestDominance:
             n_users=g_c, s_cache=s, rate_c=1.0, reuse_k=4, cluster_size=g_c
         )
         optimal = optimal_policy(model, s, g_c)
-        uniform = policy_from_probs(np.full(4, 0.25))
-        proportional = policy_from_probs(model.pmf_values)
+        uniform = hand_policy(np.full(4, 0.25))
+        proportional = hand_policy(model.pmf_values)
         outcomes = {
             name: run_monte_carlo(network, pol, model, config, trials, base_seed=90)
             for name, pol in [("opt", optimal), ("uni", uniform), ("prop", proportional)]

@@ -10,7 +10,7 @@ import pytest
 
 from d2dlab import simulator
 from d2dlab.network import NetworkConfig
-from d2dlab.policy import optimal_policy, policy_from_probs
+from d2dlab.policy import CachingPolicy, optimal_policy
 from d2dlab.popularity import PopularityModel
 from d2dlab.simulator import (
     SimOutcome,
@@ -22,6 +22,12 @@ from d2dlab.simulator import (
 )
 
 from oracles import enumerate_single_cluster, iid_hit_probability, whole_trial
+
+
+def hand_policy(probs) -> CachingPolicy:
+    """A caching pmf built by hand: no water level, m* its last cached file."""
+    p = np.asarray(probs, dtype=np.float64)
+    return CachingPolicy(probs=p, water_level=math.nan, m_star=int(np.flatnonzero(p)[-1]) + 1)
 
 
 def make_config(network, s=1, c=1.0, k=4) -> NetworkConfig:
@@ -81,26 +87,26 @@ class TestRunTrial:
     def test_all_self_hits_consume_no_airtime(self):
         """Single-file library: every user self-hits, zero outage, zero D2D."""
         model = PopularityModel(gamma=1.0, q=0.0, m_total=1)
-        policy = policy_from_probs([1.0])
+        policy = hand_policy([1.0])
         net = build_grid(16, 4)
         t = run_trial(net, policy, model, make_config(net), seed=1)
         assert t.hits == 16
         assert t.self_hits == 16
         assert t.outages == 0
-        assert t.potential_links == 0
+        assert t.cluster_links.sum() == 0
         assert np.all(t.throughput == 0.0)
 
     def test_uncached_request_is_outage(self):
         """Nobody caches file 2, so every user requesting it is in outage."""
         model = PopularityModel(gamma=1.0, q=0.0, m_total=2)  # pmf (2/3, 1/3)
-        policy = policy_from_probs([1.0, 0.0])
+        policy = hand_policy([1.0, 0.0])
         net = build_grid(16, 16)
         t = run_trial(net, policy, model, make_config(net), seed=7)
         rng = np.random.default_rng(7)
         _ = rng.random((16, 1))
         requests = np.searchsorted(model.cdf_values, rng.random(16), side="right") + 1
         assert t.outages == int((requests == 2).sum())
-        assert t.potential_links == 0
+        assert t.cluster_links.sum() == 0
 
     def test_outage_identity_exact_per_trial(self):
         model = PopularityModel(gamma=1.2, q=3.0, m_total=40)
@@ -141,7 +147,7 @@ class TestRunTrial:
         net = build_grid(16, 4)
         cfg = NetworkConfig(n_users=16, s_cache=1, rate_c=1.0, reuse_k=4, cluster_size=16)
         with pytest.raises(ValueError, match="does not match"):
-            run_trial(net, policy_from_probs([1.0, 0.0, 0.0]), model, cfg, seed=0)
+            run_trial(net, hand_policy([1.0, 0.0, 0.0]), model, cfg, seed=0)
 
 
 class TestAgainstEnumeration:
@@ -191,7 +197,7 @@ class TestRunMonteCarlo:
         t = run_trial(net, policy, self.MODEL, cfg, seed=17)
         assert out.hit_prob_estimate == t.hit_frac
         assert out.outage_estimate == t.outage_frac
-        assert out.per_user_throughput_mean == cfg.cluster_rate * t.good_clusters / t.n_users
+        assert out.per_user_throughput_mean == cfg.cluster_rate * (t.cluster_links > 0).sum() / t.n_users
         assert out.min_avg_throughput == t.throughput.min()
         assert out.hit_prob_se == 0.0
 
