@@ -76,6 +76,11 @@ class ScalingConstants:
 
 
 def _policy_exponent(s_cache: int, cluster_size: int) -> int:
+    if not all(isinstance(x, (int, np.integer)) for x in (s_cache, cluster_size)):
+        raise ValueError(
+            f"s_cache and cluster_size must be integers, "
+            f"got s_cache={s_cache!r}, cluster_size={cluster_size!r}"
+        )
     if s_cache < 1 or cluster_size < 1:
         raise ValueError(
             f"s_cache and cluster_size must be >= 1, "
@@ -114,12 +119,12 @@ class CachingPolicy:
     probs[f-1] is the probability a device caches file f on each of its
     draws; water_level is the Lagrangian threshold nu; m_star the number
     of files with positive caching probability. z holds the water-filling
-    weights of the prefix that optimal_policy searched; it is unset only on
-    policies that tests build by hand. That prefix is the whole library
-    when m_star = M, and otherwise reaches past index m_star, where
-    z[m_star] <= nu. The weights are non-increasing, so every file past the
-    prefix has z_f <= nu too: the prefix is the policy's complete KKT
-    certificate.
+    weights of the blocks that optimal_policy evaluated, from file 1 to the
+    end of the block that holds m_star + 1; it is unset only on policies
+    that tests build by hand. That is the whole library when m_star = M,
+    and otherwise reaches past index m_star, where z[m_star] <= nu. The
+    weights are non-increasing, so every file past z has z_f <= nu too: z
+    is the policy's complete KKT certificate.
     """
 
     probs: np.ndarray
@@ -132,9 +137,8 @@ class CachingPolicy:
         return _guide_table(np.cumsum(self.probs), self.m_star)
 
 
-# Length of the first prefix optimal_policy searches for m_star; each
-# further prefix is twice as long, up to the library.
-_PREFIX_START = 1 << 12
+# Files per block of optimal_policy's walk over the library.
+_BLOCK = 1 << 12
 
 
 def optimal_policy(
@@ -147,7 +151,9 @@ def optimal_policy(
     probabilities are max(1 - nu/z_f, 0) and sum to 1 by construction.
     The weights z_f = P_r(f)^(1/n), n = S*(g_c-1)-1, are the pmf itself at
     n = 1; otherwise the model's memoized log-pmf is divided by n and
-    exponentiated, so large exponents do not underflow.
+    exponentiated, so large exponents do not underflow. A weight that
+    underflows to 0 anyway has an infinite reciprocal and is never
+    feasible; at worst m_star = 1, nu = 0 and the policy caches file 1.
 
     The feasible m (z_m > nu(m)) form a prefix. With C_m = sum_{f<=m} 1/z_f,
     z_{m+1} <= nu(m+1) = m / (C_m + 1/z_{m+1}) reduces to
@@ -156,45 +162,49 @@ def optimal_policy(
     infeasible too. m_star is therefore the count of m before the first
     infeasible one, and only the prefix up to it decides the answer.
 
-    The search evaluates z, the running sum, nu and the test on a prefix of
-    _PREFIX_START entries and doubles the prefix until it holds an
-    infeasible m or spans the library. Each extension evaluates z and
-    continues the running sum only past the end of the last prefix, so no
-    entry is computed twice and none past the last prefix at all. Each z_f
-    is computed on its own, and numpy's float64 cumsum adds sequentially,
-    so these sums are bit for bit those of one cumsum over the whole
-    library, and m_star, nu and probs those of a scan for the last feasible
-    m over all of it whenever the rounded test keeps the prefix property
-    (tests check this against such a scan). The policy keeps z of the
-    searched prefix: it holds the first infeasible index m_star unless
-    m_star = M, so by the argument above it certifies the whole library.
+    The search walks the library in blocks of _BLOCK files. Each block's z
+    goes into the policy's z; its 1/z and their running sum C go into one
+    block-sized scratch, reused for every block, whose first entry takes on
+    the last sum of the block before. By the prefix property, a block whose
+    last m passes the test is feasible throughout, so the test is made on
+    every m only in the first block whose last m fails it, or in the last
+    block; nu is read from the sums at m_star, or from the carried sum when
+    m_star closes the block before. Each z_f is computed on its own, and
+    numpy's float64 cumsum adds sequentially, so the sums are bit for bit
+    those of one cumsum over the whole library, and m_star, nu and probs
+    those of a scan for the last feasible m over all of it whenever the
+    rounded test keeps the prefix property (tests check this against such a
+    scan). The policy keeps z of the evaluated blocks: it holds the first
+    infeasible index m_star unless m_star = M, so by the argument above it
+    certifies the whole library.
     """
     if popularity.m_total < 2:
         raise ValueError("optimal_policy requires a library of at least 2 files")
     n = _policy_exponent(s_cache, cluster_size)
     m_total = popularity.m_total
-    # Both written, and so resident, only up to the last prefix.
-    z = np.empty(m_total)
-    inv_cumsum = np.empty(m_total)
-    lo, hi = 0, min(_PREFIX_START, m_total)
-    while True:
-        z_new = z[lo:hi]
-        if n == 1:
-            np.copyto(z_new, popularity.pmf_values[lo:hi])
-        else:
-            np.exp(np.divide(popularity._log_pmf[lo:hi], n, out=z_new), out=z_new)
-        sums = np.divide(1.0, z_new, out=inv_cumsum[lo:hi])
-        if lo:
-            sums[0] += inv_cumsum[lo - 1]
-        np.cumsum(sums, out=sums)
-        nu_at = np.arange(lo, hi, dtype=np.float64)  # m-1 for m = lo+1..hi
-        np.divide(nu_at, sums, out=nu_at)
-        infeasible = np.flatnonzero(z_new <= nu_at)
-        if infeasible.size or hi == m_total:
-            break
-        lo, hi = hi, min(2 * hi, m_total)
+    z = np.empty(m_total)  # written, and so resident, only up to the last block
+    sums = np.empty(min(_BLOCK, m_total))
+    lo, carry = 0, 0.0  # carry is C_lo, the running sum before the block
+    # A weight that underflowed to 0 makes 1/z_f and C infinite: the intended limit.
+    with np.errstate(divide="ignore", over="ignore"):
+        while True:
+            hi = min(lo + _BLOCK, m_total)
+            z_new = z[lo:hi]
+            if n == 1:
+                np.copyto(z_new, popularity.pmf_values[lo:hi])
+            else:
+                np.exp(np.divide(popularity._log_pmf[lo:hi], n, out=z_new), out=z_new)
+            block = np.divide(1.0, z_new, out=sums[: hi - lo])
+            block[0] += carry
+            np.cumsum(block, out=block)
+            if hi == m_total or not z_new[-1] > (hi - 1) / block[-1]:
+                break
+            carry, lo = block[-1], hi
+    nu_at = np.arange(lo, hi, dtype=np.float64)  # m-1 for m = lo+1..hi
+    np.divide(nu_at, block, out=nu_at)
+    infeasible = np.flatnonzero(z_new <= nu_at)
     m_star = lo + int(infeasible[0]) if infeasible.size else m_total
-    nu = float((m_star - 1) / inv_cumsum[m_star - 1])
+    nu = float((m_star - 1) / (block[m_star - lo - 1] if m_star > lo else carry))
     probs = np.zeros(m_total)
     head = np.divide(nu, z[:m_star], out=probs[:m_star])
     np.subtract(1.0, head, out=head)

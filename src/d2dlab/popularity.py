@@ -55,8 +55,8 @@ class PopularityModel:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if not 0 <= self.q < math.inf:
             raise ValueError(f"q must be non-negative and finite, got {self.q}")
-        if self.m_total < 1:
-            raise ValueError(f"m_total must be >= 1, got {self.m_total}")
+        if not isinstance(self.m_total, (int, np.integer)) or self.m_total < 1:
+            raise ValueError(f"m_total must be an integer >= 1, got {self.m_total!r}")
         w = _shifted_ranks(self.m_total, self.q)
         np.power(w, -self.gamma, out=w)
         z = float(w.sum())
@@ -81,11 +81,13 @@ class PopularityModel:
         """log P_r(f) for each rank, evaluated in log space.
 
         pmf_values underflows to 0 at large gamma, where this stays finite;
-        policy takes its water-filling weights from it.
+        policy takes its water-filling weights from it. Where gamma*log(f+q)
+        overflows it reads -inf, the log of the underflowed probability.
         """
         w = _shifted_ranks(self.m_total, self.q)
         np.log(w, out=w)
-        w *= -self.gamma
+        with np.errstate(over="ignore"):
+            w *= -self.gamma
         w -= math.log(self.normalizer)
         return w
 

@@ -7,7 +7,8 @@ library name used is PopularityModel, for its parameters, normalizer and
 pmf_values. kkt_mstar scans log_space_z, the weights with the law
 evaluated inline, which tests pin bit for bit to optimal_policy's z.
 full_scan_policy is the water-filling construction as it stood before
-optimal_policy searched a growing prefix: one pass over the whole
+optimal_policy stopped early (it now stops at the first block of the
+library that holds an infeasible m): one pass over the whole
 library, its own log-space law, and the last feasible index.
 optimal_policy must match it bit for bit.
 out_of_place_law is the MZipf law as PopularityModel evaluated it before

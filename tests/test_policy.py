@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +156,19 @@ class TestZValues:
         with pytest.raises(ValueError, match="cluster too small"):
             optimal_policy(HAND_MODEL, s, g_c)
 
+    @pytest.mark.parametrize("s,g_c", [(4.5, 10), (4, 10.0), (np.float64(2.0), 6)])
+    @pytest.mark.parametrize("func", [scaling_constants, optimal_policy, theoretical_mstar])
+    def test_non_integer_cache_or_cluster_rejected(self, func, s, g_c):
+        """S = 4.5 would water-fill with the exponent 39.5 of no cluster."""
+        with pytest.raises(ValueError, match="must be integers"):
+            func(PopularityModel(gamma=1.1, q=18.0, m_total=100), s, g_c)
+
+    def test_numpy_integer_sizes_accepted(self):
+        model = PopularityModel(**REGION2)
+        assert optimal_policy(model, np.int64(4), np.int32(100)).m_star == (
+            optimal_policy(model, 4, 100).m_star
+        )
+
     @pytest.mark.parametrize("s,g_c", [(-1, -2), (-3, 0), (0, 5), (2, 0), (-2, 3)])
     @pytest.mark.parametrize("func", [scaling_constants, optimal_policy, theoretical_mstar])
     def test_non_positive_cache_or_cluster_rejected(self, func, s, g_c):
@@ -243,6 +258,19 @@ class TestOptimalPolicy:
         positive = policy.probs > 0
         assert positive[: policy.m_star].all() and not positive[policy.m_star :].any()
 
+    @pytest.mark.parametrize("gamma,s,g_c", [(200.0, 2, 2), (1e308, 4, 10)])
+    def test_underflowed_weights_cache_the_head_silently(self, gamma, s, g_c):
+        """Past file 1 the weights underflow to 0 (the pmf at n = 1; at
+        gamma = 1e308 even the log-pmf overflows to -inf). Their infinite
+        reciprocals are the limit: m* = 1, nu = 0, and file 1 is cached."""
+        model = PopularityModel(gamma=gamma, q=0.0, m_total=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            policy = optimal_policy(model, s, g_c)
+        assert policy.m_star == 1
+        assert policy.water_level == 0.0
+        np.testing.assert_array_equal(policy.probs, np.eye(1, 100)[0])
+
     def test_one_file_library_rejected(self):
         with pytest.raises(ValueError, match="library of at least 2 files"):
             optimal_policy(PopularityModel(gamma=1.0, q=0.0, m_total=1), 1, 4)
@@ -265,7 +293,7 @@ def assert_same_bits(policy, reference):
 
 
 class TestPrefixSearch:
-    """optimal_policy searches m* on a growing prefix; the full scan is its oracle."""
+    """optimal_policy walks the library in blocks; the full scan is its oracle."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -284,20 +312,20 @@ class TestPrefixSearch:
         assert_same_bits(optimal_policy(model, s, g_c), full_scan_policy(model, s, g_c))
 
     def test_z_is_the_searched_prefix_at_a_large_library(self):
-        """m* near 400 of 10^6 files: z stops at the first prefix and still certifies m*."""
+        """m* near 400 of 10^6 files: z stops at the first block and still certifies m*."""
         model = PopularityModel(gamma=1.16, q=22.0, m_total=1_000_000)
         policy = optimal_policy(model, 4, 100)
         assert 300 <= policy.m_star <= 500
-        assert policy.z.size == policy_module._PREFIX_START
+        assert policy.z.size == policy_module._BLOCK
         assert policy.z.tobytes() == log_space_z(model, 4, 100)[: policy.z.size].tobytes()
         assert policy.z[policy.m_star] <= policy.water_level
 
-    @pytest.mark.parametrize("start", [1, 2])
-    def test_every_growth_step_at_small_libraries(self, monkeypatch, start):
-        """A tiny first prefix makes small libraries take every growth step:
-        m* inside a prefix, m* exactly at a prefix's end, and m* = M."""
-        monkeypatch.setattr(policy_module, "_PREFIX_START", start)
-        boundaries = {start << k for k in range(12)}
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_every_growth_step_at_small_libraries(self, monkeypatch, block):
+        """Tiny blocks put m* everywhere in a block: inside it, at its last
+        entry (nu then comes from the carried sum), at its first entry, and
+        at M. z ends with the block that holds file m*+1."""
+        monkeypatch.setattr(policy_module, "_BLOCK", block)
         seen = set()
         for m_total in range(2, 70):
             for gamma, q in [(0.8, 0.0), (1.6, 5.0), (3.0, 40.0)]:
@@ -305,13 +333,36 @@ class TestPrefixSearch:
                 for s, g_c in [(1, 3), (1, 4), (2, 6), (4, 30), (8, 200)]:
                     policy = optimal_policy(model, s, g_c)
                     assert_same_bits(policy, full_scan_policy(model, s, g_c))
-                    if policy.m_star == m_total:
+                    m_star = policy.m_star
+                    if m_star == m_total:
+                        assert policy.z.size == m_total
                         seen.add("m* = M")
-                    elif policy.m_star in boundaries:
-                        seen.add("m* at a prefix end")
-                    else:
-                        seen.add("m* inside a prefix")
-        assert seen == {"m* = M", "m* at a prefix end", "m* inside a prefix"}
+                        continue
+                    assert policy.z.size == min(-(-(m_star + 1) // block) * block, m_total)
+                    position = (m_star - 1) % block
+                    if position == block - 1:
+                        seen.add("m* at a block's last entry")
+                    if position == 0:
+                        seen.add("m* at a block's first entry")
+                    if 0 < position < block - 1:
+                        seen.add("m* inside a block")
+        expected = {"m* = M", "m* at a block's last entry", "m* at a block's first entry"}
+        assert seen == (expected | {"m* inside a block"} if block >= 3 else expected)
+
+    def test_peak_memory_is_z_and_probs(self):
+        """m* = M at M = 10^6: beyond z and probs, only block-sized scratch."""
+        m_total = 1_000_000
+        model = PopularityModel(gamma=1.16, q=22.0, m_total=m_total)
+        model._log_pmf  # memoized before tracing
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            policy = optimal_policy(model, 4, 400_000)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert policy.m_star == m_total
+        assert peak <= 2 * 8 * m_total + 2**20
 
 
 class TestKktMstar:

@@ -113,6 +113,16 @@ class TestPmf:
         with pytest.raises(ValueError):
             PopularityModel(**params)
 
+    @pytest.mark.parametrize("m_total", [2.5, 1000.0, np.float64(10.0), "10"])
+    def test_non_integer_library_size_rejected(self, m_total):
+        """2.5 would build a 3-file law labelled 2.5; 1000.0 a law no policy takes."""
+        with pytest.raises(ValueError, match="m_total must be an integer"):
+            PopularityModel(gamma=1.0, q=0.0, m_total=m_total)
+
+    def test_numpy_integer_library_size_accepted(self):
+        model = PopularityModel(gamma=1.0, q=0.0, m_total=np.int64(3))
+        assert model.pmf_values.tobytes() == PopularityModel(1.0, 0.0, 3).pmf_values.tobytes()
+
     @settings(max_examples=300, deadline=None)
     @given(gamma=st.floats(), q=st.floats(), m_total=st.integers(1, 20))
     def test_any_float_gives_a_valid_model_or_value_error(self, gamma, q, m_total):
