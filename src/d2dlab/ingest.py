@@ -7,14 +7,29 @@ single unique access; contents are then ranked by distinct-user count.
 ``read_counts`` does all of this in one pass over the log. ``parse_log``,
 ``dedup_unique`` and ``to_empirical`` take the same steps one at a time,
 through the same row check and the same counting.
+
+The log is read in chunks of whole lines, each turned into columns of
+user ids, content ids and regions. A plain chunk is split and checked by
+numpy on its bytes: printable ASCII with no double quote and no
+whitespace, lines ended by ``\n`` or ``\r\n``, no field over
+``csv.field_size_limit()``. Logs written by a program, such as those of
+``fixtures.write_region_log``, are plain throughout. From the first chunk
+that is not plain on (quoted, padded or non-ASCII fields, a lone ``\r``),
+and for a stream that cannot seek, ``csv.reader`` reads the rest. On plain
+text the two agree field for field, so rows, reports and counts are the
+same whichever path a log takes.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import re
 from array import array
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress, repeat
+from operator import eq, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -38,6 +53,17 @@ _REQUIRED_COLUMNS = ("user_id", "content_id", "region_id")
 # An integer column: ASCII digits with an optional sign. int() alone also
 # takes digit-group underscores and non-ASCII digits ("1_0", "٢").
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+
+# Characters a chunk of the log holds, before it runs on to the end of a line.
+_CHUNK = 1 << 15
+# The bytes of plain text (see _plain_columns) but \r: printable ASCII other
+# than the double quote, and \n. A \r may come right before a \n.
+_PLAIN = bytes(c for c in range(0x21, 0x7F) if c != ord('"')) + b"\n"
+_COMMA, _LF, _CR, _MINUS = b",\n\r-"
+_SIGN = np.zeros(256, dtype=np.int64)
+_SIGN[list(b"+-")] = 1
+# The most digits of a region that numpy parses, so that it fits an int64.
+_REGION_DIGITS = 18
 
 
 class LogFormatError(Exception):
@@ -85,13 +111,16 @@ def read_counts(source, region: int | None = None) -> tuple[EmpiricalDistributio
 
     One pass checks each row as parse_log does, keeps the rows of `region`
     (every checked row when it is None) and interns their user and content
-    ids to int codes; repeats then collapse in one in-place sort.
+    ids to int codes a chunk of columns at a time; repeats then collapse in
+    one in-place sort. Plain chunks are checked by numpy and the rest by
+    csv.reader (see the module docstring); the counts and the report are
+    the same either way.
     Raises LogFormatError when the header is missing or wrong or a line
     cannot be read, and ValueError when no row is kept.
     """
     with _opened(source) as stream:
-        rows = _CheckedRows(stream)
-        pairs = _count_pairs(rows if region is None else (row for row in rows if row[2] == region))
+        rows = _CheckedColumns(stream)
+        pairs = _count_pairs(_in_region(rows, region))
     report = IngestReport(
         rows=rows.rows,
         malformed=rows.malformed,
@@ -110,13 +139,28 @@ def parse_log(source) -> ParseResult:
     timestamp that is not ASCII digits with an optional sign) are counted in
     the result, never silently dropped. Whitespace around any field is
     allowed.
+    Plain chunks are checked by numpy and the rest by csv.reader (see the
+    module docstring); the records are the same either way. They are built
+    from the reader's columns with no Python-level call per row, and the
+    cyclic garbage collector is paused while the list grows.
     Raises LogFormatError when the header is missing or wrong, or when a
     line cannot be read: a field over csv.field_size_limit(), or text that
     is not UTF-8.
     """
-    with _opened(source) as stream:
-        rows = _CheckedRows(stream)
-        records = [AccessRecord(*row) for row in rows]
+    records: list[AccessRecord] = []
+    record = partial(tuple.__new__, AccessRecord)
+    # The records are tracked tuples that hold no cycle, so each collection
+    # while the list grows would walk them for nothing.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with _opened(source) as stream:
+            rows = _CheckedColumns(stream)
+            for columns in rows:
+                records.extend(map(record, zip(*columns)))
+    finally:
+        if collecting:
+            gc.enable()
     return ParseResult(records=records, rows=rows.rows, malformed=rows.malformed)
 
 
@@ -131,45 +175,91 @@ def _opened(source):
     return contextlib.nullcontext(source)
 
 
-class _CheckedRows:
-    """The rows of a log that pass the row check, as (user_id, content_id, region_id).
+class _CheckedColumns:
+    """The rows of a log that pass the row check, as columns, a chunk of lines at a time.
 
-    The header is checked on construction. Iterating reads the rows once;
-    after that, rows holds the number of non-blank rows read and malformed
-    the number of those that failed the check.
+    The header is checked on construction. Iterating reads the rows once and
+    yields (user ids, content ids, region ids) lists; after that, rows
+    holds the number of non-blank rows read and malformed the number of
+    those that failed the check. A chunk is _CHUNK characters and the rest
+    of the line they end in. While chunks are plain, _plain_columns splits
+    and checks them. The stream then goes back to the start of the first
+    chunk that is not plain, and csv.reader and the row check in
+    _csv_columns read the rest of it, line numbers offset by the lines
+    before it. A stream that cannot seek is read by csv.reader alone.
     """
 
     def __init__(self, stream) -> None:
-        self._reader = csv.reader(stream)
+        self._stream = stream
+        reader = csv.reader(iter(stream.readline, ""))
         try:
-            header = next(self._reader)
+            header = next(reader)
         except StopIteration:
             raise LogFormatError("empty input: missing header row") from None
         except (csv.Error, UnicodeDecodeError) as exc:
-            raise self._unreadable(exc) from None
+            raise _unreadable(exc, reader.line_num) from None
         header = [h.strip() for h in header]
-        self._has_timestamp = tuple(header) == (*_REQUIRED_COLUMNS, "timestamp")
-        if not self._has_timestamp and tuple(header) != _REQUIRED_COLUMNS:
+        self._width = 4 if tuple(header) == (*_REQUIRED_COLUMNS, "timestamp") else 3
+        if self._width == 3 and tuple(header) != _REQUIRED_COLUMNS:
             raise LogFormatError(
                 f"bad header {header!r}; expected user_id,content_id,region_id[,timestamp]"
             )
+        self._lines = reader.line_num  # lines read before the next chunk
         self.rows = 0
         self.malformed = 0
 
     def __iter__(self):
-        has_timestamp = self._has_timestamp
-        width = 4 if has_timestamp else 3
+        if self._stream.seekable():
+            yield from self._plain_chunks()
+        yield from self._csv_columns()
+
+    def _plain_chunks(self):
+        """The checked rows of each chunk, up to the first chunk that is not plain.
+
+        The stream is left at the start of that chunk, or at its end.
+        """
+        stream = self._stream
+        limit = csv.field_size_limit()
+        while True:
+            try:
+                start = stream.tell()
+            except OSError:  # a text file that next() has read from cannot tell
+                return
+            try:
+                text = stream.read(_CHUNK)
+                if text and not text.endswith("\n"):
+                    text += stream.readline()
+            except UnicodeDecodeError as exc:
+                raise _unreadable(exc, self._lines) from None
+            plain = _plain_columns(text, self._width, limit) if text else None
+            if plain is None:
+                stream.seek(start)
+                return
+            lines, rows, users, contents, regions = plain
+            self._lines += lines
+            self.rows += rows
+            self.malformed += rows - len(users)
+            yield users, contents, regions
+
+    def _csv_columns(self):
+        """The checked rows of the rest of the stream, through csv.reader."""
+        has_timestamp = self._width == 4
         # Parsed region per raw string, None for a malformed one: a log holds
         # a handful of regions, so each is parsed once.
         regions: dict[str, int | None] = {}
+        batch = max(1, _CHUNK // 16)  # rows yielded at a time, about a chunk's worth
+        users: list[str] = []
+        contents: list[str] = []
+        region_ids: list[int] = []
         rows = 0
         malformed = 0
+        reader = csv.reader(self._stream)
         try:
-            for row in self._reader:
+            for row in reader:
                 if not row:
                     continue
                 rows += 1
-                if len(row) != width:
+                if len(row) != self._width:
                     malformed += 1
                     continue
                 user_id = row[0].strip()
@@ -190,21 +280,114 @@ class _CheckedRows:
                     if timestamp and not _INTEGER.fullmatch(timestamp):
                         malformed += 1
                         continue
-                yield user_id, content_id, region_id
+                users.append(user_id)
+                contents.append(content_id)
+                region_ids.append(region_id)
+                if len(users) == batch:
+                    yield users, contents, region_ids
+                    users, contents, region_ids = [], [], []
         except (csv.Error, UnicodeDecodeError) as exc:
-            raise self._unreadable(exc) from None
-        self.rows = rows
-        self.malformed = malformed
+            raise _unreadable(exc, self._lines + reader.line_num) from None
+        self.rows += rows
+        self.malformed += malformed
+        if users:
+            yield users, contents, region_ids
 
-    def _unreadable(self, exc: csv.Error | UnicodeDecodeError) -> LogFormatError:
-        """The format error for a line the csv reader could not read."""
-        if isinstance(exc, UnicodeDecodeError):
-            # Text is decoded ahead of the reader, so the bad byte can lie
-            # past the line the reader stands at.
-            return LogFormatError(
-                f"not UTF-8 text at or after line {self._reader.line_num + 1}: {exc.reason}"
-            )
-        return LogFormatError(f"line {self._reader.line_num}: {exc}")
+
+def _plain_columns(text: str, width: int, limit: int):
+    """Split and check a chunk of whole lines on its bytes, if it is plain.
+
+    Plain text is printable ASCII other than the double quote, split by
+    commas and by line ends \n or \r\n, with every field shorter than
+    limit. csv.reader would split it at the same commas and line ends, and
+    strip would change no field. Returns None for any other text, else
+    (lines, rows, user ids, content ids, region ids): the number of lines
+    and of non-blank lines, and the columns of the rows that pass the row
+    check. A chunk with a region of more than _REGION_DIGITS digits is not
+    plain either.
+    """
+    if not text.isascii():
+        return None
+    if not text.endswith("\n"):
+        text += "\n"  # the last line of a log that does not end in a line break
+    data = text.encode("ascii")
+    odd = data.translate(None, _PLAIN)  # plain text leaves only the \r of each \r\n
+    a = np.frombuffer(data, np.uint8)
+    sep = np.flatnonzero((a == _COMMA) | (a == _LF))  # the byte after each field
+    length = np.diff(sep, prepend=-1) - 1  # a line's last field may hold its \r
+    if length.max() >= limit:
+        return None
+    last = np.flatnonzero(a[sep] == _LF)  # each line's last field
+    line_end = sep[last]
+    # line_end - 1 is -1 only for a blank first line, and a[-1] is a \n.
+    cr = a[line_end - 1] == _CR
+    if np.count_nonzero(cr) != len(odd):
+        return None  # a byte that is not plain, or a \r that does not end a line
+    n_fields = np.diff(last, prepend=-1)
+    rows = last.size - int(np.count_nonzero((n_fields == 1) & (length[last] == cr)))
+    arity = n_fields == width
+    user = last[arity] - (width - 1)  # the index of each such row's user id
+    end = line_end[arity] - cr[arity]  # the end of its last field
+    region_end = end if width == 3 else sep[user + 2]
+    good, first, n = _integer_fields(a, sep[user + 1] + 1, region_end)
+    good &= (length[user] > 0) & (length[user + 1] > 0)
+    if width == 4:
+        timestamp = sep[user + 2] + 1
+        good &= (timestamp == end) | _integer_fields(a, timestamp, end)[0]
+    most = n.max(initial=0, where=good)  # the digits of the longest region
+    if most > _REGION_DIGITS:
+        return None
+    region = np.zeros(n.size, dtype=np.int64)
+    for k in range(most):  # the regions' digits, left to right
+        more = good & (n > k)
+        region[more] = region[more] * 10 + (a[first[more] + k] - ord("0"))
+    region[a[first - 1] == _MINUS] *= -1  # before the digits: the sign, or the comma
+    region = region[good].tolist()
+    fields = text.replace("\n", ",").split(",")
+    if user.size == last.size and good.all():  # every line a good row: the columns are strides
+        stop = user.size * width
+        return last.size, rows, fields[0:stop:width], fields[1:stop:width], region
+    user = user[good]
+    field = fields.__getitem__
+    return (last.size, rows, list(map(field, user.tolist())),
+            list(map(field, (user + 1).tolist())), region)
+
+
+def _integer_fields(a: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """Check fields a[start:end] against _INTEGER: ASCII digits after an optional sign.
+
+    Returns (ok, first, n): whether each field passes, and where its digits
+    start in a and how many there are. a[start] is the field's first byte,
+    or the separator after an empty field, so it is never out of range.
+    """
+    first = start + _SIGN[a[start]]
+    n = end - first
+    offset = np.cumsum(n) - n  # where each field's digits start among all digits
+    digits = a[np.arange(n.sum()) + np.repeat(first - offset, n)]
+    ok = n > 0
+    bad = np.flatnonzero((digits < ord("0")) | (digits > ord("9")))
+    if bad.size:
+        ok[np.searchsorted(offset, bad, side="right") - 1] = False
+    return ok, first, n
+
+
+def _unreadable(exc: csv.Error | UnicodeDecodeError, lines_read: int) -> LogFormatError:
+    """The format error for a line the reader could not read, lines_read lines in."""
+    if isinstance(exc, UnicodeDecodeError):
+        # Text is decoded ahead of the reader, so the bad byte can lie
+        # past the line the reader stands at.
+        return LogFormatError(f"not UTF-8 text at or after line {lines_read + 1}: {exc.reason}")
+    return LogFormatError(f"line {lines_read}: {exc}")
+
+
+def _in_region(columns, region: int | None):
+    """(user ids, content ids) of each chunk's rows in region, or of all rows when it is None."""
+    for users, contents, regions in columns:
+        if region is not None:
+            keep = list(map(eq, regions, repeat(region)))
+            users = list(compress(users, keep))
+            contents = list(compress(contents, keep))
+        yield users, contents
 
 
 class _PairCounts(NamedTuple):
@@ -215,8 +398,8 @@ class _PairCounts(NamedTuple):
     counts: np.ndarray  # distinct users per content, indexed by content code
 
 
-def _count_pairs(rows) -> _PairCounts:
-    """Count the distinct users of each content over (user_id, content_id, region_id) rows.
+def _count_pairs(columns) -> _PairCounts:
+    """Count the distinct users of each content over (user ids, content ids) column pairs.
 
     Each id gets an int code, so a pair is the one int64 key
     user*n_contents + content: dedup sorts the keys in place and keeps the
@@ -228,19 +411,24 @@ def _count_pairs(rows) -> _PairCounts:
     contents: dict[str, int] = {}
     user_codes = array("q")
     content_codes = array("q")
-    for user_id, content_id, _ in rows:
-        user_codes.append(users.setdefault(user_id, len(users)))
-        content_codes.append(contents.setdefault(content_id, len(contents)))
+    for user_ids, content_ids in columns:
+        for user_id, content_id in zip(user_ids, content_ids):
+            user_codes.append(users.setdefault(user_id, len(users)))
+            content_codes.append(contents.setdefault(content_id, len(contents)))
     n_contents = len(contents)
     keys = np.frombuffer(user_codes, np.int64) * n_contents
     keys += np.frombuffer(content_codes, np.int64)
+    # Each array goes once it is read, so at most two row-sized arrays live.
+    del user_codes, content_codes
     keys.sort()
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     pairs = keys[first]
-    counts = np.bincount(pairs % n_contents, minlength=n_contents)
-    return _PairCounts(users, contents, len(user_codes), pairs.size, counts)
+    kept = keys.size
+    del keys, first
+    counts = np.bincount(np.remainder(pairs, n_contents, out=pairs), minlength=n_contents)
+    return _PairCounts(users, contents, kept, pairs.size, counts)
 
 
 def _ranked(counts: np.ndarray) -> EmpiricalDistribution:
@@ -277,7 +465,7 @@ def dedup_unique(records: list[AccessRecord]) -> UniqueAccessSet:
     counts as the same unique access. The pairs are counted per content and
     per user, then dropped.
     """
-    pairs = _count_pairs(records)
+    pairs = _count_pairs([(map(itemgetter(0), records), map(itemgetter(1), records))])
     return UniqueAccessSet(per_content_counts=dict(zip(pairs.contents, pairs.counts.tolist())),
                            n_users=len(pairs.users))
 

@@ -345,13 +345,14 @@ def _ascii_integer(text: str) -> bool:
 def reference_counts(text: str, region: int | None) -> tuple[list[float], dict]:
     """(ranked distinct-user counts, report fields) of a log held in text.
 
-    Checks each non-blank row: arity, non-empty ids, an integer region and
-    an empty or integer timestamp. Keeps the rows of region (all when None),
-    collapses them into a set of (user, content) pairs and counts each
-    content's pairs. The counts come back sorted in descending order; the
-    report has the IngestReport field names.
+    The text is read as a log file is read, so \n, \r\n and a lone \r
+    each end a line. Checks each non-blank row: arity, non-empty ids, an
+    integer region and an empty or integer timestamp. Keeps the rows of
+    region (all when None), collapses them into a set of (user, content)
+    pairs and counts each content's pairs. The counts come back sorted in
+    descending order; the report has the IngestReport field names.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     header = tuple(h.strip() for h in next(reader))
     width = 4 if header == ("user_id", "content_id", "region_id", "timestamp") else 3
     rows = malformed = 0

@@ -1,19 +1,23 @@
 """Tests for log parsing, deduplication, and ranked histograms."""
 from __future__ import annotations
 
+import contextlib
+import gc
 import io
 import os
 import subprocess
 import sys
 from collections import Counter
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import d2dlab
+from d2dlab import ingest
 from d2dlab.ingest import (
     AccessRecord,
     IngestReport,
@@ -226,18 +230,23 @@ _ROW = st.tuples(
 )
 
 
+def _header(has_timestamp: bool) -> str:
+    return "user_id,content_id,region_id" + (",timestamp" if has_timestamp else "")
+
+
+def _line(has_timestamp: bool, kind, user, content, region, timestamp) -> str:
+    fields = [user, content, region] + ([timestamp] if has_timestamp else [])
+    if kind == "blank":
+        fields = []
+    elif kind == "short":
+        fields = fields[:-1]
+    elif kind == "long":
+        fields = fields + ["extra"]
+    return ",".join(fields)
+
+
 def _log_text(has_timestamp: bool, rows) -> str:
-    lines = ["user_id,content_id,region_id" + (",timestamp" if has_timestamp else "")]
-    for kind, user, content, region, timestamp in rows:
-        fields = [user, content, region] + ([timestamp] if has_timestamp else [])
-        if kind == "blank":
-            fields = []
-        elif kind == "short":
-            fields = fields[:-1]
-        elif kind == "long":
-            fields = fields + ["extra"]
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    return "\n".join([_header(has_timestamp)] + [_line(has_timestamp, *row) for row in rows]) + "\n"
 
 
 class TestReadCounts:
@@ -290,11 +299,18 @@ class TestReadCounts:
         assert parse_log(str(bom)) == parse_log(plain)
 
     def test_dedup_does_not_import_numpy_ma(self):
-        """np.unique imports numpy.ma on its first call, a cost every fit process would pay."""
-        text = HEADER + "u1,c1,2\nu1,c1,2\nu2,c1,2\nu2,c2,2\n"
+        """np.unique imports numpy.ma on its first call, a cost every fit process would pay.
+
+        The first log is plain and the second takes the csv.reader path; each
+        is read by read_counts and by parse_log -> dedup_unique.
+        """
+        plain = HEADER + "u1,c1,2\nu1,c1,2\nu2,c1,2\nu2,c2,2\n"
+        quoted = plain + '"u3",c1,2\n'
         script = ("import io, sys\n"
-                  "from d2dlab.ingest import read_counts\n"
-                  f"read_counts(io.StringIO({text!r}))\n"
+                  "from d2dlab.ingest import dedup_unique, parse_log, read_counts\n"
+                  f"for text in {[plain, quoted]!r}:\n"
+                  "    read_counts(io.StringIO(text))\n"
+                  "    dedup_unique(parse_log(io.StringIO(text)).records)\n"
                   "print('numpy.ma' in sys.modules)\n")
         src = os.path.dirname(os.path.dirname(d2dlab.__file__))
         env = dict(os.environ, PYTHONPATH=src)
@@ -309,26 +325,141 @@ class TestReadCounts:
             read_counts(io.StringIO(text))
 
 
+def _heads() -> dict[str, str]:
+    """Rows to put before a bad line: none, more than a chunk, and a switch to csv.reader."""
+    plain = "u0,c0,2\n" * (2 * ingest._CHUNK // len("u0,c0,2\n") + 1)
+    return {"first-chunk": "", "later": plain, "after-csv": plain + '"u0",c0,2\n' + plain}
+
+
 class TestUnreadableLog:
     """A log the csv reader cannot read is a format error, whichever entry reads it."""
 
     READERS = [read_counts, parse_log]
 
     @pytest.mark.parametrize("reader", READERS, ids=["read_counts", "parse_log"])
-    @pytest.mark.parametrize("as_path", [False, True], ids=["stream", "path"])
-    def test_field_over_the_csv_limit(self, tmp_path, reader, as_path):
-        text = HEADER + "u1,c1,2\n" + f"u2,{'c' * 200_000},2\n" + "u3,c3,2\n"
+    @pytest.mark.parametrize(
+        "as_path, head",
+        [(False, "first-chunk"), (True, "first-chunk"), (False, "later"), (True, "later"),
+         (False, "after-csv"), (True, "after-csv")],
+        ids=["stream", "path", "later-stream", "later-path", "after-csv-stream", "after-csv-path"])
+    def test_field_over_the_csv_limit(self, tmp_path, reader, as_path, head):
+        head = _heads()[head]
+        text = HEADER + head + "u1,c1,2\n" + f"u2,{'c' * 200_000},2\n" + "u3,c3,2\n"
         source = io.StringIO(text)
         if as_path:
             source = tmp_path / "log.csv"
             source.write_text(text, encoding="utf-8")
-        with pytest.raises(LogFormatError, match=r"^line 3: field larger than field limit"):
+        line = head.count("\n") + 3
+        with pytest.raises(LogFormatError, match=rf"^line {line}: field larger than field limit"):
             reader(source)
 
     @pytest.mark.parametrize("reader", READERS, ids=["read_counts", "parse_log"])
-    @pytest.mark.parametrize("head", [b"", b"u0,c0,2\n" * 5000], ids=["first-chunk", "later"])
+    @pytest.mark.parametrize("head", list(_heads()))
     def test_bytes_that_are_not_utf8(self, tmp_path, reader, head):
         path = tmp_path / "log.csv"
-        path.write_bytes(HEADER.encode() + head + b"u1,c\xff1,2\nu2,c2,2\n")
+        path.write_bytes(HEADER.encode() + _heads()[head].encode() + b"u1,c\xff1,2\nu2,c2,2\n")
         with pytest.raises(LogFormatError, match="not UTF-8"):
             reader(path)
+
+
+# Field values a chunk stays plain with, valid or not, and values that send
+# it to csv.reader: padding, quotes (around a comma or a line break), non-ASCII.
+_PLAIN_USERS = ["a", "b", "u10", ""]
+_PLAIN_CONTENTS = ["x", "y", "z"]
+_PLAIN_REGIONS = ["1", "2", "+2", "-3", "007", "", "r", "1_0", "2-"]
+_PLAIN_TIMESTAMPS = ["", "7", "-7", "+1404165600", "t", "1_0"]
+_CSV_USERS = [" a", "b ", '"a"', '"a,b"', '"a\nb"', '"a""b"', "\u00e9"]
+_CSV_CONTENTS = [" x ", '"x,y"', '"x\r\ny"', "\u00fc", "\t"]
+_CSV_REGIONS = [" 2 ", '"2"', "\u0662"]
+_KINDS = ["row", "row", "row", "blank", "short", "long"]
+
+
+def _rows(users, contents, regions, timestamps, terminators):
+    return st.lists(st.tuples(st.sampled_from(_KINDS), st.sampled_from(users),
+                              st.sampled_from(contents), st.sampled_from(regions),
+                              st.sampled_from(timestamps), st.sampled_from(terminators)),
+                    max_size=20)
+
+
+_PLAIN_ROWS = _rows(_PLAIN_USERS, _PLAIN_CONTENTS, _PLAIN_REGIONS, _PLAIN_TIMESTAMPS,
+                    ["\n", "\r\n"])
+_MIXED_ROWS = _rows(_PLAIN_USERS * 3 + _CSV_USERS, _PLAIN_CONTENTS * 3 + _CSV_CONTENTS,
+                    _PLAIN_REGIONS * 3 + _CSV_REGIONS, _PLAIN_TIMESTAMPS, ["\n", "\r\n", "\r"])
+
+
+def _chunked_log(has_timestamp: bool, rows, final_break: bool) -> str:
+    """The log text of rows, each ended by its own line terminator."""
+    text = _header(has_timestamp) + "\r\n"
+    text += "".join(_line(has_timestamp, *row[:-1]) + row[-1] for row in rows)
+    return text if final_break or not rows else text[:-len(rows[-1][-1])]
+
+
+class TestChunks:
+    """Rows straddle chunks, and the switch to csv.reader comes in mid-file."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 48), st.booleans(), _PLAIN_ROWS, _MIXED_ROWS, st.booleans(),
+           st.sampled_from([None, 2, -3]))
+    def test_matches_reference(self, tmp_path, chunk, has_timestamp, plain, mixed, final_break,
+                               region):
+        text = _chunked_log(has_timestamp, plain + mixed, final_break)
+        path = tmp_path / "log.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        counts, report = reference_counts(text, region)
+        with mock.patch.object(ingest, "_CHUNK", chunk):
+            for source in (lambda: path, lambda: io.StringIO(text, newline="")):
+                parsed = parse_log(source())
+                records = [r for r in parsed.records if region is None or r.region_id == region]
+                unique = dedup_unique(records)
+                assert (parsed.rows, parsed.malformed, len(records), unique.n_unique,
+                        unique.n_users, unique.n_contents) == (
+                    report["rows"], report["malformed"], report["kept"],
+                    report["unique_pairs"], report["distinct_users"],
+                    report["distinct_contents"])
+                if not counts:
+                    with pytest.raises(ValueError, match="empty"):
+                        read_counts(source(), region)
+                    continue
+                empirical, ingested = read_counts(source(), region)
+                assert empirical.counts.tolist() == counts
+                assert asdict(ingested) == report
+                assert to_empirical(unique).counts.tolist() == counts
+
+    def test_a_plain_log_never_reaches_csv_reader(self):
+        text = HEADER + "".join(f"u{i},c{i % 7},{i % 3}\r\n" for i in range(300)) + "u,c,2"
+        with mock.patch.object(ingest, "_CHUNK", 64):
+            expected = parse_log(io.StringIO(text))
+            with mock.patch.object(ingest._CheckedColumns, "_csv_columns", lambda self: iter(())):
+                assert parse_log(io.StringIO(text)) == expected
+        assert (expected.rows, expected.malformed, len(expected.records)) == (301, 0, 301)
+
+    def test_a_stream_that_cannot_seek_reads_alike(self):
+        class Unseekable(io.StringIO):
+            def seekable(self):
+                return False
+
+        text = HEADER + "u1,c1,2\n u2,c1,2\nu3,c2,3\n\nu1,c1\n"
+        assert parse_log(Unseekable(text)) == parse_log(io.StringIO(text))
+
+    def test_a_file_read_by_next_reads_alike(self, tmp_path):
+        """A text file that next() has read from refuses tell(); csv.reader reads it."""
+        path = tmp_path / "log.csv"
+        path.write_text("# exported\n" + HEADER + "u1,c1,2\nu2,c1,2\n", encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as stream:
+            next(stream)
+            result = parse_log(stream)
+        assert result.records == [AccessRecord("u1", "c1", 2), AccessRecord("u2", "c1", 2)]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("text", [HEADER + "u1,c1,2\n", HEADER + f"u2,{'c' * 200_000},2\n"],
+                             ids=["read", "unreadable"])
+    def test_parse_log_restores_the_collector(self, enabled, text):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with contextlib.suppress(LogFormatError):
+                parse_log(io.StringIO(text))
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
