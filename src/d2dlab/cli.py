@@ -209,7 +209,7 @@ def cmd_tradeoff(args, output: Path) -> tuple[str, dict, list]:
     if args.n_users is not None and args.n_users < 1:
         raise ValueError(f"n_users must be >= 1, got {args.n_users}")
     # Each sweep sets the cluster size of every point, and checks it there.
-    base = _network_from_args(args, max(args.n_users or 1, *g_c_list), 1)
+    base = _network_from_args(args, args.n_users or max(1, *g_c_list), 1)
     rows = [{"g_c": g} for g in g_c_list]
     if args.mode in ("analytic", "both"):
         for row, p in zip(rows, tradeoff_curve(model, base, g_c_list)):
@@ -317,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tradeoff", help="throughput-outage curve (analytic and/or simulated)")
     _add_network_args(p)
     p.add_argument("--n-users", type=int, default=None, dest="n_users",
-                   help="users N (defaults to the largest cluster size)")
+                   help="users N (defaults to the largest cluster size); "
+                        "each point pads N to whole clusters")
     p.add_argument("--g-c-list", required=True, dest="g_c_list")
     p.add_argument("--mode", choices=["analytic", "simulate", "both"], default="analytic")
 

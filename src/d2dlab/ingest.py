@@ -8,27 +8,30 @@ single unique access; contents are then ranked by distinct-user count.
 ``dedup_unique`` and ``to_empirical`` take the same steps one at a time,
 through the same row check and the same counting.
 
-The log is read in chunks of whole lines, each turned into columns of
+The log is read forward, once, from any text source: a path, a pipe or
+a stream. It comes in chunks of whole lines, each turned into columns of
 user ids, content ids and regions. A plain chunk is split and checked by
 numpy on its bytes: printable ASCII with no double quote and no
 whitespace, lines ended by ``\n`` or ``\r\n``, no field over
 ``csv.field_size_limit()``. Logs written by a program, such as those of
 ``fixtures.write_region_log``, are plain throughout. From the first chunk
 that is not plain on (quoted, padded or non-ASCII fields, a lone ``\r``),
-and for a stream that cannot seek, ``csv.reader`` reads the rest. On plain
-text the two agree field for field, so rows, reports and counts are the
-same whichever path a log takes.
+``csv.reader`` reads that chunk and the rest. Either way rows are split as
+in a file opened with ``newline=""``, and on plain text the two agree
+field for field, so rows, reports and counts are the same whichever
+source and whichever reader a log takes.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
 import gc
+import io
 import re
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import eq, itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -109,12 +112,13 @@ class IngestReport:
 def read_counts(source, region: int | None = None) -> tuple[EmpiricalDistribution, IngestReport]:
     """Read an access log from a path or text stream into ranked distinct-user counts.
 
-    One pass checks each row as parse_log does, keeps the rows of `region`
-    (every checked row when it is None) and interns their user and content
-    ids to int codes a chunk of columns at a time; repeats then collapse in
-    one in-place sort. Plain chunks are checked by numpy and the rest by
-    csv.reader (see the module docstring); the counts and the report are
-    the same either way.
+    One forward pass checks each row as parse_log does, keeps the rows of
+    `region` (every checked row when it is None) and interns their user and
+    content ids to int codes a chunk of columns at a time; repeats then
+    collapse in one in-place sort. Rows split as in a file opened with
+    newline=""; plain chunks are checked by numpy and the rest by csv.reader
+    (see the module docstring), and the counts and the report are the same
+    either way.
     Raises LogFormatError when the header is missing or wrong or a line
     cannot be read, and ValueError when no row is kept.
     """
@@ -133,16 +137,17 @@ def read_counts(source, region: int | None = None) -> tuple[EmpiricalDistributio
 
 
 def parse_log(source) -> ParseResult:
-    """Parse an access log from a path or text stream.
+    """Parse an access log from a path or text stream, read forward once.
 
     Malformed rows (wrong arity, empty user/content id, a region or
     timestamp that is not ASCII digits with an optional sign) are counted in
     the result, never silently dropped. Whitespace around any field is
     allowed.
-    Plain chunks are checked by numpy and the rest by csv.reader (see the
-    module docstring); the records are the same either way. They are built
-    from the reader's columns with no Python-level call per row, and the
-    cyclic garbage collector is paused while the list grows.
+    Rows split as in a file opened with newline=""; plain chunks are
+    checked by numpy and the rest by csv.reader (see the module docstring),
+    and the records are the same either way. They are built from the
+    reader's columns with no Python-level call per row, and the cyclic
+    garbage collector is paused while the list grows.
     Raises LogFormatError when the header is missing or wrong, or when a
     line cannot be read: a field over csv.field_size_limit(), or text that
     is not UTF-8.
@@ -181,12 +186,12 @@ class _CheckedColumns:
     The header is checked on construction. Iterating reads the rows once and
     yields (user ids, content ids, region ids) lists; after that, rows
     holds the number of non-blank rows read and malformed the number of
-    those that failed the check. A chunk is _CHUNK characters and the rest
-    of the line they end in. While chunks are plain, _plain_columns splits
-    and checks them. The stream then goes back to the start of the first
-    chunk that is not plain, and csv.reader and the row check in
-    _csv_columns read the rest of it, line numbers offset by the lines
-    before it. A stream that cannot seek is read by csv.reader alone.
+    those that failed the check. The stream is read forward once, by one
+    loop over _chunks: _CHUNK characters and the rest of the line they end
+    in. While chunks are plain, _plain_columns splits and checks them. From
+    the first chunk that is not plain on, csv.reader and the row check in
+    _csv_columns read each chunk's lines as a file opened with newline=""
+    splits them, line numbers offset by the lines before that chunk.
     """
 
     def __init__(self, stream) -> None:
@@ -209,40 +214,24 @@ class _CheckedColumns:
         self.malformed = 0
 
     def __iter__(self):
-        if self._stream.seekable():
-            yield from self._plain_chunks()
-        yield from self._csv_columns()
-
-    def _plain_chunks(self):
-        """The checked rows of each chunk, up to the first chunk that is not plain.
-
-        The stream is left at the start of that chunk, or at its end.
-        """
-        stream = self._stream
         limit = csv.field_size_limit()
-        while True:
-            try:
-                start = stream.tell()
-            except OSError:  # a text file that next() has read from cannot tell
-                return
-            try:
-                text = stream.read(_CHUNK)
-                if text and not text.endswith("\n"):
-                    text += stream.readline()
-            except UnicodeDecodeError as exc:
-                raise _unreadable(exc, self._lines) from None
-            plain = _plain_columns(text, self._width, limit) if text else None
-            if plain is None:
-                stream.seek(start)
-                return
-            lines, rows, users, contents, regions = plain
-            self._lines += lines
-            self.rows += rows
-            self.malformed += rows - len(users)
-            yield users, contents, regions
+        chunks = _chunks(self._stream)
+        try:
+            for text in chunks:
+                plain = _plain_columns(text, self._width, limit)
+                if plain is None:
+                    yield from self._csv_columns(chain([text], chunks))
+                    return
+                lines, rows, users, contents, regions = plain
+                self._lines += lines
+                self.rows += rows
+                self.malformed += rows - len(users)
+                yield users, contents, regions
+        except UnicodeDecodeError as exc:
+            raise _unreadable(exc, self._lines) from None
 
-    def _csv_columns(self):
-        """The checked rows of the rest of the stream, through csv.reader."""
+    def _csv_columns(self, chunks):
+        """The checked rows of chunks, through csv.reader over their lines."""
         has_timestamp = self._width == 4
         # Parsed region per raw string, None for a malformed one: a log holds
         # a handful of regions, so each is parsed once.
@@ -253,7 +242,7 @@ class _CheckedColumns:
         region_ids: list[int] = []
         rows = 0
         malformed = 0
-        reader = csv.reader(self._stream)
+        reader = csv.reader(chain.from_iterable(io.StringIO(text, newline="") for text in chunks))
         try:
             for row in reader:
                 if not row:
@@ -292,6 +281,14 @@ class _CheckedColumns:
         self.malformed += malformed
         if users:
             yield users, contents, region_ids
+
+
+def _chunks(stream):
+    """The rest of stream, as _CHUNK characters and the rest of the line they end in."""
+    while text := stream.read(_CHUNK):
+        if not text.endswith("\n"):
+            text += stream.readline()
+        yield text
 
 
 def _plain_columns(text: str, width: int, limit: int):

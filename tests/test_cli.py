@@ -430,6 +430,16 @@ class TestTradeoffCommand:
             [f"cluster_size must be >= 1, got {bad}"] * (2 if mode == "both" else 1))
         assert point == read_csv(alone)[0]
 
+    def test_n_users_below_a_cluster_size_leaves_the_other_points(self, tmp_path):
+        """Each point pads the N asked for to its own whole clusters, whatever else is swept."""
+        args = ["tradeoff", "--gamma", "1.11", "--q", "18", "--m-total", "5405",
+                "--s-cache", "4", "--n-users", "25", "--mode", "simulate", "--trials", "20",
+                "--seed", "0"]
+        alone, swept = tmp_path / "alone.csv", tmp_path / "swept.csv"
+        assert main([*args, "--g-c-list", "4", "--output", str(alone)]) == 0
+        assert main([*args, "--g-c-list", "4,100", "--output", str(swept)]) == 0
+        assert read_csv(swept)[0] == read_csv(alone)[0]
+
     def test_deterministic_bytes_and_thread_invariance(self, tmp_path, monkeypatch):
         """The same flags give the same bytes, and no thread setting in the
         environment is read: D2DLAB_THREADS, valid or not, changes nothing."""

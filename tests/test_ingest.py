@@ -5,6 +5,7 @@ import contextlib
 import gc
 import io
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -36,6 +37,26 @@ HEADER = "user_id,content_id,region_id\n"
 
 def log(*rows: str) -> io.StringIO:
     return io.StringIO(HEADER + "".join(r + "\n" for r in rows))
+
+
+class _ForwardOnly(io.BytesIO):
+    """Bytes that read forward only, as from a pipe: seek and tell raise OSError."""
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+
+def forward_only(data: str | bytes) -> io.TextIOWrapper:
+    """A UTF-8 text stream over data that cannot seek or tell, as a pipe opened with newline=""."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return io.TextIOWrapper(_ForwardOnly(data), encoding="utf-8", newline="")
 
 
 class TestParseLog:
@@ -338,17 +359,20 @@ class TestUnreadableLog:
 
     @pytest.mark.parametrize("reader", READERS, ids=["read_counts", "parse_log"])
     @pytest.mark.parametrize(
-        "as_path, head",
-        [(False, "first-chunk"), (True, "first-chunk"), (False, "later"), (True, "later"),
-         (False, "after-csv"), (True, "after-csv")],
-        ids=["stream", "path", "later-stream", "later-path", "after-csv-stream", "after-csv-path"])
-    def test_field_over_the_csv_limit(self, tmp_path, reader, as_path, head):
+        "kind, head",
+        [("stream", "first-chunk"), ("path", "first-chunk"), ("forward", "first-chunk"),
+         ("stream", "later"), ("path", "later"), ("forward", "later"),
+         ("stream", "after-csv"), ("path", "after-csv"), ("forward", "after-csv")],
+        ids=["stream", "path", "forward-only", "later-stream", "later-path", "later-forward-only",
+             "after-csv-stream", "after-csv-path", "after-csv-forward-only"])
+    def test_field_over_the_csv_limit(self, tmp_path, reader, kind, head):
         head = _heads()[head]
         text = HEADER + head + "u1,c1,2\n" + f"u2,{'c' * 200_000},2\n" + "u3,c3,2\n"
-        source = io.StringIO(text)
-        if as_path:
+        if kind == "path":
             source = tmp_path / "log.csv"
             source.write_text(text, encoding="utf-8")
+        else:
+            source = (io.StringIO if kind == "stream" else forward_only)(text)
         line = head.count("\n") + 3
         with pytest.raises(LogFormatError, match=rf"^line {line}: field larger than field limit"):
             reader(source)
@@ -356,10 +380,20 @@ class TestUnreadableLog:
     @pytest.mark.parametrize("reader", READERS, ids=["read_counts", "parse_log"])
     @pytest.mark.parametrize("head", list(_heads()))
     def test_bytes_that_are_not_utf8(self, tmp_path, reader, head):
+        """The message names the bad line or one before it: text is decoded ahead of the reader.
+
+        That line lies within two chunks of the bad line, so past the switch
+        to csv.reader it counts the lines read before the switch.
+        """
+        data = HEADER.encode() + _heads()[head].encode() + b"u1,c\xff1,2\nu2,c2,2\n"
         path = tmp_path / "log.csv"
-        path.write_bytes(HEADER.encode() + _heads()[head].encode() + b"u1,c\xff1,2\nu2,c2,2\n")
-        with pytest.raises(LogFormatError, match="not UTF-8"):
-            reader(path)
+        path.write_bytes(data)
+        bad = data.count(b"\n") - 1
+        for source in (path, forward_only(data)):
+            with pytest.raises(LogFormatError, match="^not UTF-8 text at or after line ") as exc:
+                reader(source)
+            line = int(re.match(r"not UTF-8 text at or after line (\d+): ", str(exc.value))[1])
+            assert bad - 2 * ingest._CHUNK // len("u0,c0,2\n") < line <= bad
 
 
 # Field values a chunk stays plain with, valid or not, and values that send
@@ -408,7 +442,8 @@ class TestChunks:
         path.write_text(text, encoding="utf-8", newline="")
         counts, report = reference_counts(text, region)
         with mock.patch.object(ingest, "_CHUNK", chunk):
-            for source in (lambda: path, lambda: io.StringIO(text, newline="")):
+            for source in (lambda: path, lambda: io.StringIO(text, newline=""),
+                           lambda: io.StringIO(text), lambda: forward_only(text)):
                 parsed = parse_log(source())
                 records = [r for r in parsed.records if region is None or r.region_id == region]
                 unique = dedup_unique(records)
@@ -430,20 +465,18 @@ class TestChunks:
         text = HEADER + "".join(f"u{i},c{i % 7},{i % 3}\r\n" for i in range(300)) + "u,c,2"
         with mock.patch.object(ingest, "_CHUNK", 64):
             expected = parse_log(io.StringIO(text))
-            with mock.patch.object(ingest._CheckedColumns, "_csv_columns", lambda self: iter(())):
-                assert parse_log(io.StringIO(text)) == expected
+            with mock.patch.object(ingest._CheckedColumns, "_csv_columns",
+                                   lambda self, *chunks: iter(())):
+                for source in (io.StringIO, forward_only):
+                    assert parse_log(source(text)) == expected
         assert (expected.rows, expected.malformed, len(expected.records)) == (301, 0, 301)
 
     def test_a_stream_that_cannot_seek_reads_alike(self):
-        class Unseekable(io.StringIO):
-            def seekable(self):
-                return False
-
         text = HEADER + "u1,c1,2\n u2,c1,2\nu3,c2,3\n\nu1,c1\n"
-        assert parse_log(Unseekable(text)) == parse_log(io.StringIO(text))
+        assert parse_log(forward_only(text)) == parse_log(io.StringIO(text))
 
     def test_a_file_read_by_next_reads_alike(self, tmp_path):
-        """A text file that next() has read from refuses tell(); csv.reader reads it."""
+        """A text file that next() has read from is read forward from where next() left it."""
         path = tmp_path / "log.csv"
         path.write_text("# exported\n" + HEADER + "u1,c1,2\nu2,c1,2\n", encoding="utf-8")
         with open(path, encoding="utf-8", newline="") as stream:
