@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .network import NetworkConfig
-from .policy import ScalingConstants, _policy_exponent, scaling_constants
+from .policy import _c1, _policy_exponent
 from .popularity import PopularityModel
 
 __all__ = [
@@ -77,33 +77,17 @@ def _clamp_unit(x: float) -> tuple[float, bool]:
 
 def _regime_of(
     popularity: PopularityModel, s_cache: int, cluster_size: int
-) -> tuple[str, ScalingConstants]:
-    """Regime tag and scaling constants; regime 1 is c1*S*g_c/gamma < M."""
-    sc = scaling_constants(popularity, s_cache, cluster_size)
-    below = sc.c1 * s_cache * cluster_size / popularity.gamma < popularity.m_total
-    return (REGIME1 if below else REGIME2), sc
+) -> tuple[str, float]:
+    """Regime tag and c1; regime 1 is c1*S*g_c/gamma < M."""
+    c1 = _c1(popularity, s_cache, cluster_size)
+    below = c1 * s_cache * cluster_size / popularity.gamma < popularity.m_total
+    return (REGIME1 if below else REGIME2), c1
 
 
-def _in_regime(
-    popularity: PopularityModel, config: NetworkConfig, regime: str
-) -> ScalingConstants:
-    """Scaling constants of a point that must lie in the given regime."""
-    actual, sc = _regime_of(popularity, config.s_cache, config.cluster_size)
-    if actual != regime:
-        raise RegimeError(
-            f"cluster_size {config.cluster_size} is at or beyond gamma*M/(c1*S); "
-            "use hit_prob_lower_bound (regime 2)"
-            if regime == REGIME1
-            else f"implied rho={sc.rho:.4g} < gamma={popularity.gamma}; "
-            "cluster too small for the regime-2 bound (use the closed form)"
-        )
-    return sc
-
-
-def _closed_form(popularity: PopularityModel, config: NetworkConfig, sc: ScalingConstants) -> float:
+def _closed_form(popularity: PopularityModel, config: NetworkConfig, c1: float) -> float:
     """Unclamped regime-1 closed form."""
     gamma, q, m = popularity.gamma, popularity.q, popularity.m_total
-    a = sc.c1 * config.s_cache * config.cluster_size / gamma
+    a = c1 * config.s_cache * config.cluster_size / gamma
     e = 1.0 - gamma
     if abs(e) < _GAMMA_ONE_EPS:
         num = math.log((a + q) / (q + 1.0)) - a / (a + q)
@@ -114,21 +98,41 @@ def _closed_form(popularity: PopularityModel, config: NetworkConfig, sc: Scaling
     return num / den
 
 
-def _lower_bound(popularity: PopularityModel, config: NetworkConfig, sc: ScalingConstants) -> float:
-    """Unclamped regime-2 bound; at q = 0, where _pow takes the D-powers to
-    their limits, its q -> 0+ limit: 1 - (1-gamma)*exp(gamma - rho/c1) for
-    gamma < 1, and 1 for gamma >= 1."""
+def _lower_bound(popularity: PopularityModel, config: NetworkConfig) -> float:
+    """Unclamped regime-2 bound, with D = q/M and beta = gamma/(S*(g_c-1)-1).
+
+    The paper writes its decay as exp(gamma - rho/c1) with
+    rho = c1*S*g_c/M; rho/c1 = S*g_c/M, so c1 cancels. At q = 0, where _pow
+    takes the D-powers to their limits, the bound is its q -> 0+ limit:
+    1 - (1-gamma)*exp(gamma - S*g_c/M) for gamma < 1, and 1 for gamma >= 1.
+    """
     gamma = popularity.gamma
     n = _policy_exponent(config.s_cache, config.cluster_size)
-    d, beta = sc.d_ratio, sc.a_prime
+    d, beta = popularity.q / popularity.m_total, gamma / n
     e = 1.0 - gamma
-    decay = math.exp(-(sc.rho / sc.c1 - gamma))
+    decay = math.exp(gamma - config.s_cache * config.cluster_size / popularity.m_total)
     bracket = _pow(1.0 + d, beta + 1.0) - _pow(d, beta + 1.0)
     if abs(e) < _GAMMA_ONE_EPS:
         factor = decay / math.log((1.0 + d) / d) if d else 0.0
     else:
         factor = e * decay / (_pow(1.0 + d, e) - _pow(d, e))
     return 1.0 - factor * math.exp(-n * math.log(bracket))
+
+
+def _hit_prob(popularity: PopularityModel, config: NetworkConfig, regime: str) -> float:
+    """Clamped hit probability of a point that must lie in the given regime."""
+    actual, c1 = _regime_of(popularity, config.s_cache, config.cluster_size)
+    if actual != regime:
+        raise RegimeError(
+            f"cluster_size {config.cluster_size} is at or beyond gamma*M/(c1*S); "
+            "use hit_prob_lower_bound (regime 2)"
+            if regime == REGIME1
+            else f"implied rho={c1 * config.s_cache * config.cluster_size / popularity.m_total:.4g}"
+            f" < gamma={popularity.gamma}; "
+            "cluster too small for the regime-2 bound (use the closed form)"
+        )
+    hit = _closed_form(popularity, config, c1) if regime == REGIME1 else _lower_bound(popularity, config)
+    return _clamp_unit(hit)[0]
 
 
 def hit_prob_closed_form(popularity: PopularityModel, config: NetworkConfig) -> float:
@@ -138,8 +142,7 @@ def hit_prob_closed_form(popularity: PopularityModel, config: NetworkConfig) -> 
     closed form does not apply and a RegimeError points at the regime-2
     lower bound instead. The finite-size evaluation is clamped to [0, 1].
     """
-    sc = _in_regime(popularity, config, REGIME1)
-    return _clamp_unit(_closed_form(popularity, config, sc))[0]
+    return _hit_prob(popularity, config, REGIME1)
 
 
 def hit_prob_lower_bound(popularity: PopularityModel, config: NetworkConfig) -> float:
@@ -148,21 +151,22 @@ def hit_prob_lower_bound(popularity: PopularityModel, config: NetworkConfig) -> 
     Applies when the implied rho = c1*S*g_c/M is at least gamma. Clamped
     to [0, 1] at finite parameters.
     """
-    sc = _in_regime(popularity, config, REGIME2)
-    return _clamp_unit(_lower_bound(popularity, config, sc))[0]
+    return _hit_prob(popularity, config, REGIME2)
 
 
 def tradeoff_point(popularity: PopularityModel, config: NetworkConfig) -> TradeoffPoint:
     """Throughput-outage point of one cluster size, in the regime it falls in.
 
-    Below the boundary gamma*M/(c1*S), T = (C/K)/g_c exactly and the outage
-    follows the c6 = q/g_c expression; a plateau q > 10*S*g_c/gamma is
-    outside what that expression assumes and raises a RegimeError. At or
-    beyond it, rho = c1*S*g_c/M fixes T = (C/K)*S*c1/(rho*M) and the outage
-    is one minus the regime-2 hit probability lower bound.
+    T = (C/K)/g_c in both regimes: the paper's regime-2 form
+    (C/K)*S*c1/(rho*M), with rho = c1*S*g_c/M, reduces to it. Below the
+    boundary gamma*M/(c1*S) the outage follows the c6 = q/g_c expression; a
+    plateau q > 10*S*g_c/gamma is outside what that expression assumes and
+    raises a RegimeError. At or beyond it, the outage is one minus the
+    regime-2 hit probability lower bound.
     """
     gamma, q = popularity.gamma, popularity.q
-    regime, sc = _regime_of(popularity, config.s_cache, config.cluster_size)
+    regime, c1 = _regime_of(popularity, config.s_cache, config.cluster_size)
+    throughput = config.cluster_rate / config.cluster_size
     if regime == REGIME1:
         if q > _KAPPA * config.s_cache * config.cluster_size / gamma:
             raise RegimeError(
@@ -170,13 +174,12 @@ def tradeoff_point(popularity: PopularityModel, config: NetworkConfig) -> Tradeo
                 f"{_KAPPA * config.s_cache * config.cluster_size / gamma:.4g}; "
                 "the regime-1 outage expression assumes q = O(S*g_c/gamma)"
             )
-        throughput = config.cluster_rate / config.cluster_size
-        s_c1 = config.s_cache * sc.c1
-        outage_raw = _pow(sc.c6, gamma - 1.0) * (s_c1 + sc.c6) / _pow(s_c1 / gamma + sc.c6, gamma)
-        hit = _closed_form(popularity, config, sc)
+        c6 = q / config.cluster_size
+        s_c1 = config.s_cache * c1
+        outage_raw = _pow(c6, gamma - 1.0) * (s_c1 + c6) / _pow(s_c1 / gamma + c6, gamma)
+        hit = _closed_form(popularity, config, c1)
     else:
-        hit = _lower_bound(popularity, config, sc)
-        throughput = config.cluster_rate * config.s_cache * sc.c1 / (sc.rho * popularity.m_total)
+        hit = _lower_bound(popularity, config)
         outage_raw = 1.0 - hit
     outage, clamped = _clamp_unit(outage_raw)
     return TradeoffPoint(

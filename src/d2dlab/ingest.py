@@ -183,26 +183,34 @@ def _opened(source):
 class _CheckedColumns:
     """The rows of a log that pass the row check, as columns, a chunk of lines at a time.
 
-    The header is checked on construction. Iterating reads the rows once and
-    yields (user ids, content ids, region ids) lists; after that, rows
-    holds the number of non-blank rows read and malformed the number of
-    those that failed the check. The stream is read forward once, by one
-    loop over _chunks: _CHUNK characters and the rest of the line they end
-    in. While chunks are plain, _plain_columns splits and checks them. From
+    The stream is read forward once, by one loop over _chunks: _CHUNK
+    characters and the rest of the line they end in. The header is checked
+    on construction: csv.reader takes it from the first chunk, split as a
+    file opened with newline="" splits it, and the rest of that chunk is
+    read with the rows. Iterating reads the rows once and yields (user ids,
+    content ids, region ids) lists; after that, rows holds the number of
+    non-blank rows read and malformed the number of those that failed the
+    check. While chunks are plain, _plain_columns splits and checks them. From
     the first chunk that is not plain on, csv.reader and the row check in
     _csv_columns read each chunk's lines as a file opened with newline=""
     splits them, line numbers offset by the lines before that chunk.
     """
 
     def __init__(self, stream) -> None:
-        self._stream = stream
-        reader = csv.reader(iter(stream.readline, ""))
+        self._chunks = _chunks(stream)
+        try:
+            first = io.StringIO(next(self._chunks, ""), newline="")
+        except UnicodeDecodeError as exc:
+            raise _unreadable(exc, 0) from None
+        reader = csv.reader(first)
         try:
             header = next(reader)
         except StopIteration:
             raise LogFormatError("empty input: missing header row") from None
-        except (csv.Error, UnicodeDecodeError) as exc:
+        except csv.Error as exc:
             raise _unreadable(exc, reader.line_num) from None
+        if rest := first.read():  # csv.reader takes a line at a time, so this is the rest
+            self._chunks = chain([rest], self._chunks)
         header = [h.strip() for h in header]
         self._width = 4 if tuple(header) == (*_REQUIRED_COLUMNS, "timestamp") else 3
         if self._width == 3 and tuple(header) != _REQUIRED_COLUMNS:
@@ -215,7 +223,7 @@ class _CheckedColumns:
 
     def __iter__(self):
         limit = csv.field_size_limit()
-        chunks = _chunks(self._stream)
+        chunks = self._chunks
         try:
             for text in chunks:
                 plain = _plain_columns(text, self._width, limit)

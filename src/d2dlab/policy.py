@@ -1,10 +1,12 @@
-"""Optimal random caching policy via water-filling, plus its scaling constants.
+"""Optimal random caching policy via water-filling, and the constant c1.
 
 The hit-maximizing caching distribution has the water-filling form
 P_c(f) = max(1 - nu/z_f, 0) with z_f = P_r(f)^(1/(S*(g_c-1)-1)). The
 water-filling construction yields the truncation index m_star (the number
 of files cached with positive probability); theoretical_mstar gives its
-closed-form asymptotic counterpart.
+closed-form asymptotic counterpart. Both scaling laws rest on one solved
+constant, c1, the root of c1 = 1 + c2*log(1 + c1/c2); every other constant
+of the analysis is a ratio of the inputs.
 """
 from __future__ import annotations
 
@@ -18,11 +20,9 @@ from .popularity import PopularityModel, _guide_table
 
 __all__ = [
     "CachingPolicy",
-    "ScalingConstants",
     "solve_c1",
     "optimal_policy",
     "theoretical_mstar",
-    "scaling_constants",
 ]
 
 _C1_TOL = 1e-10
@@ -63,18 +63,6 @@ def solve_c1(c2: float) -> float:
     return c1
 
 
-@dataclass(frozen=True)
-class ScalingConstants:
-    """Derived constants for a (popularity, cache, cluster) combination."""
-
-    a_prime: float  # gamma / (S*(g_c-1) - 1)
-    c2: float       # q * a_prime
-    c1: float       # fixed point of c1 = 1 + c2*log(1 + c1/c2)
-    c6: float       # q / g_c
-    rho: float      # c1*S*g_c / M  (regime-2 cluster-size ratio)
-    d_ratio: float  # q / M
-
-
 def _policy_exponent(s_cache: int, cluster_size: int) -> int:
     if not all(isinstance(x, (int, np.integer)) for x in (s_cache, cluster_size)):
         raise ValueError(
@@ -95,21 +83,10 @@ def _policy_exponent(s_cache: int, cluster_size: int) -> int:
     return n
 
 
-def scaling_constants(
-    popularity: PopularityModel, s_cache: int, cluster_size: int
-) -> ScalingConstants:
+def _c1(popularity: PopularityModel, s_cache: int, cluster_size: int) -> float:
+    """c1 of the model and cluster: solve_c1 at c2 = q*gamma/(S*(g_c-1)-1)."""
     n = _policy_exponent(s_cache, cluster_size)
-    a_prime = popularity.gamma / n
-    c2 = popularity.q * a_prime
-    c1 = solve_c1(c2)
-    return ScalingConstants(
-        a_prime=a_prime,
-        c2=c2,
-        c1=c1,
-        c6=popularity.q / cluster_size,
-        rho=c1 * s_cache * cluster_size / popularity.m_total,
-        d_ratio=popularity.q / popularity.m_total,
-    )
+    return solve_c1(popularity.q * (popularity.gamma / n))
 
 
 @dataclass(frozen=True)
@@ -220,5 +197,5 @@ def theoretical_mstar(
     overshoots the water-filled index because S*g_c exceeds the effective
     exponent S*(g_c-1)-1 by a non-negligible factor.
     """
-    c1 = scaling_constants(popularity, s_cache, cluster_size).c1
+    c1 = _c1(popularity, s_cache, cluster_size)
     return min(c1 * s_cache * cluster_size / popularity.gamma, float(popularity.m_total))

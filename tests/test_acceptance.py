@@ -11,8 +11,8 @@ import pytest
 from d2dlab.analysis import REGIME1, hit_prob_closed_form, hit_prob_lower_bound, tradeoff_point
 from d2dlab.network import NetworkConfig
 from d2dlab.policy import (
+    _c1,
     optimal_policy,
-    scaling_constants,
     solve_c1,
     theoretical_mstar,
 )
@@ -163,8 +163,8 @@ def test_criterion_4_lower_bound_validity():
     for i, (gamma, q, m_total, s, g_c) in enumerate(REGIME2_SETS):
         model = PopularityModel(gamma=gamma, q=q, m_total=m_total)
         cfg = single_cluster_config(g_c, s)
-        sc = scaling_constants(model, s, g_c)
-        assert gamma <= sc.rho <= 4 * gamma
+        rho = _c1(model, s, g_c) * s * g_c / m_total
+        assert gamma <= rho <= 4 * gamma
         bound = hit_prob_lower_bound(model, cfg)
         net = build_grid(g_c, g_c)
         out = run_monte_carlo(net, optimal_policy(model, s, g_c), model, cfg,
@@ -172,7 +172,7 @@ def test_criterion_4_lower_bound_validity():
         margin = out.hit_prob_estimate - (bound - 2 * out.hit_prob_se)
         ok &= margin >= 0
         lines.append(
-            f"g={gamma},M={m_total},S={s},g_c={g_c},rho={sc.rho:.2f}: "
+            f"g={gamma},M={m_total},S={s},g_c={g_c},rho={rho:.2f}: "
             f"mc={out.hit_prob_estimate:.5f} bound={bound:.5f} margin={margin:+.5f}"
         )
     report(4, ok, " | ".join(lines))

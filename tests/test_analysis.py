@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from d2dlab import analysis
 from d2dlab.analysis import (
@@ -18,7 +20,7 @@ from d2dlab.analysis import (
     tradeoff_point,
 )
 from d2dlab.network import NetworkConfig
-from d2dlab.policy import optimal_policy, scaling_constants, solve_c1
+from d2dlab.policy import _c1, optimal_policy, solve_c1
 from d2dlab.popularity import PopularityModel
 
 from oracles import eq5_direct, eq6_direct, iid_hit_probability, regime1_outage_direct
@@ -60,7 +62,7 @@ class TestClosedForm:
         gamma, q, m = 1.16, 100.0, 10_000
         g = 2000
         for _ in range(30):  # fixed point of the boundary condition
-            c1 = scaling_constants(self.MODEL, 4, g).c1
+            c1 = _c1(self.MODEL, 4, g)
             g = int(gamma * m / (c1 * 4))
         while True:
             try:
@@ -117,8 +119,7 @@ class TestLowerBound:
     def test_zero_plateau_reduces_to_zipf_bound(self):
         model = PopularityModel(gamma=1.3, q=0.0, m_total=1000)
         cfg = config(900, s=2)
-        sc = scaling_constants(model, 2, 900)
-        assert sc.c1 == 1.0  # q=0 means c2=0
+        assert _c1(model, 2, 900) == 1.0  # q=0 means c2=0
         assert hit_prob_lower_bound(model, cfg) == 1.0
 
     @pytest.mark.parametrize("gamma", [0.8, 1.0, 1.2, 1.5])
@@ -248,12 +249,11 @@ class TestRegime2:
     def test_throughput_formula_and_tag(self):
         model = PopularityModel(gamma=1.11, q=18.0, m_total=5405)
         cfg = config(2500, s=8, c=1.0, k=4)
-        sc = scaling_constants(model, 8, 2500)
+        c1 = _c1(model, 8, 2500)
+        rho = c1 * 8 * 2500 / 5405
         point = point_in(REGIME2, model, cfg)
         assert point.regime_tag == REGIME2
-        assert point.throughput == pytest.approx(
-            (1.0 / 4) * 8 * sc.c1 / (sc.rho * 5405), rel=1e-12
-        )
+        assert point.throughput == pytest.approx((1.0 / 4) * 8 * c1 / (rho * 5405), rel=1e-12)
         assert point.outage < 0.05  # deep regime 2: almost everything is cached
 
     def test_matches_regime1_throughput_at_any_cluster_size(self):
@@ -286,6 +286,29 @@ class TestRegime2:
         model = PopularityModel(gamma=1.3, q=0.0, m_total=1000)
         point = point_in(REGIME2, model, config(900, s=2))
         assert (point.hit_prob, point.outage, point.clamped) == (1.0, 0.0, False)
+
+
+class TestHitProbSeam:
+    """A point's hit_prob is what the public hit function of its regime_tag returns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.5, 2.5), st.one_of(st.just(0.0), st.floats(1e-9, 500.0)),
+           st.integers(2, 20_000), st.integers(1, 16), st.integers(2, 5000),
+           st.floats(0.1, 10.0), st.integers(1, 9))
+    def test_hit_prob_and_throughput(self, gamma, q, m_total, s, g_c, rate_c, reuse_k):
+        model = PopularityModel(gamma=gamma, q=q, m_total=m_total)
+        cfg = config(g_c, s=s, c=rate_c, k=reuse_k)
+        try:
+            point = tradeoff_point(model, cfg)
+        except ValueError:  # a cluster too small, or a plateau past the regime-1 gate
+            reject()
+        own, other = (hit_prob_closed_form, hit_prob_lower_bound)
+        if point.regime_tag == REGIME2:
+            own, other = other, own
+        assert point.hit_prob == own(model, cfg)
+        with pytest.raises(RegimeError):
+            other(model, cfg)
+        assert point.throughput == cfg.cluster_rate / g_c
 
 
 class TestTradeoffCurve:
@@ -329,14 +352,14 @@ class TestTradeoffCurve:
         beyond = point_in(REGIME2, model, config(2600, s=1))
         assert beyond.hit_prob == hit_prob_lower_bound(model, config(2600, s=1))
 
-    def test_one_scaling_constants_call_per_point(self, monkeypatch):
+    def test_one_c1_solve_per_point(self, monkeypatch):
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return scaling_constants(*args)
+            return _c1(*args)
 
-        monkeypatch.setattr(analysis, "scaling_constants", counted)
+        monkeypatch.setattr(analysis, "_c1", counted)
         g_list = [50, 100, 800, 2600, 3200]
         points = tradeoff_curve(self.MODEL, self.base(), g_list)
         assert {p.regime_tag for p in points} == {REGIME1, REGIME2}

@@ -297,14 +297,17 @@ class TestReadCounts:
         assert to_empirical(unique).counts.tolist() == counts
 
     def test_path_and_stream_read_alike(self, tmp_path):
-        text = HEADER + "u1,c1,2\nu2,c1,2\nu1,c2,3\nu1,c1,2\n,c3,2\n"
+        """Lines split as in a file opened with newline="", the header's too,
+        whatever newline mode a stream was opened with."""
         path = tmp_path / "log.csv"
-        path.write_text(text, encoding="utf-8")
-        for source in (path, str(path), io.StringIO(text)):
-            empirical, report = read_counts(source, region=2)
-            assert empirical.counts.tolist() == [2.0]
-            assert report == IngestReport(rows=5, malformed=1, kept=3, unique_pairs=2,
-                                          distinct_users=2, distinct_contents=1)
+        for end in ("\n", "\r\n", "\r"):
+            text = (HEADER + "u1,c1,2\nu2,c1,2\nu1,c2,3\nu1,c1,2\n,c3,2\n").replace("\n", end)
+            path.write_text(text, encoding="utf-8", newline="")
+            for source in (path, str(path), io.StringIO(text, newline=""), io.StringIO(text)):
+                empirical, report = read_counts(source, region=2)
+                assert empirical.counts.tolist() == [2.0]
+                assert report == IngestReport(rows=5, malformed=1, kept=3, unique_pairs=2,
+                                              distinct_users=2, distinct_contents=1)
 
     def test_a_byte_order_mark_is_skipped(self, tmp_path):
         """A log saved as "CSV UTF-8" starts with a byte-order mark; it reads as the plain log."""
@@ -421,9 +424,9 @@ _MIXED_ROWS = _rows(_PLAIN_USERS * 3 + _CSV_USERS, _PLAIN_CONTENTS * 3 + _CSV_CO
                     _PLAIN_REGIONS * 3 + _CSV_REGIONS, _PLAIN_TIMESTAMPS, ["\n", "\r\n", "\r"])
 
 
-def _chunked_log(has_timestamp: bool, rows, final_break: bool) -> str:
-    """The log text of rows, each ended by its own line terminator."""
-    text = _header(has_timestamp) + "\r\n"
+def _chunked_log(has_timestamp: bool, header_end: str, rows, final_break: bool) -> str:
+    """The log text of the header and rows, each ended by its own line terminator."""
+    text = _header(has_timestamp) + header_end
     text += "".join(_line(has_timestamp, *row[:-1]) + row[-1] for row in rows)
     return text if final_break or not rows else text[:-len(rows[-1][-1])]
 
@@ -433,11 +436,11 @@ class TestChunks:
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.integers(1, 48), st.booleans(), _PLAIN_ROWS, _MIXED_ROWS, st.booleans(),
-           st.sampled_from([None, 2, -3]))
-    def test_matches_reference(self, tmp_path, chunk, has_timestamp, plain, mixed, final_break,
-                               region):
-        text = _chunked_log(has_timestamp, plain + mixed, final_break)
+    @given(st.integers(1, 48), st.booleans(), st.sampled_from(["\n", "\r\n", "\r"]),
+           _PLAIN_ROWS, _MIXED_ROWS, st.booleans(), st.sampled_from([None, 2, -3]))
+    def test_matches_reference(self, tmp_path, chunk, has_timestamp, header_end, plain, mixed,
+                               final_break, region):
+        text = _chunked_log(has_timestamp, header_end, plain + mixed, final_break)
         path = tmp_path / "log.csv"
         path.write_text(text, encoding="utf-8", newline="")
         counts, report = reference_counts(text, region)

@@ -58,6 +58,25 @@ def test_every_exported_name_is_reached_by_the_package_or_the_benchmark():
     assert sorted(set(d2dlab.__all__) - reached - benchmark_imports()) == []
 
 
+def test_no_module_reads_the_environment():
+    """No d2dlab module reads os.environ, os.environb or os.getenv: every
+    input comes in through a parameter or a command-line flag."""
+    readers = {"environ", "environb", "getenv"}
+    reads = []
+    for path in sorted(Path(d2dlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        os_names = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names if alias.name == "os"}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in readers
+                    and isinstance(node.value, ast.Name) and node.value.id in os_names):
+                reads.append(f"{path.name}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{path.name}:{node.lineno} from os import {alias.name}"
+                          for alias in node.names if alias.name in readers]
+    assert reads == []
+
+
 def test_oracles_import_only_the_popularity_model():
     """tests/oracles.py stays independent of the code it checks: the one
     d2dlab name it imports is PopularityModel."""

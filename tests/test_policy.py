@@ -1,4 +1,4 @@
-"""Tests for the water-filling caching policy and its scaling constants."""
+"""Tests for the water-filling caching policy and the constant c1."""
 from __future__ import annotations
 
 import math
@@ -14,8 +14,8 @@ from d2dlab import policy as policy_module
 from d2dlab.network import NetworkConfig
 from d2dlab.policy import (
     CachingPolicy,
+    _c1,
     optimal_policy,
-    scaling_constants,
     solve_c1,
     theoretical_mstar,
 )
@@ -34,6 +34,8 @@ from oracles import (
 
 REGION2 = dict(gamma=1.16, q=22.0, m_total=7345)
 HAND_MODEL = PopularityModel(gamma=1.0, q=0.0, m_total=3)  # pmf (6/11, 3/11, 2/11)
+# The functions of (model, S, g_c); _c1 solves the scaling constant c1.
+FUNCS_OF_SIZES = [pytest.param(_c1, id="scaling_constants"), optimal_policy, theoretical_mstar]
 
 
 def hand_policy(probs) -> CachingPolicy:
@@ -157,7 +159,7 @@ class TestZValues:
             optimal_policy(HAND_MODEL, s, g_c)
 
     @pytest.mark.parametrize("s,g_c", [(4.5, 10), (4, 10.0), (np.float64(2.0), 6)])
-    @pytest.mark.parametrize("func", [scaling_constants, optimal_policy, theoretical_mstar])
+    @pytest.mark.parametrize("func", FUNCS_OF_SIZES)
     def test_non_integer_cache_or_cluster_rejected(self, func, s, g_c):
         """S = 4.5 would water-fill with the exponent 39.5 of no cluster."""
         with pytest.raises(ValueError, match="must be integers"):
@@ -170,7 +172,7 @@ class TestZValues:
         )
 
     @pytest.mark.parametrize("s,g_c", [(-1, -2), (-3, 0), (0, 5), (2, 0), (-2, 3)])
-    @pytest.mark.parametrize("func", [scaling_constants, optimal_policy, theoretical_mstar])
+    @pytest.mark.parametrize("func", FUNCS_OF_SIZES)
     def test_non_positive_cache_or_cluster_rejected(self, func, s, g_c):
         """Two negative factors can make S*(g_c-1)-1 look admissible; both are checked."""
         with pytest.raises(ValueError, match="s_cache and cluster_size must be >= 1"):
@@ -396,16 +398,13 @@ class TestTheoreticalMstar:
         assert 0.3 <= ratio <= 1.0
 
 
-class TestScalingConstants:
-    def test_fields(self):
-        model = PopularityModel(**REGION2)
-        sc = scaling_constants(model, 1, 100)
-        assert sc.a_prime == pytest.approx(1.16 / 98, rel=1e-12)
-        assert sc.c2 == pytest.approx(22.0 * 1.16 / 98, rel=1e-12)
-        assert residual(sc.c1, sc.c2) <= 1e-10 * max(1.0, sc.c1)
-        assert sc.c6 == pytest.approx(0.22, rel=1e-12)
-        assert sc.d_ratio == pytest.approx(22.0 / 7345, rel=1e-12)
-        assert sc.rho == pytest.approx(sc.c1 * 100 / 7345, rel=1e-12)
+class TestC1:
+    def test_residual(self):
+        """c1 of S=1, g_c=100 solves the fixed point at c2 = q*gamma/(S*(g_c-1)-1)."""
+        c2 = 22.0 * (1.16 / 98)
+        c1 = _c1(PopularityModel(**REGION2), 1, 100)
+        assert c1 == solve_c1(c2)
+        assert residual(c1, c2) <= 1e-10 * max(1.0, c1)
 
 
 class TestDominance:
