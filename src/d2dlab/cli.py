@@ -223,7 +223,7 @@ def cmd_tradeoff(args, output: Path) -> tuple[str, dict, list]:
         points = simulate_tradeoff(model, base, g_c_list, trials=args.trials, base_seed=args.seed)
         for row, point in zip(rows, points):
             if point.error:
-                row["error"] = "; ".join(filter(None, [row.get("error"), point.error]))
+                row["error"] = "; ".join(dict.fromkeys(filter(None, [row.get("error"), point.error])))
                 continue
             out = point.outcome
             row["T_sim"] = out.min_avg_throughput

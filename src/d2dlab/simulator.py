@@ -389,20 +389,20 @@ def simulate_tradeoff(
     base_seed: int = 0,
     max_workers: int = 1,
 ) -> list[SweepPoint]:
-    """Simulate the tradeoff across cluster sizes.
+    """Simulate the tradeoff across cluster sizes, one point after another.
 
     For each cluster size: build the grid, compute the optimal caching
     policy, run the Monte Carlo. Per-point failures, running out of memory
-    included, are recorded on the point rather than raised; trials < 1 and
-    base_seed < 0 raise for the whole sweep. Each point consumes a disjoint,
-    position-derived seed range, so results are identical whether points
-    run sequentially or on a thread pool.
+    included, are recorded on the point rather than raised; trials < 1,
+    base_seed < 0 and max_workers other than 1 raise for the whole sweep.
+    Point i takes the seeds from base_seed + i*trials onwards.
     """
     _check_trials(trials)
     _check_seed(base_seed)
-
-    def one_point(item: tuple[int, int]) -> SweepPoint:
-        i, g_c = item
+    if max_workers != 1:
+        raise ValueError(f"max_workers must be 1, got {max_workers}")
+    points = []
+    for i, g_c in enumerate(g_c_list):
         try:
             network = build_grid(config_base.n_users, g_c)
             cfg = replace(config_base, cluster_size=g_c, n_users=network.n_users)
@@ -410,14 +410,7 @@ def simulate_tradeoff(
             outcome = run_monte_carlo(
                 network, policy, popularity, cfg, trials, base_seed + i * trials
             )
-            return SweepPoint(g_c=g_c, outcome=outcome)
+            points.append(SweepPoint(g_c=g_c, outcome=outcome))
         except (ValueError, MemoryError) as exc:
-            return SweepPoint(g_c=g_c, outcome=None, error=str(exc) or type(exc).__name__)
-
-    items = list(enumerate(g_c_list))
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(one_point, items))
-    return [one_point(item) for item in items]
+            points.append(SweepPoint(g_c=g_c, outcome=None, error=str(exc) or type(exc).__name__))
+    return points

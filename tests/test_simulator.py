@@ -436,18 +436,24 @@ class TestSimulateTradeoff:
         assert all(a > b for a, b in zip(pos, pos[1:]))
         assert all(o.min_avg_throughput <= m for o, m in zip(outs, tps))
 
-    def test_thread_pool_matches_sequential(self):
+    def test_one_worker_is_the_default(self):
         kwargs = dict(trials=8, base_seed=5)
-        seq = simulate_tradeoff(self.MODEL, self.base_config(), [16, 64], **kwargs)
-        par = simulate_tradeoff(
-            self.MODEL, self.base_config(), [16, 64], max_workers=4, **kwargs
-        )
-        for a, b in zip(seq, par):
-            assert a.outcome == b.outcome
+        default = simulate_tradeoff(self.MODEL, self.base_config(), [16, 64], **kwargs)
+        one = simulate_tradeoff(self.MODEL, self.base_config(), [16, 64], max_workers=1, **kwargs)
+        assert [p.outcome for p in one] == [p.outcome for p in default]
 
-    @pytest.mark.parametrize("max_workers", [1, 2])
-    def test_memory_error_stays_at_its_point(self, monkeypatch, max_workers):
-        kwargs = dict(trials=4, base_seed=5, max_workers=max_workers)
+    @pytest.mark.parametrize("max_workers", [0, 2])
+    def test_other_worker_counts_fail_the_whole_sweep(self, monkeypatch, max_workers):
+        def no_point_may_run(*args, **kw):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(simulator, "build_grid", no_point_may_run)
+        with pytest.raises(ValueError, match=f"max_workers must be 1, got {max_workers}"):
+            simulate_tradeoff(self.MODEL, self.base_config(), [16, 64], trials=3,
+                              max_workers=max_workers)
+
+    def test_memory_error_stays_at_its_point(self, monkeypatch):
+        kwargs = dict(trials=4, base_seed=5)
         clean = simulate_tradeoff(self.MODEL, self.base_config(), [16, 64], **kwargs)
         real = simulator.run_monte_carlo
 
