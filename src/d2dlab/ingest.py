@@ -9,17 +9,18 @@ single unique access; contents are then ranked by distinct-user count.
 through the same row check and the same counting.
 
 The log is read forward, once, from any text source: a path, a pipe or
-a stream. It comes in chunks of whole lines, each turned into columns of
-user ids, content ids and regions. A plain chunk is split and checked by
-numpy on its bytes: printable ASCII with no double quote and no
-whitespace, lines ended by ``\n`` or ``\r\n``, no field over
-``csv.field_size_limit()``. Logs written by a program, such as those of
-``fixtures.write_region_log``, are plain throughout. From the first chunk
-that is not plain on (quoted, padded or non-ASCII fields, a lone ``\r``),
-``csv.reader`` reads that chunk and the rest. Either way rows are split as
-in a file opened with ``newline=""``, and on plain text the two agree
-field for field, so rows, reports and counts are the same whichever
-source and whichever reader a log takes.
+a stream. It comes in chunks of whole lines, each split into columns of
+fields. A plain chunk is split by numpy on its bytes: printable ASCII with
+no double quote and no whitespace, lines ended by ``\n`` or ``\r\n``, no
+field over ``csv.field_size_limit()``. Logs written by a program, such as
+those of ``fixtures.write_region_log``, are plain throughout. From the
+first chunk that is not plain on (quoted, padded or non-ASCII fields, a
+lone ``\r``), ``csv.reader`` reads that chunk and the rest. Either way rows
+are split as in a file opened with ``newline=""``, and on plain text the
+two agree field for field. One row check then serves both readers, so
+rows, reports and counts are the same whichever source and whichever
+reader a log takes. A region of any length leaves a chunk plain; one of
+more digits than ``int()`` converts is malformed on either path.
 """
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, repeat
-from operator import eq, itemgetter
+from itertools import chain, compress, islice, repeat
+from operator import eq, is_not, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -62,11 +63,7 @@ _CHUNK = 1 << 15
 # The bytes of plain text (see _plain_columns) but \r: printable ASCII other
 # than the double quote, and \n. A \r may come right before a \n.
 _PLAIN = bytes(c for c in range(0x21, 0x7F) if c != ord('"')) + b"\n"
-_COMMA, _LF, _CR, _MINUS = b",\n\r-"
-_SIGN = np.zeros(256, dtype=np.int64)
-_SIGN[list(b"+-")] = 1
-# The most digits of a region that numpy parses, so that it fits an int64.
-_REGION_DIGITS = 18
+_COMMA, _LF, _CR = b",\n\r"
 
 
 class LogFormatError(Exception):
@@ -116,9 +113,9 @@ def read_counts(source, region: int | None = None) -> tuple[EmpiricalDistributio
     `region` (every checked row when it is None) and interns their user and
     content ids to int codes a chunk of columns at a time; repeats then
     collapse in one in-place sort. Rows split as in a file opened with
-    newline=""; plain chunks are checked by numpy and the rest by csv.reader
-    (see the module docstring), and the counts and the report are the same
-    either way.
+    newline=""; numpy splits plain chunks and csv.reader the rest (see the
+    module docstring), and one row check serves both, so the counts and the
+    report are the same either way.
     Raises LogFormatError when the header is missing or wrong or a line
     cannot be read, and ValueError when no row is kept.
     """
@@ -140,14 +137,14 @@ def parse_log(source) -> ParseResult:
     """Parse an access log from a path or text stream, read forward once.
 
     Malformed rows (wrong arity, empty user/content id, a region or
-    timestamp that is not ASCII digits with an optional sign) are counted in
-    the result, never silently dropped. Whitespace around any field is
-    allowed.
-    Rows split as in a file opened with newline=""; plain chunks are
-    checked by numpy and the rest by csv.reader (see the module docstring),
-    and the records are the same either way. They are built from the
-    reader's columns with no Python-level call per row, and the cyclic
-    garbage collector is paused while the list grows.
+    timestamp that is not ASCII digits with an optional sign, a region of
+    more digits than int() converts) are counted in the result, never
+    silently dropped. Whitespace around any field is allowed.
+    Rows split as in a file opened with newline=""; numpy splits plain
+    chunks and csv.reader the rest (see the module docstring), and one row
+    check serves both, so the records are the same either way. They are
+    built from the checked columns with no Python-level call per row, and
+    the cyclic garbage collector is paused while the list grows.
     Raises LogFormatError when the header is missing or wrong, or when a
     line cannot be read: a field over csv.field_size_limit(), or text that
     is not UTF-8.
@@ -190,10 +187,11 @@ class _CheckedColumns:
     read with the rows. Iterating reads the rows once and yields (user ids,
     content ids, region ids) lists; after that, rows holds the number of
     non-blank rows read and malformed the number of those that failed the
-    check. While chunks are plain, _plain_columns splits and checks them. From
-    the first chunk that is not plain on, csv.reader and the row check in
-    _csv_columns read each chunk's lines as a file opened with newline=""
-    splits them, line numbers offset by the lines before that chunk.
+    check. While chunks are plain, _plain_columns splits them. From the
+    first chunk that is not plain on, csv.reader in _csv_columns reads each
+    chunk's lines as a file opened with newline="" splits them, line numbers
+    offset by the lines before that chunk. Either reader's columns go
+    through the one row check, _good_rows.
     """
 
     def __init__(self, stream) -> None:
@@ -222,6 +220,14 @@ class _CheckedColumns:
         self.malformed = 0
 
     def __iter__(self):
+        for rows, columns in self._split():
+            good = _good_rows(columns)
+            self.rows += rows
+            self.malformed += rows - len(good[0])
+            yield good
+
+    def _split(self):
+        """(rows, columns) per chunk of lines, as _plain_columns and _csv_columns give them."""
         limit = csv.field_size_limit()
         chunks = self._chunks
         try:
@@ -230,65 +236,70 @@ class _CheckedColumns:
                 if plain is None:
                     yield from self._csv_columns(chain([text], chunks))
                     return
-                lines, rows, users, contents, regions = plain
+                lines, rows, columns = plain
                 self._lines += lines
-                self.rows += rows
-                self.malformed += rows - len(users)
-                yield users, contents, regions
+                yield rows, columns
         except UnicodeDecodeError as exc:
             raise _unreadable(exc, self._lines) from None
 
     def _csv_columns(self, chunks):
-        """The checked rows of chunks, through csv.reader over their lines."""
-        has_timestamp = self._width == 4
-        # Parsed region per raw string, None for a malformed one: a log holds
-        # a handful of regions, so each is parsed once.
-        regions: dict[str, int | None] = {}
-        batch = max(1, _CHUNK // 16)  # rows yielded at a time, about a chunk's worth
-        users: list[str] = []
-        contents: list[str] = []
-        region_ids: list[int] = []
-        rows = 0
-        malformed = 0
+        """(rows, columns) per batch of rows, csv.reader reading chunks' lines.
+
+        rows counts the batch's non-blank rows, and columns holds one list of
+        stripped fields per column, of the rows of the log's width. A batch
+        is _CHUNK // 64 rows: batches four times as large made read_counts of
+        a log of quoted ids about 25% slower.
+        """
+        width = self._width
         reader = csv.reader(chain.from_iterable(io.StringIO(text, newline="") for text in chunks))
         try:
-            for row in reader:
-                if not row:
-                    continue
-                rows += 1
-                if len(row) != self._width:
-                    malformed += 1
-                    continue
-                user_id = row[0].strip()
-                content_id = row[1].strip()
-                if not user_id or not content_id:
-                    malformed += 1
-                    continue
-                try:
-                    region_id = regions[row[2]]
-                except KeyError:
-                    raw = row[2].strip()
-                    region_id = regions[row[2]] = int(raw) if _INTEGER.fullmatch(raw) else None
-                if region_id is None:
-                    malformed += 1
-                    continue
-                if has_timestamp:
-                    timestamp = row[3].strip()
-                    if timestamp and not _INTEGER.fullmatch(timestamp):
-                        malformed += 1
-                        continue
-                users.append(user_id)
-                contents.append(content_id)
-                region_ids.append(region_id)
-                if len(users) == batch:
-                    yield users, contents, region_ids
-                    users, contents, region_ids = [], [], []
+            # A batch of blank rows only is not the end of the log.
+            while batch := list(islice(reader, max(1, _CHUNK // 64))):
+                rows = list(filter(None, batch))
+                wide = [row for row in rows if len(row) == width]
+                yield len(rows), [list(map(str.strip, map(itemgetter(k), wide)))
+                                  for k in range(width)]
         except (csv.Error, UnicodeDecodeError) as exc:
             raise _unreadable(exc, self._lines + reader.line_num) from None
-        self.rows += rows
-        self.malformed += malformed
-        if users:
-            yield users, contents, region_ids
+
+
+class _RegionIds(dict):
+    """The region id of each region field, None for a malformed one, parsed once per field.
+
+    A chunk holds a handful of regions. A field is malformed unless it
+    matches _INTEGER and int() converts it: int() refuses more digits than
+    sys.get_int_max_str_digits().
+    """
+
+    def __missing__(self, field: str) -> int | None:
+        try:
+            region = int(field) if _INTEGER.fullmatch(field) else None
+        except ValueError:
+            region = None
+        self[field] = region
+        return region
+
+
+def _good_rows(columns):
+    """(user ids, content ids, region ids) of the rows that pass the row check.
+
+    columns holds one list of stripped fields per column of the log. A row
+    passes with non-empty ids, a region that _RegionIds parses and, in a log
+    with a timestamp column, a timestamp that is empty or matches _INTEGER
+    (it is never converted). Without a timestamp column, a chunk of good rows
+    is checked by list scans in C, with no Python-level step per row. The
+    parsed regions are kept for one chunk only, so a log whose regions are
+    all distinct costs no memory per row.
+    """
+    users, contents, fields, *timestamps = columns
+    region_ids = list(map(_RegionIds().__getitem__, fields))
+    if not timestamps and "" not in users and "" not in contents and None not in region_ids:
+        return users, contents, region_ids
+    checks = [users, contents, map(is_not, region_ids, repeat(None))]  # a row passes all
+    for column in timestamps:
+        checks.append(not t or _INTEGER.fullmatch(t) for t in column)
+    keep = list(map(all, zip(*checks)))
+    return [list(compress(column, keep)) for column in (users, contents, region_ids)]
 
 
 def _chunks(stream):
@@ -300,16 +311,14 @@ def _chunks(stream):
 
 
 def _plain_columns(text: str, width: int, limit: int):
-    """Split and check a chunk of whole lines on its bytes, if it is plain.
+    """Split a chunk of whole lines on its bytes, if it is plain.
 
     Plain text is printable ASCII other than the double quote, split by
     commas and by line ends \n or \r\n, with every field shorter than
     limit. csv.reader would split it at the same commas and line ends, and
     strip would change no field. Returns None for any other text, else
-    (lines, rows, user ids, content ids, region ids): the number of lines
-    and of non-blank lines, and the columns of the rows that pass the row
-    check. A chunk with a region of more than _REGION_DIGITS digits is not
-    plain either.
+    (lines, rows, columns): the number of lines and of non-blank lines, and
+    one list of fields per column, of the rows of the log's width.
     """
     if not text.isascii():
         return None
@@ -323,57 +332,22 @@ def _plain_columns(text: str, width: int, limit: int):
     if length.max() >= limit:
         return None
     last = np.flatnonzero(a[sep] == _LF)  # each line's last field
-    line_end = sep[last]
-    # line_end - 1 is -1 only for a blank first line, and a[-1] is a \n.
-    cr = a[line_end - 1] == _CR
+    # sep[last] - 1 is -1 only for a blank first line, and a[-1] is a \n.
+    cr = a[sep[last] - 1] == _CR
     if np.count_nonzero(cr) != len(odd):
         return None  # a byte that is not plain, or a \r that does not end a line
     n_fields = np.diff(last, prepend=-1)
     rows = last.size - int(np.count_nonzero((n_fields == 1) & (length[last] == cr)))
+    if odd:
+        text = text.replace("\r\n", "\n")
+    fields = text.replace("\n", ",").split(",")  # field i ends at sep[i]
     arity = n_fields == width
+    if arity.all():  # every line a row of the log's width: the columns are strides
+        stop = last.size * width
+        return last.size, rows, [fields[k:stop:width] for k in range(width)]
     user = last[arity] - (width - 1)  # the index of each such row's user id
-    end = line_end[arity] - cr[arity]  # the end of its last field
-    region_end = end if width == 3 else sep[user + 2]
-    good, first, n = _integer_fields(a, sep[user + 1] + 1, region_end)
-    good &= (length[user] > 0) & (length[user + 1] > 0)
-    if width == 4:
-        timestamp = sep[user + 2] + 1
-        good &= (timestamp == end) | _integer_fields(a, timestamp, end)[0]
-    most = n.max(initial=0, where=good)  # the digits of the longest region
-    if most > _REGION_DIGITS:
-        return None
-    region = np.zeros(n.size, dtype=np.int64)
-    for k in range(most):  # the regions' digits, left to right
-        more = good & (n > k)
-        region[more] = region[more] * 10 + (a[first[more] + k] - ord("0"))
-    region[a[first - 1] == _MINUS] *= -1  # before the digits: the sign, or the comma
-    region = region[good].tolist()
-    fields = text.replace("\n", ",").split(",")
-    if user.size == last.size and good.all():  # every line a good row: the columns are strides
-        stop = user.size * width
-        return last.size, rows, fields[0:stop:width], fields[1:stop:width], region
-    user = user[good]
-    field = fields.__getitem__
-    return (last.size, rows, list(map(field, user.tolist())),
-            list(map(field, (user + 1).tolist())), region)
-
-
-def _integer_fields(a: np.ndarray, start: np.ndarray, end: np.ndarray):
-    """Check fields a[start:end] against _INTEGER: ASCII digits after an optional sign.
-
-    Returns (ok, first, n): whether each field passes, and where its digits
-    start in a and how many there are. a[start] is the field's first byte,
-    or the separator after an empty field, so it is never out of range.
-    """
-    first = start + _SIGN[a[start]]
-    n = end - first
-    offset = np.cumsum(n) - n  # where each field's digits start among all digits
-    digits = a[np.arange(n.sum()) + np.repeat(first - offset, n)]
-    ok = n > 0
-    bad = np.flatnonzero((digits < ord("0")) | (digits > ord("9")))
-    if bad.size:
-        ok[np.searchsorted(offset, bad, side="right") - 1] = False
-    return ok, first, n
+    return last.size, rows, [list(map(fields.__getitem__, (user + k).tolist()))
+                             for k in range(width)]
 
 
 def _unreadable(exc: csv.Error | UnicodeDecodeError, lines_read: int) -> LogFormatError:

@@ -342,15 +342,29 @@ def _ascii_integer(text: str) -> bool:
     return digits != "" and all(ch in "0123456789" for ch in digits)
 
 
+def _region_id(text: str) -> int | None:
+    """The int of a region field, None unless it is an integer that int() converts.
+
+    int() refuses more digits than sys.get_int_max_str_digits().
+    """
+    if not _ascii_integer(text):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def reference_counts(text: str, region: int | None) -> tuple[list[float], dict]:
     """(ranked distinct-user counts, report fields) of a log held in text.
 
     The text is read as a log file is read, so \n, \r\n and a lone \r
     each end a line. Checks each non-blank row: arity, non-empty ids, an
-    integer region and an empty or integer timestamp. Keeps the rows of
-    region (all when None), collapses them into a set of (user, content)
-    pairs and counts each content's pairs. The counts come back sorted in
-    descending order; the report has the IngestReport field names.
+    integer region that int() converts and an empty or integer timestamp.
+    Keeps the rows of region (all when None), collapses them into a set of
+    (user, content) pairs and counts each content's pairs. The counts come
+    back sorted in descending order; the report has the IngestReport field
+    names.
     """
     reader = csv.reader(io.StringIO(text, newline=""))
     header = tuple(h.strip() for h in next(reader))
@@ -365,11 +379,12 @@ def reference_counts(text: str, region: int | None) -> tuple[list[float], dict]:
             malformed += 1
             continue
         user, content = row[0].strip(), row[1].strip()
-        valid = (user != "" and content != "" and _ascii_integer(row[2])
+        region_id = _region_id(row[2])
+        valid = (user != "" and content != "" and region_id is not None
                  and (width == 3 or row[3].strip() == "" or _ascii_integer(row[3])))
         if not valid:
             malformed += 1
-        elif region is None or int(row[2]) == region:
+        elif region is None or region_id == region:
             kept.append((user, content))
     pairs = set(kept)
     per_content = Counter(content for _, content in pairs)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import asdict
 from unittest import mock
@@ -120,6 +121,29 @@ class TestParseLog:
         assert result.records == [AccessRecord("u1", "c1", 2), AccessRecord("u2", "c1", -3),
                                   AccessRecord("u3", "c1", 2)]
         assert result.malformed == 0
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+    def test_a_region_int_refuses_is_malformed(self, quote):
+        """int() converts at most sys.get_int_max_str_digits() digits (4,300 by default).
+
+        A region of more digits is malformed, in a plain log and in one that
+        csv.reader reads. A timestamp of as many digits passes: it is never
+        converted.
+        """
+        most = sys.get_int_max_str_digits()
+        kept, refused = "1" * most, "1" * (most + 1)
+        text = ("user_id,content_id,region_id,timestamp\n"
+                f"{quote}u1{quote},c1,{kept},7\n"
+                f"u2,c1,{refused},7\n"
+                f"u3,c1,-{refused},7\n"
+                f"u4,c1,{kept},{refused}\n")
+        result = parse_log(io.StringIO(text))
+        assert result.records == [AccessRecord("u1", "c1", int(kept)),
+                                  AccessRecord("u4", "c1", int(kept))]
+        assert (result.rows, result.malformed) == (4, 2)
+        empirical, report = read_counts(io.StringIO(text), region=int(kept))
+        assert empirical.counts.tolist() == [2.0]
+        assert (report.rows, report.malformed, report.kept) == (4, 2, 2)
 
     def test_record_holds_three_fields(self):
         assert AccessRecord._fields == ("user_id", "content_id", "region_id")
@@ -240,7 +264,7 @@ class TestToEmpirical:
 # Field values that pass or fail the row check; a padded value passes.
 _USERS = ["a", "b", "c", " a", "b ", "", " "]
 _CONTENTS = ["x", "y", "z", " x ", "", "\t"]
-_REGIONS = ["1", "2", " 2 ", "+2", "-3", "10", "1_0", "\u0662", "2.0", "", "r"]
+_REGIONS = ["1", "2", " 2 ", "+2", "-3", "-0", "10", "1" * 19, "1_0", "\u0662", "2.0", "", "r"]
 _TIMESTAMPS = ["", " ", "7", "-7", "+1404165600", "1_0", "\u0662", "t"]
 _ROW = st.tuples(
     st.sampled_from(["row", "row", "row", "blank", "short", "long"]),
@@ -342,6 +366,22 @@ class TestReadCounts:
                                 text=True, check=True)
         assert result.stdout == "False\n"
 
+    def test_a_region_per_row_takes_no_memory_per_row(self):
+        """Regions are parsed chunk by chunk, so a log whose region column holds
+        a new value on every row, such as a timestamp, reads in bounded memory:
+        the traced peak of a read that keeps one row holds at four times the rows.
+        """
+        peaks = []
+        for n in (20_000, 80_000):
+            stream = io.StringIO(HEADER + "".join(f"u{i},c,{1404165600 + i}\n" for i in range(n)))
+            tracemalloc.start()
+            try:
+                read_counts(stream, region=1404165600)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
+
     @pytest.mark.parametrize("text", ["", "u1,c1,2\n", "who,what,where\n"],
                              ids=["empty", "no-header", "bad-header"])
     def test_header_checked(self, text):
@@ -403,7 +443,7 @@ class TestUnreadableLog:
 # it to csv.reader: padding, quotes (around a comma or a line break), non-ASCII.
 _PLAIN_USERS = ["a", "b", "u10", ""]
 _PLAIN_CONTENTS = ["x", "y", "z"]
-_PLAIN_REGIONS = ["1", "2", "+2", "-3", "007", "", "r", "1_0", "2-"]
+_PLAIN_REGIONS = ["1", "2", "+2", "-3", "-0", "007", "1" * 19, "", "r", "1_0", "2-"]
 _PLAIN_TIMESTAMPS = ["", "7", "-7", "+1404165600", "t", "1_0"]
 _CSV_USERS = [" a", "b ", '"a"', '"a,b"', '"a\nb"', '"a""b"', "\u00e9"]
 _CSV_CONTENTS = [" x ", '"x,y"', '"x\r\ny"', "\u00fc", "\t"]
@@ -465,14 +505,18 @@ class TestChunks:
                 assert to_empirical(unique).counts.tolist() == counts
 
     def test_a_plain_log_never_reaches_csv_reader(self):
-        text = HEADER + "".join(f"u{i},c{i % 7},{i % 3}\r\n" for i in range(300)) + "u,c,2"
+        """Plain rows stay on the numpy path, a region of more digits than an int64 holds too."""
+        rows = [f"u{i},c{i % 7},{i % 3}\r\n" for i in range(300)]
+        rows.insert(150, f"v,c,{'9' * 19}\r\n")
+        text = HEADER + "".join(rows) + "u,c,2"
         with mock.patch.object(ingest, "_CHUNK", 64):
             expected = parse_log(io.StringIO(text))
             with mock.patch.object(ingest._CheckedColumns, "_csv_columns",
                                    lambda self, *chunks: iter(())):
                 for source in (io.StringIO, forward_only):
                     assert parse_log(source(text)) == expected
-        assert (expected.rows, expected.malformed, len(expected.records)) == (301, 0, 301)
+        assert (expected.rows, expected.malformed, len(expected.records)) == (302, 0, 302)
+        assert expected.records[150] == AccessRecord("v", "c", 10**19 - 1)
 
     def test_a_stream_that_cannot_seek_reads_alike(self):
         text = HEADER + "u1,c1,2\n u2,c1,2\nu3,c2,3\n\nu1,c1\n"
