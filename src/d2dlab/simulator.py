@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -128,6 +129,131 @@ class TrialOutcome:
 _BATCH_ENTRIES = 1 << 14
 
 
+# numpy's SeedSequence, the specification of the seeding below: the hash
+# constants of its entropy mixing (A) and state output (B), its mix
+# multipliers and its pool of 4 uint32 words.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+# Seeds hashed at once. A block peaks at about 140 bytes a seed in hash
+# temporaries and keeps 32 bytes a seed of PCG64 words while its
+# generators are in use. One block costs about 60 numpy calls, as much as
+# _SEED_BLOCK_MIN hashes by SeedSequence itself, so smaller runs use that.
+_SEED_BLOCK = 1 << 12
+_SEED_BLOCK_MIN = 8
+
+
+@cache
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The first count values of SeedSequence's running hash constant, as a
+    column (shared: read it, never write it)."""
+    consts = [init]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row of values in turn: row j takes the
+    running constant at consts[j] and steps it to consts[j+1]."""
+    out = values ^ consts[:-1]
+    out *= consts[1:]
+    out ^= out >> 16
+    return out
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of y into x, element by element."""
+    out = x * _MIX_L
+    out -= y * _MIX_R
+    out ^= out >> 16
+    return out
+
+
+def _pcg64_seed_words(start: int, stop: int) -> np.ndarray:
+    """SeedSequence(seed).generate_state(4, np.uint64) for each seed of
+    start .. stop-1, one row each, hashed together as uint32 arrays.
+
+    The seeds must share their bits above the lowest 64. A seed becomes the
+    little-endian uint32 words of its value, at least one. Below 2**128 they
+    fill the pool zero-padded, as SeedSequence's padding hash of 0 does; a
+    larger seed mixes its further words into the whole pool, one by one.
+    """
+    high = start >> 64
+    high_words = [high >> 32 * j & 0xFFFFFFFF for j in range(-(-high.bit_length() // 32))]
+    n_words = 2 + len(high_words)
+    low = np.arange(stop - start, dtype=np.uint64)
+    low += np.uint64(start & 0xFFFFFFFFFFFFFFFF)
+    entropy = np.zeros((max(n_words, _POOL), low.size), dtype=np.uint32)
+    entropy[0] = low
+    entropy[1] = low >> 32
+    entropy[2:n_words] = np.array(high_words, dtype=np.uint32)[:, None]
+
+    # mix_entropy: hash the first words into the pool, mix every pool word
+    # into every other, then mix each further word into every pool word.
+    hash_a = _hash_consts(_INIT_A, _MULT_A, _POOL * len(entropy) + 1)
+    pool = _hashmix(entropy[:_POOL], hash_a[: _POOL + 1])
+    at = _POOL
+    for src in range(_POOL):
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], hash_a[at : at + _POOL]))
+        at += _POOL - 1
+    for word in entropy[_POOL:]:
+        pool = _mix(pool, _hashmix(word, hash_a[at : at + _POOL + 1]))
+        at += _POOL
+
+    # generate_state: 8 uint32 words from the pool, cycled, paired into 4
+    # uint64 words low word first, whatever the host's byte order.
+    state = _hashmix(np.concatenate((pool, pool)), _hash_consts(_INIT_B, _MULT_B, 2 * _POOL + 1))
+    words = state[1::2].astype(np.uint64) << 32
+    words |= state[0::2]
+    return np.ascontiguousarray(words.T)
+
+
+@cache
+def _preset_seed_sequence() -> type:
+    """An ISeedSequence whose generate_state returns words that are already
+    hashed. PCG64 reads them without a check, so they must be the 4
+    C-contiguous uint64 words it asks for. Made on first use, so that
+    importing d2dlab leaves numpy.random unloaded."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PresetSeedSequence(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return PresetSeedSequence
+
+
+def _seeded_generators(seeds: range) -> Iterator[np.random.Generator]:
+    """np.random.default_rng(seed) for each seed of a range of step 1, in
+    order, bit for bit.
+
+    A run of at least _SEED_BLOCK_MIN seeds is hashed in blocks of up to
+    _SEED_BLOCK seeds that share their bits above the lowest 64, and each
+    generator is Generator(PCG64) seeded in C from its row of words. A
+    shorter run seeds each PCG64 through SeedSequence itself.
+    """
+    from numpy.random import PCG64, Generator
+
+    if len(seeds) < _SEED_BLOCK_MIN:
+        yield from (Generator(PCG64(seed)) for seed in seeds)
+        return
+    preset = _preset_seed_sequence()
+    start = seeds.start
+    while start < seeds.stop:
+        stop = min(seeds.stop, start + _SEED_BLOCK, (start >> 64) + 1 << 64)
+        for words in _pcg64_seed_words(start, stop):
+            yield Generator(PCG64(preset(words)))
+        start = stop
+
+
 @dataclass(frozen=True)
 class _Trials:
     """Per-trial counts of consecutive seeds, one row per trial."""
@@ -150,12 +276,17 @@ def _run_trials(
     batches of consecutive seeds, in seed order.
 
     It plans its batches and strips from _BATCH_ENTRIES. Each seed's own
-    default_rng draws the trial's caches (users x slots) and then its
-    requests. A strip holds the contiguous user ids lo .. hi-1, so its cache
-    draws start at offset lo*S of that stream; user u's request sits at
-    N*S + u, and the first strip draws every request. bit_generator.advance
-    moves between the two, since one double takes one 64-bit output; a
-    trial of one strip draws straight through. One inverse-CDF lookup, one
+    generator draws the trial's caches (users x slots) and then its
+    requests. _seeded_generators builds them for the whole run, hashing its
+    seeds in blocks, in the state default_rng(seed) would give: numpy's
+    SeedSequence is the specification, and tests/test_simulator.py::
+    TestSeeding its guard, so the seed contract and every output byte are
+    as with default_rng. A strip holds the contiguous user ids lo .. hi-1,
+    so its cache draws start at offset lo*S of that stream; user u's
+    request sits at N*S + u, and the first strip draws every request.
+    bit_generator.advance moves between the two, since one double takes
+    one 64-bit output; a trial of one strip draws straight through. One
+    inverse-CDF lookup, one
     own-cache test and one copy count serve every trial of a strip, and one
     link pass every trial of a batch, in buffers made once per call.
     """
@@ -178,8 +309,8 @@ def _run_trials(
     scratch = np.empty(min(max(cache_draws.size, request_draws.size), _LOOKUP_BLOCK))
     self_hit = np.empty((n, n_users), dtype=bool)
     other_has = np.empty((n, n_users), dtype=bool)
-    for first in range(0, len(seeds), n):
-        streams = [np.random.default_rng(seed) for seed in seeds[first : first + n]]
+    generators = _seeded_generators(seeds)
+    while streams := list(islice(generators, n)):
         k = len(streams)
         # Copy-count keys, with clusters counted from the strip's first, stay below this.
         bins = ((k - 1) * n_clusters + height * blocks) * width
@@ -250,7 +381,8 @@ def run_trial(
 ) -> TrialOutcome:
     """One network realization: caches, requests, links, and throughput.
 
-    Deterministic given the seed: default_rng(seed) draws the S cache
+    Deterministic given the seed: a generator in the state of
+    default_rng(seed), built as _run_trials says, draws the S cache
     entries of each user in turn and then one request per user, so user u's
     cache draws sit at stream offsets u*S .. u*S+S-1 and its request at
     N*S + u. A trial of more than _BATCH_ENTRIES cache entries runs in

@@ -366,6 +366,16 @@ class TestReadCounts:
                                 text=True, check=True)
         assert result.stdout == "False\n"
 
+    def test_importing_the_cli_does_not_import_numpy_random(self):
+        """numpy.random is loaded when a Monte Carlo first runs, not by the
+        import that every fit, validate-mstar and analytic tradeoff pays."""
+        script = "import sys\nimport d2dlab, d2dlab.cli\nprint('numpy.random' in sys.modules)\n"
+        src = os.path.dirname(os.path.dirname(d2dlab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                text=True, check=True)
+        assert result.stdout == "False\n"
+
     def test_a_region_per_row_takes_no_memory_per_row(self):
         """Regions are parsed chunk by chunk, so a log whose region column holds
         a new value on every row, such as a timestamp, reads in bounded memory:

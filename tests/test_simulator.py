@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2dlab import simulator
 from d2dlab.network import NetworkConfig
@@ -352,7 +354,7 @@ class TestStrips:
     def test_trial_matches_the_whole_trial_oracle(self, monkeypatch, rows):
         net, policy, cfg = self.case()
         self.set_budget(monkeypatch, net, cfg, rows)
-        for seed in (0, 1, 7):
+        for seed in (0, 1, 7, 2**64 - 1):
             trial = run_trial(net, policy, self.MODEL, cfg, seed=seed)
             expected = whole_trial(net, policy, self.MODEL, cfg, seed)
             for field in dataclasses.fields(TrialOutcome):
@@ -395,6 +397,90 @@ class TestStrips:
                 tracemalloc.stop()
 
         assert 4 * peak(entries // 16) <= peak(entries)
+
+
+def generator_states(seeds) -> list[dict]:
+    """The PCG64 state of the kernel's generator for each seed of a range."""
+    return [rng.bit_generator.state for rng in simulator._seeded_generators(seeds)]
+
+
+def default_rng_states(seeds) -> list[dict]:
+    return [np.random.default_rng(seed).bit_generator.state for seed in seeds]
+
+
+EDGE_SEEDS = [2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**160 + 5]
+
+
+class TestSeeding:
+    """The kernel's generators are default_rng(seed)'s, bit for bit.
+
+    numpy's SeedSequence is the specification of the hash that the kernel
+    runs over arrays of seeds; default_rng, which seeds PCG64 through it,
+    stands for it here. Setting _SEED_BLOCK_MIN to 1 sends every run, one
+    seed long included, through the array hash.
+    """
+
+    MODEL = PopularityModel(gamma=1.16, q=22.0, m_total=500)
+
+    @pytest.fixture(scope="class")
+    def first_states(self):
+        return default_rng_states(range(10_000))
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_first_ten_thousand_seeds_in_blocks(self, monkeypatch, first_states, block):
+        monkeypatch.setattr(simulator, "_SEED_BLOCK_MIN", 1)
+        monkeypatch.setattr(simulator, "_SEED_BLOCK", block)
+        assert generator_states(range(10_000)) == first_states
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    @pytest.mark.parametrize("hash_min", [1, None], ids=["array-hash", "default"])
+    def test_seeds_at_word_boundaries(self, monkeypatch, seed, hash_min):
+        if hash_min is not None:
+            monkeypatch.setattr(simulator, "_SEED_BLOCK_MIN", hash_min)
+        for seeds in (range(seed, seed + 1), range(seed - 9, seed + 9)):
+            assert generator_states(seeds) == default_rng_states(seeds), seeds
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.integers(0, 2**200 - 1),
+                     st.builds(lambda bits, step: max(0, (1 << bits) + step),
+                               st.integers(1, 199), st.integers(-20, 20))),
+           st.integers(1, 40), st.integers(1, 16))
+    def test_any_seed_below_2_to_the_200(self, start, count, block):
+        seeds = range(start, start + count)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "_SEED_BLOCK_MIN", 1)
+            patch.setattr(simulator, "_SEED_BLOCK", block)
+            assert generator_states(seeds) == default_rng_states(seeds)
+
+    def test_kernel_rows_across_2_to_the_64_match_the_whole_trial_oracle(self):
+        net = build_grid(16, 4)
+        cfg = make_config(net, s=3)
+        policy = optimal_policy(self.MODEL, 3, 4)
+        seeds = range(2**64 - 6, 2**64 + 6)
+        rows = 0
+        for t in simulator._run_trials(net, policy, self.MODEL, cfg, seeds):
+            for i in range(t.hits.size):
+                want = whole_trial(net, policy, self.MODEL, cfg, seeds[rows])
+                assert int(t.hits[i]) == want["hits"]
+                assert int(t.self_hits[i]) == want["self_hits"]
+                assert int(t.d2d_available[i]) == want["d2d_available"]
+                assert t.cluster_links[i].tobytes() == want["cluster_links"].tobytes()
+                assert t.throughput[i].tobytes() == want["throughput"].tobytes()
+                rows += 1
+        assert rows == len(seeds)
+
+    def test_no_trial_seeds_its_own_default_rng(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trial called np.random.default_rng")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        net = build_grid(64, 16)
+        policy = optimal_policy(self.MODEL, 2, 16)
+        out = run_monte_carlo(net, policy, self.MODEL, make_config(net, s=2), 2_000, base_seed=9)
+        assert out.trials == 2_000
+        config = NetworkConfig(n_users=64, s_cache=2, rate_c=1.0, reuse_k=4, cluster_size=4)
+        points = simulate_tradeoff(self.MODEL, config, [4, 16], trials=50, base_seed=3)
+        assert [p.error for p in points] == [None, None]
 
 
 class TestSimulateTradeoff:
