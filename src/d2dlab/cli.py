@@ -38,8 +38,7 @@ from .network import NetworkConfig
 from .policy import optimal_policy, theoretical_mstar
 from .popularity import PopularityModel, fit_mzipf
 from .simulator import (
-    _check_seed,
-    _check_trials,
+    _check_integer,
     build_grid,
     run_monte_carlo,
     simulate_tradeoff,
@@ -204,8 +203,8 @@ def cmd_tradeoff(args, output: Path) -> tuple[str, dict, list]:
     model = _model_from_args(args)
     g_c_list = _parse_int_list(args.g_c_list)
     # Every flag is checked whether or not the chosen mode reads it.
-    _check_trials(args.trials)
-    _check_seed(args.seed)
+    _check_integer("trials", args.trials, 1)
+    _check_integer("seed", args.seed, 0)
     if args.n_users is not None and args.n_users < 1:
         raise ValueError(f"n_users must be >= 1, got {args.n_users}")
     # Each sweep sets the cluster size of every point, and checks it there.

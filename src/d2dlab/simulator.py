@@ -34,6 +34,16 @@ __all__ = [
 ]
 
 
+def _check_integer(name: str, value: int, least: int) -> int:
+    """value as an int. Anything but an int or numpy integer, or a value
+    below least, raises a ValueError that names the argument."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GridNetwork:
     """Square user grid split into contiguous square clusters."""
@@ -76,10 +86,8 @@ def build_grid(n_users: int, cluster_size: int) -> GridNetwork:
     actual user count may exceed the request; the difference is reported
     as padding.
     """
-    if n_users < 1:
-        raise ValueError(f"n_users must be >= 1, got {n_users}")
-    if cluster_size < 1:
-        raise ValueError(f"cluster_size must be >= 1, got {cluster_size}")
+    n_users = _check_integer("n_users", n_users, 1)
+    cluster_size = _check_integer("cluster_size", cluster_size, 1)
     cluster_side = math.isqrt(cluster_size)
     if cluster_side * cluster_side != cluster_size:
         raise ValueError(
@@ -237,20 +245,25 @@ def _seeded_generators(seeds: range) -> Iterator[np.random.Generator]:
 
     A run of at least _SEED_BLOCK_MIN seeds is hashed in blocks of up to
     _SEED_BLOCK seeds that share their bits above the lowest 64, and each
-    generator is Generator(PCG64) seeded in C from its row of words. A
-    shorter run seeds each PCG64 through SeedSequence itself.
+    generator is Generator(PCG64) seeded in C from its row of words. The
+    run makes one PresetSeedSequence and sets its words before each PCG64,
+    which reads them when it is made; every generator then holds that one
+    object as its seed_seq, so they are for the kernel, not to be spawned
+    from or handed out. A shorter run seeds each PCG64 through
+    SeedSequence itself.
     """
     from numpy.random import PCG64, Generator
 
     if len(seeds) < _SEED_BLOCK_MIN:
         yield from (Generator(PCG64(seed)) for seed in seeds)
         return
-    preset = _preset_seed_sequence()
+    preset = _preset_seed_sequence()(None)
     start = seeds.start
     while start < seeds.stop:
         stop = min(seeds.stop, start + _SEED_BLOCK, (start >> 64) + 1 << 64)
         for words in _pcg64_seed_words(start, stop):
-            yield Generator(PCG64(preset(words)))
+            preset.words = words
+            yield Generator(PCG64(preset))
         start = stop
 
 
@@ -281,14 +294,19 @@ def _run_trials(
     seeds in blocks, in the state default_rng(seed) would give: numpy's
     SeedSequence is the specification, and tests/test_simulator.py::
     TestSeeding its guard, so the seed contract and every output byte are
-    as with default_rng. A strip holds the contiguous user ids lo .. hi-1,
-    so its cache draws start at offset lo*S of that stream; user u's
-    request sits at N*S + u, and the first strip draws every request.
-    bit_generator.advance moves between the two, since one double takes
-    one 64-bit output; a trial of one strip draws straight through. One
-    inverse-CDF lookup, one
-    own-cache test and one copy count serve every trial of a strip, and one
-    link pass every trial of a batch, in buffers made once per call.
+    as with default_rng.
+
+    Each trial has one row of draws: its strip's cache draws, then its N
+    requests. A trial of one strip, which every trial of a batch is, reads
+    its caches and requests straight on from its stream, so one
+    rng.random(out=row) fills the row. A strip of a larger trial holds the
+    contiguous user ids lo .. hi-1, so its cache draws start at offset lo*S
+    of the stream; user u's request sits at N*S + u, and the first strip
+    draws every request. bit_generator.advance moves between the two, since
+    one double takes one 64-bit output. One inverse-CDF lookup, one
+    own-copy count and one copy count serve every trial of a strip, and one
+    link pass every trial of a batch, in buffers made once per call. A
+    user's own copies are one bincount of its matching slots.
     """
     s, n_users, n_clusters = config.s_cache, network.n_users, network.n_clusters
     blocks = network.side // network.cluster_side
@@ -301,43 +319,48 @@ def _run_trials(
     cluster[network.members] = np.arange(n_clusters)[:, None]
     group = np.arange(n)[:, None] * n_clusters + cluster
 
-    cache_draws = np.empty(n * height * row_users * s)
-    caches = np.empty(cache_draws.size, dtype=np.intp)
-    same = np.empty(cache_draws.size, dtype=bool)
-    request_draws = np.empty((n, n_users))
+    first = height * row_users * s  # the first strip's cache draws; the requests follow
+    draws = np.empty((n, first + n_users))
+    caches = np.empty(n * first, dtype=np.intp)
+    same = np.empty(caches.size, dtype=bool)
     requests = np.empty((n, n_users), dtype=np.intp)
-    scratch = np.empty(min(max(cache_draws.size, request_draws.size), _LOOKUP_BLOCK))
+    scratch = np.empty(min(draws.size, _LOOKUP_BLOCK))
     self_hit = np.empty((n, n_users), dtype=bool)
     other_has = np.empty((n, n_users), dtype=bool)
     generators = _seeded_generators(seeds)
     while streams := list(islice(generators, n)):
         k = len(streams)
+        rows = draws[:k]
         # Copy-count keys, with clusters counted from the strip's first, stay below this.
         bins = ((k - 1) * n_clusters + height * blocks) * width
-        at = 0  # where every stream stands, in 64-bit outputs
         for r0 in range(0, blocks, step):
             lo, hi = r0 * row_users, min(r0 + step, blocks) * row_users
             shape = (k, hi - lo, s)
-            draws = cache_draws[: k * (hi - lo) * s].reshape(shape)
-            to_caches = (lo * s - at) % 2**128  # the period is 2**128: a step back is a step on
-            for row, rng in enumerate(streams):
-                if to_caches:
-                    rng.bit_generator.advance(to_caches)
-                rng.random(out=draws[row])
-            at = hi * s
-            if r0 == 0:
-                to_requests = n_users * s - at
-                for row, rng in enumerate(streams):
-                    if to_requests:
-                        rng.bit_generator.advance(to_requests)
-                    rng.random(out=request_draws[row])
-                at = n_users * s + n_users
-                _ranks_from_cdf(popularity._cdf_guide, request_draws[:k], requests[:k], scratch)
-            ranks = _ranks_from_cdf(policy._cdf_guide, draws, caches[: draws.size].reshape(shape),
-                                    scratch)
+            m = (hi - lo) * s
+            if r0 == 0:  # the first strip draws every request too
+                if hi == n_users:  # the whole trial: its requests follow its caches
+                    for row, rng in zip(rows, streams):
+                        rng.random(out=row)
+                else:
+                    for row, rng in zip(rows, streams):
+                        rng.random(out=row[:m])
+                        rng.bit_generator.advance(n_users * s - m)
+                        rng.random(out=row[m:])
+                _ranks_from_cdf(popularity._cdf_guide, rows[:, m:], requests[:k], scratch)
+            else:
+                # The streams stand past the requests, at N*S + N. The second
+                # strip steps back to its caches (the period is 2**128, so a
+                # step back is a step on), and each later strip follows on.
+                to_caches = (lo - n_users) * s - n_users if r0 == step else 0
+                for row, rng in zip(rows, streams):
+                    if to_caches:
+                        rng.bit_generator.advance(to_caches % 2**128)
+                    rng.random(out=row[:m])
+            ranks = _ranks_from_cdf(policy._cdf_guide, rows[:, :m].reshape(shape),
+                                    caches[: k * m].reshape(shape), scratch)
             wanted = requests[:k, lo:hi]
-            own = np.equal(ranks, wanted[:, :, None],
-                           out=same[: draws.size].reshape(shape)).sum(axis=2)
+            match = np.equal(ranks, wanted[:, :, None], out=same[: k * m].reshape(shape))
+            own = np.bincount(np.flatnonzero(match) // s, minlength=k * (hi - lo)).reshape(k, -1)
 
             # Count the copies of each file per cluster with one bincount over
             # (trial, cluster, file) keys, and keep only the requested files'
@@ -392,6 +415,7 @@ def run_trial(
     not with N*S. One kernel call runs every strip in buffers it makes once.
     The strips change no bit of the outcome.
     """
+    seed = _check_integer("seed", seed, 0)
     _check_config(network, config)
     t = next(_run_trials(network, policy, popularity, config, range(seed, seed + 1)))
     return TrialOutcome(
@@ -433,16 +457,6 @@ class SimOutcome:
     d2d_hit_se: float
 
 
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-
-
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-
-
 def _stderr(values: np.ndarray) -> float:
     if values.size < 2:
         return 0.0
@@ -466,10 +480,12 @@ def run_monte_carlo(
     one batch or one strip beside the per-user arrays. One kernel call
     serves the whole run and reuses its buffers across every batch and
     strip. Every statistic is reduced in the order of one trial at a time,
-    so neither batches nor strips change a bit of the result.
+    so neither batches nor strips change a bit of the result: the per-user
+    throughput total takes one sum a batch, which adds the batch's rows to
+    it in seed order.
     """
-    _check_trials(trials)
-    _check_seed(base_seed)
+    trials = _check_integer("trials", trials, 1)
+    base_seed = _check_integer("base_seed", base_seed, 0)
     _check_config(network, config)
     n_users = network.n_users
     hit_fracs = np.empty(trials)
@@ -485,8 +501,12 @@ def run_monte_carlo(
         self_fracs[lo:hi] = t.self_hits / n_users
         d2d_fracs[lo:hi] = t.d2d_available / n_users
         good[lo:hi] = (t.cluster_links > 0).sum(axis=1)
-        for row in t.throughput:  # trial by trial, as a sum in seed order
-            tp_user_sum += row
+        # A sum in seed order: the running total joins the first trial's row,
+        # since adding it there commutes, and numpy adds the rows along axis 0
+        # one after another. (Rows of one user would be summed pairwise, but a
+        # grid of one user has one-user clusters and no D2D throughput.)
+        t.throughput[0] += tp_user_sum
+        tp_user_sum = np.add.reduce(t.throughput, axis=0)
 
     hit = float(hit_fracs.mean())
     # Each cluster with links carries exactly C/K in total, so a trial's mean
@@ -528,12 +548,13 @@ def simulate_tradeoff(
 
     For each cluster size: build the grid, compute the optimal caching
     policy, run the Monte Carlo. Per-point failures, running out of memory
-    included, are recorded on the point rather than raised; trials < 1,
-    base_seed < 0 and max_workers other than 1 raise for the whole sweep.
+    included, are recorded on the point rather than raised; a trials or
+    base_seed that is not an integer, trials < 1, base_seed < 0 and
+    max_workers other than 1 raise for the whole sweep.
     Point i takes the seeds from base_seed + i*trials onwards.
     """
-    _check_trials(trials)
-    _check_seed(base_seed)
+    trials = _check_integer("trials", trials, 1)
+    base_seed = _check_integer("base_seed", base_seed, 0)
     if max_workers != 1:
         raise ValueError(f"max_workers must be 1, got {max_workers}")
     points = []

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -483,6 +484,124 @@ class TestSeeding:
         assert [p.error for p in points] == [None, None]
 
 
+class CountedGenerator:
+    """A generator that counts the random and advance calls made on it; the
+    kernel reaches advance through bit_generator, which is the proxy too."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+        self.bit_generator = self
+        self.calls = {"random": 0, "advance": 0}
+
+    def random(self, *args, **kwargs):
+        self.calls["random"] += 1
+        return self.rng.random(*args, **kwargs)
+
+    def advance(self, delta: int) -> None:
+        self.calls["advance"] += 1
+        self.rng.bit_generator.advance(delta)
+
+
+def count_draw_calls(monkeypatch) -> list[dict]:
+    """Hand the kernel counted generators; returns them, one a trial, in seed order."""
+    counted = []
+    seeded = simulator._seeded_generators
+
+    def proxies(seeds):
+        for rng in seeded(seeds):
+            counted.append(CountedGenerator(rng))
+            yield counted[-1]
+
+    monkeypatch.setattr(simulator, "_seeded_generators", proxies)
+    return counted
+
+
+def kernel_rows(net, policy, model, cfg, seeds) -> list[dict]:
+    """The kernel's trials, one dict of TrialOutcome fields each."""
+    rows = []
+    for t in simulator._run_trials(net, policy, model, cfg, seeds):
+        for i in range(t.hits.size):
+            rows.append({
+                "n_users": net.n_users,
+                "hits": int(t.hits[i]),
+                "self_hits": int(t.self_hits[i]),
+                "d2d_available": int(t.d2d_available[i]),
+                "cluster_links": t.cluster_links[i],
+                "throughput": t.throughput[i],
+            })
+    return rows
+
+
+class TestKernel:
+    """The kernel's rows are the whole-trial oracle's, drawn with few calls."""
+
+    MODEL = PopularityModel(gamma=1.16, q=22.0, m_total=500)
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.integers(1, 5), g_c=st.sampled_from([4, 9, 16, 25]), n_users=st.integers(1, 100),
+           start=st.one_of(st.integers(0, 2**32), st.integers(2**64 - 12, 2**64 + 4)),
+           trials=st.integers(1, 12), layout=st.sampled_from(["batches", "one-strip", "strips"]),
+           parts=st.integers(2, 5))
+    def test_rows_match_the_whole_trial_oracle(self, s, g_c, n_users, start, trials, layout,
+                                               parts):
+        net = build_grid(n_users, g_c)
+        cfg = make_config(net, s=s)
+        policy = optimal_policy(self.MODEL, s, g_c)
+        entries = net.n_users * s
+        blocks = net.side // net.cluster_side
+        budget = {
+            "batches": parts * entries,
+            "one-strip": entries,
+            "strips": max(1, min(parts - 1, blocks - 1)) * entries // blocks,
+        }[layout]
+        seeds = range(start, start + trials)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "_BATCH_ENTRIES", budget)
+            rows = kernel_rows(net, policy, self.MODEL, cfg, seeds)
+        assert len(rows) == trials
+        for seed, got in zip(seeds, rows):
+            want = whole_trial(net, policy, self.MODEL, cfg, seed)
+            for field in dataclasses.fields(TrialOutcome):
+                if isinstance(want[field.name], np.ndarray):
+                    assert got[field.name].dtype == want[field.name].dtype, field.name
+                    assert got[field.name].tobytes() == want[field.name].tobytes(), field.name
+                else:
+                    assert got[field.name] == want[field.name], field.name
+
+    def test_a_trial_of_one_strip_draws_once(self, monkeypatch):
+        net = build_grid(64, 16)
+        cfg = make_config(net, s=2)
+        policy = optimal_policy(self.MODEL, 2, 16)
+        counted = count_draw_calls(monkeypatch)
+        run_monte_carlo(net, policy, self.MODEL, cfg, 20, base_seed=8)  # one batch
+        run_trial(net, policy, self.MODEL, cfg, seed=8)
+        assert [proxy.calls for proxy in counted] == [{"random": 1, "advance": 0}] * 21
+
+    @pytest.mark.parametrize("rows, strips", [(1, 5), (2, 3), (4, 2)])
+    def test_a_trial_in_strips_draws_once_a_strip_and_once_for_its_requests(
+            self, monkeypatch, rows, strips):
+        net = build_grid(100, 4)  # 5 cluster rows
+        cfg = make_config(net, s=3)
+        policy = optimal_policy(self.MODEL, 3, 4)
+        monkeypatch.setattr(simulator, "_BATCH_ENTRIES", rows * net.n_users * 3 // 5)
+        counted = count_draw_calls(monkeypatch)
+        run_monte_carlo(net, policy, self.MODEL, cfg, 3, base_seed=8)
+        # Forward to the requests after the first strip, and back for the second.
+        assert [proxy.calls for proxy in counted] == [{"random": strips + 1, "advance": 2}] * 3
+
+    def test_throughput_total_is_a_sum_in_seed_order(self, monkeypatch):
+        net = build_grid(16, 16)
+        cfg = make_config(net, s=1, k=3)  # a link rate of 1/3 rounds, so sums in other orders show
+        policy = optimal_policy(self.MODEL, 1, 16)
+        monkeypatch.setattr(simulator, "_BATCH_ENTRIES", 64 * net.n_users)
+        calls = count_kernel_calls(monkeypatch)
+        out = run_monte_carlo(net, policy, self.MODEL, cfg, 200, base_seed=21)
+        assert calls == [[64, 64, 64, 8]]
+        total = sum(run_trial(net, policy, self.MODEL, cfg, seed=21 + i).throughput
+                    for i in range(200))
+        assert out.min_avg_throughput == float((total / 200).min())
+
+
 class TestSimulateTradeoff:
     MODEL = PopularityModel(gamma=1.16, q=22.0, m_total=500)
 
@@ -570,3 +689,66 @@ class TestSimulateTradeoff:
         monkeypatch.setattr(simulator, "build_grid", no_point_may_run)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             simulate_tradeoff(self.MODEL, self.base_config(), [16, 64], trials=3, base_seed=-5)
+
+
+class TestIntegerArguments:
+    """A count or seed that is not an integer fails up front, naming its argument."""
+
+    MODEL = PopularityModel(gamma=1.16, q=22.0, m_total=500)
+
+    def case(self):
+        net = build_grid(16, 4)
+        return net, optimal_policy(self.MODEL, 1, 4), make_config(net)
+
+    @pytest.mark.parametrize("trials, base_seed, message", [
+        (2.5, 0, "trials must be an integer, got 2.5"),
+        ("3", 0, "trials must be an integer, got '3'"),
+        (3, 1.5, "base_seed must be an integer, got 1.5"),
+        (3, -1, "base_seed must be >= 0, got -1"),
+    ])
+    def test_run_monte_carlo(self, trials, base_seed, message):
+        net, policy, cfg = self.case()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_monte_carlo(net, policy, self.MODEL, cfg, trials, base_seed)
+
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, "seed must be an integer, got 1.5"),
+        (-1, "seed must be >= 0, got -1"),
+    ])
+    def test_run_trial(self, seed, message):
+        net, policy, cfg = self.case()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_trial(net, policy, self.MODEL, cfg, seed)
+
+    @pytest.mark.parametrize("n_users, cluster_size, message", [
+        (16.0, 4, "n_users must be an integer, got 16.0"),
+        (16, 4.0, "cluster_size must be an integer, got 4.0"),
+    ])
+    def test_build_grid(self, n_users, cluster_size, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_grid(n_users, cluster_size)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(trials=2.5), "trials must be an integer, got 2.5"),
+        (dict(trials=3, base_seed=1.5), "base_seed must be an integer, got 1.5"),
+    ])
+    def test_simulate_tradeoff_fails_the_whole_sweep(self, monkeypatch, kwargs, message):
+        def no_point_may_run(*args, **kw):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(simulator, "build_grid", no_point_may_run)
+        config = NetworkConfig(n_users=64, s_cache=1, rate_c=1.0, reuse_k=4, cluster_size=4)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate_tradeoff(self.MODEL, config, [4, 16], **kwargs)
+
+    def test_a_non_integer_cluster_size_fails_at_its_point(self):
+        config = NetworkConfig(n_users=64, s_cache=1, rate_c=1.0, reuse_k=4, cluster_size=4)
+        points = simulate_tradeoff(self.MODEL, config, [16.0, 16], trials=2)
+        assert points[0].error == "cluster_size must be an integer, got 16.0"
+        assert points[1].error is None
+
+    def test_numpy_integers_are_integers(self):
+        net, policy, cfg = self.case()
+        assert build_grid(np.int64(16), np.int32(4)) == build_grid(16, 4)
+        out = run_monte_carlo(net, policy, self.MODEL, cfg, np.int64(9), np.uint64(4))
+        assert out == run_monte_carlo(net, policy, self.MODEL, cfg, 9, 4)
