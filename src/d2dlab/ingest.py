@@ -32,7 +32,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import eq, is_not, itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -111,8 +111,9 @@ def read_counts(source, region: int | None = None) -> tuple[EmpiricalDistributio
 
     One forward pass checks each row as parse_log does, keeps the rows of
     `region` (every checked row when it is None) and interns their user and
-    content ids to int codes a chunk of columns at a time; repeats then
-    collapse in one in-place sort. Rows split as in a file opened with
+    content ids to int codes a chunk of columns at a time, one dict lookup
+    per id with no Python-level step per row; repeats then collapse in one
+    in-place sort. Rows split as in a file opened with
     newline=""; numpy splits plain chunks and csv.reader the rest (see the
     module docstring), and one row check serves both, so the counts and the
     report are the same either way.
@@ -144,7 +145,13 @@ def parse_log(source) -> ParseResult:
     chunks and csv.reader the rest (see the module docstring), and one row
     check serves both, so the records are the same either way. They are
     built from the checked columns with no Python-level call per row, and
-    the cyclic garbage collector is paused while the list grows.
+    the cyclic garbage collector is paused while the list grows. If it was
+    enabled and no object is frozen (gc.get_freeze_count() is 0), every
+    tracked object then moves to the oldest generation, unwalked, through
+    gc.freeze() and gc.unfreeze(), so no young collection walks the records.
+    Objects allocated since the last collection move too, the caller's
+    among them, so cyclic garbage among those waits for the next full
+    collection. With objects frozen, nothing moves.
     Raises LogFormatError when the header is missing or wrong, or when a
     line cannot be read: a field over csv.field_size_limit(), or text that
     is not UTF-8.
@@ -152,7 +159,7 @@ def parse_log(source) -> ParseResult:
     records: list[AccessRecord] = []
     record = partial(tuple.__new__, AccessRecord)
     # The records are tracked tuples that hold no cycle, so each collection
-    # while the list grows would walk them for nothing.
+    # while the list grows, or after it, would walk them for nothing.
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -162,6 +169,9 @@ def parse_log(source) -> ParseResult:
                 records.extend(map(record, zip(*columns)))
     finally:
         if collecting:
+            if not gc.get_freeze_count():  # a caller's frozen objects stay frozen
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
     return ParseResult(records=records, rows=rows.rows, malformed=rows.malformed)
 
@@ -370,35 +380,48 @@ def _in_region(columns, region: int | None):
 
 
 class _PairCounts(NamedTuple):
-    users: dict[str, int]  # user id -> code, in order of first appearance
-    contents: dict[str, int]  # content id -> code, in order of first appearance
+    users: dict[str, int]  # user id -> the row it is first kept in, in that order
+    contents: dict[str, int]  # content id -> the row it is first kept in, in that order
     kept: int  # rows counted, repeats included
     unique: int  # distinct (user, content) pairs
-    counts: np.ndarray  # distinct users per content, indexed by content code
+    counts: np.ndarray  # distinct users per content, in the order of contents
 
 
 def _count_pairs(columns) -> _PairCounts:
     """Count the distinct users of each content over (user ids, content ids) column pairs.
 
-    Each id gets an int code, so a pair is the one int64 key
-    user*n_contents + content: dedup sorts the keys in place and keeps the
-    first of each run of equal keys, and the per-content counts are one
-    np.bincount. (np.unique would do the same, but its first call imports
-    numpy.ma, which costs a fit process more time than the dedup.)
+    Each id is interned by dict.setdefault mapped over its column in C, with
+    no Python-level step per row: an id's code is the kept row it first
+    appears in. A user's code serves as it is; a content's becomes dense, the
+    rank of that row among the contents' first rows, through one remap
+    array. A pair is then the one int64 key user*n_contents + content, below
+    kept*n_contents: dedup sorts the keys in place and keeps the first of
+    each run of equal keys, and the per-content counts are one np.bincount.
+    (np.unique would do the same, but its first call imports numpy.ma, which
+    costs a fit process more time than the dedup.)
     """
     users: dict[str, int] = {}
     contents: dict[str, int] = {}
     user_codes = array("q")
     content_codes = array("q")
     for user_ids, content_ids in columns:
-        for user_id, content_id in zip(user_ids, content_ids):
-            user_codes.append(users.setdefault(user_id, len(users)))
-            content_codes.append(contents.setdefault(content_id, len(contents)))
+        row = len(user_codes)  # the kept rows before this chunk
+        user_codes.extend(map(users.setdefault, user_ids, count(row)))
+        content_codes.extend(map(contents.setdefault, content_ids, count(row)))
     n_contents = len(contents)
-    keys = np.frombuffer(user_codes, np.int64) * n_contents
-    keys += np.frombuffer(content_codes, np.int64)
-    # Each array goes once it is read, so at most two row-sized arrays live.
-    del user_codes, content_codes
+    # contents holds each content's first row, in increasing order, so a
+    # first row's place in that order is its content's dense code.
+    dense = np.empty(len(user_codes), np.int64)
+    dense[np.fromiter(contents.values(), np.int64, n_contents)] = np.arange(n_contents)
+    content_codes = np.frombuffer(content_codes, np.int64)
+    # Every code is an index of dense; "clip" only spares the copy of out
+    # that the default mode makes.
+    np.take(dense, content_codes, out=content_codes, mode="clip")
+    keys = np.frombuffer(user_codes, np.int64)
+    keys *= n_contents
+    keys += content_codes
+    # At most three row-sized arrays live at once: the two codes and dense.
+    del dense, content_codes
     keys.sort()
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True

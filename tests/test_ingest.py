@@ -275,6 +275,17 @@ _ROW = st.tuples(
 )
 
 
+def _few_ids(users, contents):
+    """Rows of mostly good lines over a few ids, for logs of many 64-character chunks."""
+    return st.tuples(
+        st.sampled_from(["row"] * 6 + ["blank", "short"]),
+        st.sampled_from(users),
+        st.sampled_from(contents),
+        st.sampled_from(["1", "2", "2", " 2"]),
+        st.sampled_from(["", "7"]),
+    )
+
+
 def _header(has_timestamp: bool) -> str:
     return "user_id,content_id,region_id" + (",timestamp" if has_timestamp else "")
 
@@ -318,6 +329,35 @@ class TestReadCounts:
         empirical, ingest = read_counts(io.StringIO(text), region)
         assert empirical.counts.tolist() == counts
         assert asdict(ingest) == report
+        assert to_empirical(unique).counts.tolist() == counts
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.booleans(),
+           st.lists(_few_ids(["u1", "u2", "u3", " u1"], ["c1", "c2", "c3"]), max_size=120),
+           st.lists(_few_ids(["u1", "u3", "u4", "u5"], ["c2", "c4", "c5"]), max_size=60),
+           st.sampled_from([None, 2]))
+    def test_ids_recurring_across_chunks(self, has_timestamp, early, late, region):
+        """Chunks of 64 characters: ids recur across chunks, and some appear
+        first in a late one; the counts keep the order contents first appear in."""
+        text = _log_text(has_timestamp, early + late)
+        counts, report = reference_counts(text, region)
+        with mock.patch.object(ingest, "_CHUNK", 64):
+            parsed = parse_log(io.StringIO(text))
+            records = [r for r in parsed.records if region is None or r.region_id == region]
+            unique = dedup_unique(records)
+            assert list(unique.per_content_counts) == list(dict.fromkeys(
+                r.content_id for r in records))
+            assert (parsed.rows, parsed.malformed, len(records), unique.n_unique,
+                    unique.n_users, unique.n_contents) == (
+                report["rows"], report["malformed"], report["kept"], report["unique_pairs"],
+                report["distinct_users"], report["distinct_contents"])
+            if not counts:
+                with pytest.raises(ValueError, match="empty"):
+                    read_counts(io.StringIO(text), region)
+                return
+            empirical, ingest_report = read_counts(io.StringIO(text), region)
+        assert empirical.counts.tolist() == counts
+        assert asdict(ingest_report) == report
         assert to_empirical(unique).counts.tolist() == counts
 
     def test_path_and_stream_read_alike(self, tmp_path):
@@ -542,14 +582,39 @@ class TestChunks:
         assert result.records == [AccessRecord("u1", "c1", 2), AccessRecord("u2", "c1", 2)]
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-    @pytest.mark.parametrize("text", [HEADER + "u1,c1,2\n", HEADER + f"u2,{'c' * 200_000},2\n"],
+    @pytest.mark.parametrize("text", [HEADER + "".join(f"u{i},c{i % 7},2\n" for i in range(2000)),
+                                      HEADER + f"u2,{'c' * 200_000},2\n"],
                              ids=["read", "unreadable"])
     def test_parse_log_restores_the_collector(self, enabled, text):
+        """The collector is left as it was. If it was enabled, the records are
+        in neither young generation (a collection after the call would have
+        moved them to the middle one); if not, nothing is moved."""
         was = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
+            gc.collect()
+            records = []
             with contextlib.suppress(LogFormatError):
-                parse_log(io.StringIO(text))
+                records = parse_log(io.StringIO(text)).records
             assert gc.isenabled() == enabled
+            young, middle = ({id(o) for o in gc.get_objects(generation=g)} for g in (0, 1))
+            if enabled:
+                assert not any(id(r) in young or id(r) in middle for r in records)
+            else:
+                assert all(id(r) in young for r in records)
         finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_parse_log_leaves_frozen_objects_frozen(self):
+        was = gc.isenabled()
+        gc.enable()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert frozen
+            records = parse_log(log("u1,c1,2", "u2,c1,2")).records
+            assert gc.get_freeze_count() == frozen
+            assert len(records) == 2
+        finally:
+            gc.unfreeze()
             (gc.enable if was else gc.disable)()
