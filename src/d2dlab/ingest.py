@@ -118,11 +118,17 @@ def read_counts(source, region: int | None = None) -> tuple[EmpiricalDistributio
     module docstring), and one row check serves both, so the counts and the
     report are the same either way.
     Raises LogFormatError when the header is missing or wrong or a line
-    cannot be read, and ValueError when no row is kept.
+    cannot be read, and ValueError, naming the region and the number of
+    checked rows, when no row is kept.
     """
     with _opened(source) as stream:
         rows = _CheckedColumns(stream)
         pairs = _count_pairs(_in_region(rows, region))
+    if not pairs.kept:
+        checked = rows.rows - rows.malformed
+        found = ("the log has no checked row" if region is None
+                 else f"no row of region {region} among the log's {checked} checked rows")
+        raise ValueError(f"cannot rank an empty access set: {found}")
     report = IngestReport(
         rows=rows.rows,
         malformed=rows.malformed,

@@ -183,33 +183,25 @@ def _pcg64_seed_words(start: int, stop: int) -> np.ndarray:
     """SeedSequence(seed).generate_state(4, np.uint64) for each seed of
     start .. stop-1, one row each, hashed together as uint32 arrays.
 
-    The seeds must share their bits above the lowest 64. A seed becomes the
-    little-endian uint32 words of its value, at least one. Below 2**128 they
-    fill the pool zero-padded, as SeedSequence's padding hash of 0 does; a
-    larger seed mixes its further words into the whole pool, one by one.
+    The seeds must lie below 2**64. A seed becomes its two little-endian
+    uint32 words, zero-padded to fill the pool, as SeedSequence's padding
+    hash of 0 does.
     """
-    high = start >> 64
-    high_words = [high >> 32 * j & 0xFFFFFFFF for j in range(-(-high.bit_length() // 32))]
-    n_words = 2 + len(high_words)
-    low = np.arange(stop - start, dtype=np.uint64)
-    low += np.uint64(start & 0xFFFFFFFFFFFFFFFF)
-    entropy = np.zeros((max(n_words, _POOL), low.size), dtype=np.uint32)
-    entropy[0] = low
-    entropy[1] = low >> 32
-    entropy[2:n_words] = np.array(high_words, dtype=np.uint32)[:, None]
+    seeds = np.arange(stop - start, dtype=np.uint64)
+    seeds += np.uint64(start)
+    entropy = np.zeros((_POOL, seeds.size), dtype=np.uint32)
+    entropy[0] = seeds
+    entropy[1] = seeds >> 32
 
-    # mix_entropy: hash the first words into the pool, mix every pool word
-    # into every other, then mix each further word into every pool word.
-    hash_a = _hash_consts(_INIT_A, _MULT_A, _POOL * len(entropy) + 1)
-    pool = _hashmix(entropy[:_POOL], hash_a[: _POOL + 1])
+    # mix_entropy: hash the words into the pool, then mix every pool word
+    # into every other.
+    hash_a = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL + 1)
+    pool = _hashmix(entropy, hash_a[: _POOL + 1])
     at = _POOL
     for src in range(_POOL):
         dst = [i for i in range(_POOL) if i != src]
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], hash_a[at : at + _POOL]))
         at += _POOL - 1
-    for word in entropy[_POOL:]:
-        pool = _mix(pool, _hashmix(word, hash_a[at : at + _POOL + 1]))
-        at += _POOL
 
     # generate_state: 8 uint32 words from the pool, cycled, paired into 4
     # uint64 words low word first, whatever the host's byte order.
@@ -243,28 +235,26 @@ def _seeded_generators(seeds: range) -> Iterator[np.random.Generator]:
     """np.random.default_rng(seed) for each seed of a range of step 1, in
     order, bit for bit.
 
-    A run of at least _SEED_BLOCK_MIN seeds is hashed in blocks of up to
-    _SEED_BLOCK seeds that share their bits above the lowest 64, and each
-    generator is Generator(PCG64) seeded in C from its row of words. The
-    run makes one PresetSeedSequence and sets its words before each PCG64,
-    which reads them when it is made; every generator then holds that one
-    object as its seed_seq, so they are for the kernel, not to be spawned
-    from or handed out. A shorter run seeds each PCG64 through
-    SeedSequence itself.
+    A run of at least _SEED_BLOCK_MIN seeds, all below 2**64, is hashed in
+    blocks of up to _SEED_BLOCK seeds, and each generator is
+    Generator(PCG64) seeded in C from its row of words. The run makes one
+    PresetSeedSequence and sets its words before each PCG64, which reads
+    them when it is made; every generator then holds that one object as its
+    seed_seq, so they are for the kernel, not to be spawned from or handed
+    out. A shorter run, or one with a seed from 2**64 up, seeds each PCG64
+    through SeedSequence itself: no workload draws seeds that high, so the
+    array hash takes only two words a seed.
     """
     from numpy.random import PCG64, Generator
 
-    if len(seeds) < _SEED_BLOCK_MIN:
+    if len(seeds) < _SEED_BLOCK_MIN or seeds.stop > 2**64:
         yield from (Generator(PCG64(seed)) for seed in seeds)
         return
     preset = _preset_seed_sequence()(None)
-    start = seeds.start
-    while start < seeds.stop:
-        stop = min(seeds.stop, start + _SEED_BLOCK, (start >> 64) + 1 << 64)
-        for words in _pcg64_seed_words(start, stop):
+    for start in range(seeds.start, seeds.stop, _SEED_BLOCK):
+        for words in _pcg64_seed_words(start, min(seeds.stop, start + _SEED_BLOCK)):
             preset.words = words
             yield Generator(PCG64(preset))
-        start = stop
 
 
 @dataclass(frozen=True)
@@ -296,17 +286,18 @@ def _run_trials(
     TestSeeding its guard, so the seed contract and every output byte are
     as with default_rng.
 
-    Each trial has one row of draws: its strip's cache draws, then its N
-    requests. A trial of one strip, which every trial of a batch is, reads
-    its caches and requests straight on from its stream, so one
-    rng.random(out=row) fills the row. A strip of a larger trial holds the
-    contiguous user ids lo .. hi-1, so its cache draws start at offset lo*S
-    of the stream; user u's request sits at N*S + u, and the first strip
-    draws every request. bit_generator.advance moves between the two, since
-    one double takes one 64-bit output. One inverse-CDF lookup, one
-    own-copy count and one copy count serve every trial of a strip, and one
-    link pass every trial of a batch, in buffers made once per call. A
-    user's own copies are one bincount of its matching slots.
+    Each trial has one row of draws: a strip's cache draws, then its N
+    requests. User u's cache draws sit at stream offsets u*S .. u*S+S-1 and
+    its request at N*S + u, since one double takes one 64-bit output. A
+    trial of one strip, which every trial of a batch is, reads its caches
+    and requests straight on from its stream, so one rng.random(out=row)
+    fills the row. A larger trial draws its requests first: its stream
+    advances N*S, draws the N requests and advances back to offset 0, and
+    each strip, the contiguous user ids lo .. hi-1, then draws its caches
+    straight on. One inverse-CDF lookup, one own-copy count and one copy
+    count serve every trial of a strip, and one link pass every trial of a
+    batch, in buffers made once per call. A user's own copies are one
+    bincount of its matching slots.
     """
     s, n_users, n_clusters = config.s_cache, network.n_users, network.n_clusters
     blocks = network.side // network.cluster_side
@@ -327,34 +318,27 @@ def _run_trials(
     scratch = np.empty(min(draws.size, _LOOKUP_BLOCK))
     self_hit = np.empty((n, n_users), dtype=bool)
     other_has = np.empty((n, n_users), dtype=bool)
+    whole = step >= blocks
     generators = _seeded_generators(seeds)
     while streams := list(islice(generators, n)):
         k = len(streams)
         rows = draws[:k]
+        for row, rng in zip(rows, streams):
+            if whole:
+                rng.random(out=row)
+            else:  # requests first; the period is 2**128, so the step back is a step on
+                rng.bit_generator.advance(n_users * s)
+                rng.random(out=row[first:])
+                rng.bit_generator.advance(-n_users * (s + 1) % 2**128)
+        _ranks_from_cdf(popularity._cdf_guide, rows[:, first:], requests[:k], scratch)
         # Copy-count keys, with clusters counted from the strip's first, stay below this.
         bins = ((k - 1) * n_clusters + height * blocks) * width
         for r0 in range(0, blocks, step):
             lo, hi = r0 * row_users, min(r0 + step, blocks) * row_users
             shape = (k, hi - lo, s)
             m = (hi - lo) * s
-            if r0 == 0:  # the first strip draws every request too
-                if hi == n_users:  # the whole trial: its requests follow its caches
-                    for row, rng in zip(rows, streams):
-                        rng.random(out=row)
-                else:
-                    for row, rng in zip(rows, streams):
-                        rng.random(out=row[:m])
-                        rng.bit_generator.advance(n_users * s - m)
-                        rng.random(out=row[m:])
-                _ranks_from_cdf(popularity._cdf_guide, rows[:, m:], requests[:k], scratch)
-            else:
-                # The streams stand past the requests, at N*S + N. The second
-                # strip steps back to its caches (the period is 2**128, so a
-                # step back is a step on), and each later strip follows on.
-                to_caches = (lo - n_users) * s - n_users if r0 == step else 0
+            if not whole:
                 for row, rng in zip(rows, streams):
-                    if to_caches:
-                        rng.bit_generator.advance(to_caches % 2**128)
                     rng.random(out=row[:m])
             ranks = _ranks_from_cdf(policy._cdf_guide, rows[:, :m].reshape(shape),
                                     caches[: k * m].reshape(shape), scratch)
@@ -409,11 +393,12 @@ def run_trial(
     entries of each user in turn and then one request per user, so user u's
     cache draws sit at stream offsets u*S .. u*S+S-1 and its request at
     N*S + u. A trial of more than _BATCH_ENTRIES cache entries runs in
-    strips of as many whole cluster rows as fit that budget, at least one,
-    each reaching its stretch of the stream by bit_generator.advance. Its
-    memory then grows with one strip's entries and the trial's N users,
-    not with N*S. One kernel call runs every strip in buffers it makes once.
-    The strips change no bit of the outcome.
+    strips of as many whole cluster rows as fit that budget, at least one:
+    it draws its requests first, by bit_generator.advance, and then each
+    strip's caches in stream order. Its memory then grows with one strip's
+    entries and the trial's N users, not with N*S. One kernel call runs
+    every strip in buffers it makes once. The strips change no bit of the
+    outcome.
     """
     seed = _check_integer("seed", seed, 0)
     _check_config(network, config)

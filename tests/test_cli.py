@@ -77,6 +77,14 @@ class TestFitCommand:
         assert "cannot rank an empty access set" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
 
+    @pytest.mark.parametrize("body, checked", [("u1,c1,2\nu2,c1,3\n", 2), ("", 0)],
+                             ids=["other-regions", "header-only"])
+    def test_region_with_no_rows_is_named(self, tmp_path, capsys, body, checked):
+        log = tmp_path / "log.csv"
+        log.write_text("user_id,content_id,region_id\n" + body, encoding="utf-8")
+        assert main(["fit", str(log), "--region", "9", "--output", str(tmp_path / "f.json")]) == 2
+        assert f"no row of region 9 among the log's {checked} checked rows" in capsys.readouterr().err
+
     def test_pure_zipf_fixture_recovers_near_zero_plateau(self, tmp_path):
         from d2dlab.popularity import PopularityModel, sample_ranks
         import numpy as np

@@ -417,8 +417,8 @@ class TestSeeding:
 
     numpy's SeedSequence is the specification of the hash that the kernel
     runs over arrays of seeds; default_rng, which seeds PCG64 through it,
-    stands for it here. Setting _SEED_BLOCK_MIN to 1 sends every run, one
-    seed long included, through the array hash.
+    stands for it here. Setting _SEED_BLOCK_MIN to 1 sends every run below
+    2^64, one seed long included, through the array hash.
     """
 
     MODEL = PopularityModel(gamma=1.16, q=22.0, m_total=500)
@@ -452,6 +452,32 @@ class TestSeeding:
             patch.setattr(simulator, "_SEED_BLOCK_MIN", 1)
             patch.setattr(simulator, "_SEED_BLOCK", block)
             assert generator_states(seeds) == default_rng_states(seeds)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.integers(0, 2**64 + 40), st.integers(2**64 - 40, 2**64 + 40)),
+           st.integers(1, 40))
+    def test_only_runs_below_2_to_the_64_take_the_array_hash(self, start, count):
+        self.check_array_hash(range(start, start + count))
+
+    @pytest.mark.parametrize("seeds", [range(2**64 - 9, 2**64), range(2**64 - 1, 2**64 + 1)],
+                             ids=["below", "across"])
+    def test_array_hash_stops_at_2_to_the_64(self, seeds):
+        self.check_array_hash(seeds)
+
+    @staticmethod
+    def check_array_hash(seeds):
+        calls = []
+        hash_words = simulator._pcg64_seed_words
+
+        def counted(start, stop):
+            calls.append((start, stop))
+            return hash_words(start, stop)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "_SEED_BLOCK_MIN", 1)
+            patch.setattr(simulator, "_pcg64_seed_words", counted)
+            assert generator_states(seeds) == default_rng_states(seeds)
+        assert bool(calls) == (seeds.stop <= 2**64), (seeds, calls)
 
     def test_kernel_rows_across_2_to_the_64_match_the_whole_trial_oracle(self):
         net = build_grid(16, 4)
@@ -586,7 +612,7 @@ class TestKernel:
         monkeypatch.setattr(simulator, "_BATCH_ENTRIES", rows * net.n_users * 3 // 5)
         counted = count_draw_calls(monkeypatch)
         run_monte_carlo(net, policy, self.MODEL, cfg, 3, base_seed=8)
-        # Forward to the requests after the first strip, and back for the second.
+        # Forward to the requests, then back to the first strip.
         assert [proxy.calls for proxy in counted] == [{"random": strips + 1, "advance": 2}] * 3
 
     def test_throughput_total_is_a_sum_in_seed_order(self, monkeypatch):
