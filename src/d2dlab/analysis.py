@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .network import NetworkConfig
+from .network import NetworkConfig, _check_integer
 from .policy import _c1, _policy_exponent
 from .popularity import PopularityModel
 
@@ -204,6 +204,7 @@ def tradeoff_curve(
     points: list[TradeoffPoint] = []
     for g_c in g_c_list:
         try:
+            _check_integer("cluster_size", g_c, 1)  # before max() can pass it on as n_users
             cfg = replace(base, cluster_size=g_c, n_users=max(base.n_users, g_c))
             points.append(tradeoff_point(popularity, cfg))
         except ValueError as exc:  # includes RegimeError

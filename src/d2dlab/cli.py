@@ -34,15 +34,10 @@ from time import perf_counter
 from . import __version__
 from .analysis import tradeoff_curve
 from .ingest import LogFormatError, read_counts
-from .network import NetworkConfig
+from .network import NetworkConfig, _check_integer
 from .policy import optimal_policy, theoretical_mstar
 from .popularity import PopularityModel, fit_mzipf
-from .simulator import (
-    _check_integer,
-    build_grid,
-    run_monte_carlo,
-    simulate_tradeoff,
-)
+from .simulator import build_grid, run_monte_carlo, simulate_tradeoff
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -205,8 +200,8 @@ def cmd_tradeoff(args, output: Path) -> tuple[str, dict, list]:
     # Every flag is checked whether or not the chosen mode reads it.
     _check_integer("trials", args.trials, 1)
     _check_integer("seed", args.seed, 0)
-    if args.n_users is not None and args.n_users < 1:
-        raise ValueError(f"n_users must be >= 1, got {args.n_users}")
+    if args.n_users is not None:
+        _check_integer("n_users", args.n_users, 1)
     # Each sweep sets the cluster size of every point, and checks it there.
     base = _network_from_args(args, args.n_users or max(1, *g_c_list), 1)
     rows = [{"g_c": g} for g in g_c_list]

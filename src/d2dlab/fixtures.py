@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .network import _check_integer
 from .popularity import PopularityModel, sample_ranks
 
 __all__ = ["REGION_PRESETS", "region_model", "write_region_log"]
@@ -63,9 +64,7 @@ def write_region_log(
     terminators, _CHUNK accesses at a time, so memory stays bounded at any
     n_accesses.
     """
-    if not isinstance(n_accesses, (int, np.integer)) or n_accesses < 0:
-        raise ValueError(f"n_accesses must be a non-negative integer, got {n_accesses!r}")
-    n_accesses = int(n_accesses)
+    n_accesses = _check_integer("n_accesses", n_accesses, 0)
     model = region_model(region)
     ranks_rng = np.random.default_rng(seed)
     flags_rng = np.random.default_rng(seed)

@@ -4,7 +4,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = ["NetworkConfig"]
+
+
+def _check_integer(name: str, value: int, least: int) -> int:
+    """value as an int. Anything but an int or numpy integer, or a value
+    below least, raises a ValueError that names the argument."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -23,6 +35,9 @@ class NetworkConfig:
         TDMA reuse factor K; every active cluster runs at rate C/K.
     cluster_size : int
         Users per cluster g_c.
+
+    The four counts n_users, s_cache, reuse_k and cluster_size are integers
+    (int or numpy integer), each at least 1.
     """
 
     n_users: int
@@ -32,16 +47,10 @@ class NetworkConfig:
     cluster_size: int
 
     def __post_init__(self) -> None:
-        if self.n_users < 1:
-            raise ValueError(f"n_users must be >= 1, got {self.n_users}")
-        if self.s_cache < 1:
-            raise ValueError(f"s_cache must be >= 1, got {self.s_cache}")
+        for name in ("n_users", "s_cache", "reuse_k", "cluster_size"):
+            _check_integer(name, getattr(self, name), 1)
         if not 0 < self.rate_c < math.inf:
             raise ValueError(f"rate_c must be positive and finite, got {self.rate_c}")
-        if self.reuse_k < 1:
-            raise ValueError(f"reuse_k must be >= 1, got {self.reuse_k}")
-        if self.cluster_size < 1:
-            raise ValueError(f"cluster_size must be >= 1, got {self.cluster_size}")
         if self.cluster_size > self.n_users:
             raise ValueError(
                 f"cluster_size {self.cluster_size} exceeds n_users {self.n_users}"

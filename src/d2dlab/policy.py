@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .network import _check_integer
 from .popularity import PopularityModel, _guide_table
 
 __all__ = [
@@ -64,16 +65,8 @@ def solve_c1(c2: float) -> float:
 
 
 def _policy_exponent(s_cache: int, cluster_size: int) -> int:
-    if not all(isinstance(x, (int, np.integer)) for x in (s_cache, cluster_size)):
-        raise ValueError(
-            f"s_cache and cluster_size must be integers, "
-            f"got s_cache={s_cache!r}, cluster_size={cluster_size!r}"
-        )
-    if s_cache < 1 or cluster_size < 1:
-        raise ValueError(
-            f"s_cache and cluster_size must be >= 1, "
-            f"got s_cache={s_cache}, cluster_size={cluster_size}"
-        )
+    _check_integer("s_cache", s_cache, 1)
+    _check_integer("cluster_size", cluster_size, 1)
     n = s_cache * (cluster_size - 1) - 1
     if n < 1:
         raise ValueError(

@@ -13,6 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .network import _check_integer
+
 __all__ = [
     "PopularityModel",
     "EmpiricalDistribution",
@@ -55,8 +57,7 @@ class PopularityModel:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if not 0 <= self.q < math.inf:
             raise ValueError(f"q must be non-negative and finite, got {self.q}")
-        if not isinstance(self.m_total, (int, np.integer)) or self.m_total < 1:
-            raise ValueError(f"m_total must be an integer >= 1, got {self.m_total!r}")
+        _check_integer("m_total", self.m_total, 1)
         w = _shifted_ranks(self.m_total, self.q)
         np.power(w, -self.gamma, out=w)
         z = float(w.sum())

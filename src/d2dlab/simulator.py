@@ -18,7 +18,7 @@ from itertools import islice
 
 import numpy as np
 
-from .network import NetworkConfig
+from .network import NetworkConfig, _check_integer
 from .policy import CachingPolicy, optimal_policy
 from .popularity import _LOOKUP_BLOCK, PopularityModel, _ranks_from_cdf
 
@@ -32,16 +32,6 @@ __all__ = [
     "run_monte_carlo",
     "simulate_tradeoff",
 ]
-
-
-def _check_integer(name: str, value: int, least: int) -> int:
-    """value as an int. Anything but an int or numpy integer, or a value
-    below least, raises a ValueError that names the argument."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -535,7 +525,8 @@ def simulate_tradeoff(
     policy, run the Monte Carlo. Per-point failures, running out of memory
     included, are recorded on the point rather than raised; a trials or
     base_seed that is not an integer, trials < 1, base_seed < 0 and
-    max_workers other than 1 raise for the whole sweep.
+    max_workers other than 1 raise for the whole sweep. The counts of
+    config_base are checked when it is built (NetworkConfig).
     Point i takes the seeds from base_seed + i*trials onwards.
     """
     trials = _check_integer("trials", trials, 1)

@@ -586,19 +586,25 @@ def test_non_positive_user_count_is_a_parameter_error(tmp_path, capsys, n_users)
     assert "n_users must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, flags", [
-    ("policy", [*MODEL_FLAGS, "--s-cache", "-1", "--g-c", "-2"]),
-    ("validate-mstar", [*MODEL_FLAGS, "--s-cache", "-1", "--g-c-list=-2,-5"]),
-    ("policy", [*MODEL_FLAGS, "--s-cache", "-3", "--g-c", "0"]),
-    ("simulate", [*MODEL_FLAGS, "--n-users", "16", "--g-c", "0"]),
-    ("simulate", [*MODEL_FLAGS, "--n-users", "16", "--g-c", "-4"]),
+@pytest.mark.parametrize("command, flags, message", [
+    ("policy", [*MODEL_FLAGS, "--s-cache", "-1", "--g-c", "-2"],
+     "s_cache must be >= 1, got -1"),
+    ("validate-mstar", [*MODEL_FLAGS, "--s-cache", "-1", "--g-c-list=-2,-5"],
+     "s_cache must be >= 1, got -1"),
+    ("policy", [*MODEL_FLAGS, "--s-cache", "-3", "--g-c", "0"],
+     "s_cache must be >= 1, got -3"),
+    ("simulate", [*MODEL_FLAGS, "--n-users", "16", "--g-c", "0"],
+     "cluster_size must be >= 1, got 0"),
+    ("simulate", [*MODEL_FLAGS, "--n-users", "16", "--g-c", "-4"],
+     "cluster_size must be >= 1, got -4"),
 ], ids=["policy-neg-neg", "validate-mstar-neg-neg", "policy-zero-cluster",
         "simulate-zero-cluster", "simulate-neg-cluster"])
-def test_non_positive_cache_or_cluster_is_a_parameter_error(tmp_path, capsys, command, flags):
+def test_non_positive_cache_or_cluster_is_a_parameter_error(tmp_path, capsys, command, flags,
+                                                            message):
     out = tmp_path / "out"
     assert main([command, *flags, "--output", str(out)]) == 2
     assert not out.exists()
-    assert "cluster_size" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def _json_floats(value):

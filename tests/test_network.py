@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +37,21 @@ def test_any_float_rate_is_kept_or_rejected(rate_c):
 def test_counts_below_one_rejected(field, value):
     with pytest.raises(ValueError, match=f"{field} must be >= 1"):
         make(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["n_users", "s_cache", "reuse_k", "cluster_size"])
+@pytest.mark.parametrize("value", [2.5, np.float64(2.0), "4"])
+def test_non_integer_counts_rejected(field, value):
+    """A float count would reach the trial kernel and fail there with numpy's TypeError."""
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        make(**{field: value})
+
+
+def test_numpy_integer_counts_accepted():
+    config = make(n_users=np.int64(16), s_cache=np.int32(2), reuse_k=np.int16(4),
+                  cluster_size=np.uint8(4))
+    assert config == make(s_cache=2)
+    assert config.cluster_rate == 0.25
 
 
 def test_cluster_larger_than_network_rejected():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -158,11 +159,15 @@ class TestZValues:
         with pytest.raises(ValueError, match="cluster too small"):
             optimal_policy(HAND_MODEL, s, g_c)
 
-    @pytest.mark.parametrize("s,g_c", [(4.5, 10), (4, 10.0), (np.float64(2.0), 6)])
+    @pytest.mark.parametrize("s,g_c,message", [
+        (4.5, 10, "s_cache must be an integer, got 4.5"),
+        (4, 10.0, "cluster_size must be an integer, got 10.0"),
+        (np.float64(2.0), 6, f"s_cache must be an integer, got {np.float64(2.0)!r}"),
+    ], ids=["4.5-10", "4-10.0", "2.0-6"])
     @pytest.mark.parametrize("func", FUNCS_OF_SIZES)
-    def test_non_integer_cache_or_cluster_rejected(self, func, s, g_c):
+    def test_non_integer_cache_or_cluster_rejected(self, func, s, g_c, message):
         """S = 4.5 would water-fill with the exponent 39.5 of no cluster."""
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             func(PopularityModel(gamma=1.1, q=18.0, m_total=100), s, g_c)
 
     def test_numpy_integer_sizes_accepted(self):
@@ -171,11 +176,17 @@ class TestZValues:
             optimal_policy(model, 4, 100).m_star
         )
 
-    @pytest.mark.parametrize("s,g_c", [(-1, -2), (-3, 0), (0, 5), (2, 0), (-2, 3)])
+    @pytest.mark.parametrize("s,g_c,message", [
+        (-1, -2, "s_cache must be >= 1, got -1"),
+        (-3, 0, "s_cache must be >= 1, got -3"),
+        (0, 5, "s_cache must be >= 1, got 0"),
+        (2, 0, "cluster_size must be >= 1, got 0"),
+        (-2, 3, "s_cache must be >= 1, got -2"),
+    ], ids=["-1--2", "-3-0", "0-5", "2-0", "-2-3"])
     @pytest.mark.parametrize("func", FUNCS_OF_SIZES)
-    def test_non_positive_cache_or_cluster_rejected(self, func, s, g_c):
+    def test_non_positive_cache_or_cluster_rejected(self, func, s, g_c, message):
         """Two negative factors can make S*(g_c-1)-1 look admissible; both are checked."""
-        with pytest.raises(ValueError, match="s_cache and cluster_size must be >= 1"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             func(PopularityModel(**REGION2), s, g_c)
 
 

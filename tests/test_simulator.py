@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2dlab import simulator
+from d2dlab.analysis import tradeoff_curve
 from d2dlab.network import NetworkConfig
 from d2dlab.policy import CachingPolicy, optimal_policy
 from d2dlab.popularity import PopularityModel
@@ -698,6 +699,17 @@ class TestSimulateTradeoff:
         assert points[0].outcome is None and points[0].error == "MemoryError"
         assert points[1].error is None
         assert points[1].outcome == clean[1].outcome
+
+    @pytest.mark.parametrize("g_c, message", [
+        (4.0, "cluster_size must be an integer, got 4.0"),
+        (49.0, "cluster_size must be an integer, got 49.0"),
+        ("4", "cluster_size must be an integer, got '4'"),
+    ], ids=["4.0", "49.0", "str"])
+    def test_both_sweeps_name_a_non_integer_cluster_size_alike(self, g_c, message):
+        """49.0 exceeds the 36 users, so the analytic sweep would also make it n_users."""
+        base = self.base_config(n=36, s=2)
+        assert tradeoff_curve(self.MODEL, base, [g_c])[0].error == message
+        assert simulate_tradeoff(self.MODEL, base, [g_c], trials=3)[0].error == message
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_bad_trials_fail_the_whole_sweep(self, monkeypatch, trials):
