@@ -10,9 +10,10 @@ __all__ = ["NetworkConfig"]
 
 
 def _check_integer(name: str, value: int, least: int) -> int:
-    """value as an int. Anything but an int or numpy integer, or a value
-    below least, raises a ValueError that names the argument."""
-    if not isinstance(value, (int, np.integer)):
+    """value as an int. Anything but an int or numpy integer (a bool is
+    neither, though Python makes it an int), or a value below least, raises
+    a ValueError that names the argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")

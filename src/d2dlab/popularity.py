@@ -44,6 +44,9 @@ class PopularityModel:
 
     The law is evaluated once, on construction: normalizer is Z and
     pmf_values holds the probability of each rank, shape (m_total,).
+    _log_pmf evaluates log P_r over a range of ranks into a caller's buffer
+    on every call and keeps nothing, so a caller that reads only a prefix
+    of the library holds no array of its length.
     """
 
     gamma: float
@@ -58,7 +61,7 @@ class PopularityModel:
         if not 0 <= self.q < math.inf:
             raise ValueError(f"q must be non-negative and finite, got {self.q}")
         _check_integer("m_total", self.m_total, 1)
-        w = _shifted_ranks(self.m_total, self.q)
+        w = _shifted_ranks(0, self.m_total, self.q)
         np.power(w, -self.gamma, out=w)
         z = float(w.sum())
         if not z > 0:
@@ -77,32 +80,33 @@ class PopularityModel:
     def _cdf_guide(self) -> tuple[np.ndarray, np.ndarray]:
         return _guide_table(self.cdf_values, self.m_total)
 
-    @cached_property
-    def _log_pmf(self) -> np.ndarray:
-        """log P_r(f) for each rank, evaluated in log space.
+    def _log_pmf(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """log P_r(f) for the ranks f = lo+1..hi, evaluated in log space into
+        out, a float64 array of hi-lo entries, which is returned.
 
         pmf_values underflows to 0 at large gamma, where this stays finite;
-        policy takes its water-filling weights from it. Where gamma*log(f+q)
-        overflows it reads -inf, the log of the underflowed probability.
+        policy takes its water-filling weights from it, block by block.
+        Where gamma*log(f+q) overflows it reads -inf, the log of the
+        underflowed probability.
         """
-        w = _shifted_ranks(self.m_total, self.q)
-        np.log(w, out=w)
+        _shifted_ranks(lo, hi, self.q, out)
+        np.log(out, out=out)
         with np.errstate(over="ignore"):
-            w *= -self.gamma
-        w -= math.log(self.normalizer)
-        return w
+            out *= -self.gamma
+        out -= math.log(self.normalizer)
+        return out
 
 
-def _shifted_ranks(m_total: int, q: float) -> np.ndarray:
-    """f + q for the ranks f = 1..m_total, as float64.
+def _shifted_ranks(lo: int, hi: int, q: float, out: np.ndarray | None = None) -> np.ndarray:
+    """f + q for the ranks f = lo+1..hi, as float64, into out when given.
 
     The law is then evaluated in this one buffer: each step is the operation
-    an out-of-place expression would apply, in the same order, so the bits
-    are the same and a model peaks at one array of the library's length.
+    an out-of-place expression over the whole library would apply, in the
+    same order, so the bits are the same, whatever the range, and a model
+    peaks at one array of the library's length.
     """
-    w = np.arange(1, m_total + 1, dtype=np.float64)
-    w += q
-    return w
+    w = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    return np.add(w, q, out=w if out is None else out)
 
 
 def _guide_table(cdf: np.ndarray, max_rank: int) -> tuple[np.ndarray, np.ndarray]:

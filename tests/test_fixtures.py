@@ -84,7 +84,7 @@ class TestWriteRegionLog:
 
         assert peak(1 << 19) <= 1.5 * peak(1 << 17)
 
-    @pytest.mark.parametrize("n", [-1, 2.5, 10.0, "10", None])
+    @pytest.mark.parametrize("n", [-1, 2.5, 10.0, "10", None, True])
     def test_bad_size_rejected_before_any_file(self, tmp_path, n):
         path = tmp_path / "log.csv"
         with pytest.raises(ValueError, match="n_accesses"):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,10 +41,11 @@ def test_counts_below_one_rejected(field, value):
 
 
 @pytest.mark.parametrize("field", ["n_users", "s_cache", "reuse_k", "cluster_size"])
-@pytest.mark.parametrize("value", [2.5, np.float64(2.0), "4"])
+@pytest.mark.parametrize("value", [2.5, np.float64(2.0), "4", True, False])
 def test_non_integer_counts_rejected(field, value):
-    """A float count would reach the trial kernel and fail there with numpy's TypeError."""
-    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+    """A float count would reach the trial kernel and fail there with numpy's TypeError;
+    a bool, which Python makes an int, would run as 1 or 0."""
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
         make(**{field: value})
 
 

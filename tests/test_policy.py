@@ -142,17 +142,10 @@ class TestZValues:
     @pytest.mark.parametrize("s,g_c", [(1, 4), (4, 100), (60, 5000)])
     @pytest.mark.parametrize("model", [PopularityModel(**REGION2),
                                        PopularityModel(gamma=4.0, q=0.0, m_total=1000)])
-    def test_memoized_law_keeps_the_inline_bits(self, model, s, g_c):
-        """n > 1: the law read from the model's memo gives the inline expression's bits."""
+    def test_blockwise_law_keeps_the_inline_bits(self, model, s, g_c):
+        """n > 1: the law evaluated block by block gives the inline expression's bits."""
         z = optimal_policy(model, s, g_c).z
         assert z.tobytes() == log_space_z(model, s, g_c)[: z.size].tobytes()
-
-    def test_law_evaluated_once_per_model(self):
-        model = PopularityModel(**REGION2)
-        optimal_policy(model, 4, 100)
-        law = model._log_pmf
-        optimal_policy(model, 1, 400)
-        assert model._log_pmf is law
 
     @pytest.mark.parametrize("s,g_c", [(1, 2), (1, 1), (2, 1)])
     def test_cluster_too_small(self, s, g_c):
@@ -305,6 +298,18 @@ def assert_same_bits(policy, reference):
     assert np.all(z[size:] <= nu)
 
 
+def traced_policy(model, s_cache, cluster_size):
+    """optimal_policy(model, s_cache, cluster_size) and the bytes allocated at
+    its peak above what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        policy = optimal_policy(model, s_cache, cluster_size)
+        return policy, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestPrefixSearch:
     """optimal_policy walks the library in blocks; the full scan is its oracle."""
 
@@ -366,16 +371,38 @@ class TestPrefixSearch:
         """m* = M at M = 10^6: beyond z and probs, only block-sized scratch."""
         m_total = 1_000_000
         model = PopularityModel(gamma=1.16, q=22.0, m_total=m_total)
-        model._log_pmf  # memoized before tracing
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            policy = optimal_policy(model, 4, 400_000)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        policy, peak = traced_policy(model, 4, 400_000)
         assert policy.m_star == m_total
         assert peak <= 2 * 8 * m_total + 2**20
+
+    def test_peak_memory_of_a_short_search_is_z_and_probs(self):
+        """m* in the first block of a fresh M = 10^6 model: no law of the
+        library's length is evaluated, so the peak is that of m* = M."""
+        m_total = 1_000_000
+        model = PopularityModel(gamma=1.16, q=22.0, m_total=m_total)
+        policy, peak = traced_policy(model, 4, 100)
+        assert policy.z.size == policy_module._BLOCK
+        assert peak <= 2 * 8 * m_total + 2**20
+
+    @pytest.mark.parametrize("block", [1, 3, 1 << 12])
+    @pytest.mark.parametrize("m_total, s, g_c", [
+        (7345, 4, 100), (7345, 4, 2500), (5405, 60, 5000), (300_000, 4, 100), (50, 2, 6),
+    ])
+    def test_law_evaluated_once_per_searched_file(self, monkeypatch, block, m_total, s, g_c):
+        """The log law is evaluated for the files of z and no others: once each, in order."""
+        calls = []
+        law = PopularityModel._log_pmf
+
+        def counted(model, lo, hi, out):
+            calls.append((lo, hi))
+            return law(model, lo, hi, out)
+
+        monkeypatch.setattr(policy_module, "_BLOCK", block)
+        monkeypatch.setattr(PopularityModel, "_log_pmf", counted)
+        policy = optimal_policy(PopularityModel(gamma=1.16, q=22.0, m_total=m_total), s, g_c)
+        assert calls[0][0] == 0
+        assert all(hi == lo for (_, hi), (lo, _) in zip(calls, calls[1:]))
+        assert sum(hi - lo for lo, hi in calls) == policy.z.size
 
 
 class TestKktMstar:

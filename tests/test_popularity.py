@@ -87,20 +87,28 @@ class TestPmf:
 
     @settings(max_examples=100, deadline=None)
     @given(gamma=st.floats(0.05, 4.0), q=st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
-           m_total=st.integers(1, 20_000))
-    def test_law_keeps_the_out_of_place_bits(self, gamma, q, m_total):
-        """Built in one buffer, the law has the bits of the plain expressions."""
+           m_total=st.integers(1, 20_000), data=st.data())
+    def test_law_keeps_the_out_of_place_bits(self, gamma, q, m_total, data):
+        """Built in one buffer, the law has the bits of the plain expressions,
+        and the log law over any range of ranks the bits of those ranks."""
         model = PopularityModel(gamma=gamma, q=q, m_total=m_total)
         pmf, normalizer, log_pmf = out_of_place_law(gamma, q, m_total)
         assert model.normalizer == normalizer
         assert model.pmf_values.tobytes() == pmf.tobytes()
-        assert model._log_pmf.tobytes() == log_pmf.tobytes()
+        lo = data.draw(st.integers(0, m_total), label="lo")
+        hi = data.draw(st.integers(lo, m_total), label="hi")
+        for start, stop in [(0, m_total), (lo, hi)]:
+            out = np.full(stop - start, np.nan)
+            assert model._log_pmf(start, stop, out) is out
+            assert out.tobytes() == log_pmf[start:stop].tobytes()
 
     def test_law_peaks_at_one_library_array(self):
-        """The pmf and the log-pmf memo each take one M-length buffer, no temporaries."""
+        """The pmf takes one M-length buffer, and the log law over all M
+        ranks, written into a caller's buffer, one M-length temporary."""
         m_total = 10**6
         model, pmf_peak = traced_peak(lambda: PopularityModel(gamma=1.16, q=22.0, m_total=m_total))
-        _, log_pmf_peak = traced_peak(lambda: model._log_pmf)
+        out = np.empty(m_total)
+        _, log_pmf_peak = traced_peak(lambda: model._log_pmf(0, m_total, out))
         assert pmf_peak <= 1.25 * 8 * m_total
         assert log_pmf_peak <= 1.25 * 8 * m_total
 
@@ -113,7 +121,7 @@ class TestPmf:
         with pytest.raises(ValueError):
             PopularityModel(**params)
 
-    @pytest.mark.parametrize("m_total", [2.5, 1000.0, np.float64(10.0), "10"])
+    @pytest.mark.parametrize("m_total", [2.5, 1000.0, np.float64(10.0), "10", True])
     def test_non_integer_library_size_rejected(self, m_total):
         """2.5 would build a 3-file law labelled 2.5; 1000.0 a law no policy takes."""
         with pytest.raises(ValueError, match="m_total must be an integer"):

@@ -743,6 +743,7 @@ class TestIntegerArguments:
         ("3", 0, "trials must be an integer, got '3'"),
         (3, 1.5, "base_seed must be an integer, got 1.5"),
         (3, -1, "base_seed must be >= 0, got -1"),
+        (True, 0, "trials must be an integer, got True"),
     ])
     def test_run_monte_carlo(self, trials, base_seed, message):
         net, policy, cfg = self.case()
@@ -752,6 +753,7 @@ class TestIntegerArguments:
     @pytest.mark.parametrize("seed, message", [
         (1.5, "seed must be an integer, got 1.5"),
         (-1, "seed must be >= 0, got -1"),
+        (False, "seed must be an integer, got False"),
     ])
     def test_run_trial(self, seed, message):
         net, policy, cfg = self.case()
@@ -761,6 +763,7 @@ class TestIntegerArguments:
     @pytest.mark.parametrize("n_users, cluster_size, message", [
         (16.0, 4, "n_users must be an integer, got 16.0"),
         (16, 4.0, "cluster_size must be an integer, got 4.0"),
+        (True, True, "n_users must be an integer, got True"),
     ])
     def test_build_grid(self, n_users, cluster_size, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
