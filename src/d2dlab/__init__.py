@@ -5,23 +5,44 @@ optimal random caching policy by water-filling, evaluates closed-form
 throughput-outage tradeoffs, and validates them with Monte Carlo
 simulation of a clustered grid network.
 
-The package namespace re-exports each module's ``__all__``.
+The package namespace re-exports each module's ``__all__`` through a
+module ``__getattr__`` (PEP 562), which loads a module when one of its
+names, or its own name, is first read. So ``import d2dlab`` loads no
+module, and a program loads only the modules whose names it reads.
 """
 from __future__ import annotations
 
+import importlib
+
 __version__ = "0.1.0"
 
-from . import analysis, fixtures, ingest, network, policy, popularity, simulator
-from .analysis import *  # noqa: F401,F403
-from .fixtures import *  # noqa: F401,F403
-from .ingest import *  # noqa: F401,F403
-from .network import *  # noqa: F401,F403
-from .policy import *  # noqa: F401,F403
-from .popularity import *  # noqa: F401,F403
-from .simulator import *  # noqa: F401,F403
+# Each module's __all__, in the order the namespace lists the modules;
+# tests/test_package.py checks that the two agree.
+_EXPORTS = {
+    "analysis": ("RegimeError", "TradeoffPoint", "REGIME1", "REGIME2", "hit_prob_closed_form",
+                 "hit_prob_lower_bound", "tradeoff_point", "tradeoff_curve"),
+    "fixtures": ("REGION_PRESETS", "region_model", "write_region_log"),
+    "ingest": ("AccessRecord", "IngestReport", "LogFormatError", "ParseResult", "UniqueAccessSet",
+               "parse_log", "read_counts", "dedup_unique", "to_empirical"),
+    "network": ("NetworkConfig",),
+    "policy": ("CachingPolicy", "solve_c1", "optimal_policy", "theoretical_mstar"),
+    "popularity": ("PopularityModel", "EmpiricalDistribution", "FitResult",
+                   "UnidentifiableFitError", "sample_ranks", "fit_mzipf"),
+    "simulator": ("GridNetwork", "TrialOutcome", "SimOutcome", "SweepPoint", "build_grid",
+                  "run_trial", "run_monte_carlo", "simulate_tradeoff"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = ["__version__"] + [
-    name
-    for module in (analysis, fixtures, ingest, network, policy, popularity, simulator)
-    for name in module.__all__
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

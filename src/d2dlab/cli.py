@@ -14,6 +14,12 @@ each output and then the manifest to a temporary sibling, and only once
 every write has succeeded moves the temporaries into the outputs'
 places. It also refuses an output at the path of a file the command
 reads.
+
+A command imports the modules it runs when it runs, so a process loads
+only those: ``fit`` loads ``ingest`` and ``popularity``, ``policy`` and
+``validate-mstar`` load ``policy``, and ``tradeoff`` and ``simulate`` add
+``analysis`` or ``simulator`` as their mode needs them. The module itself
+needs only ``network`` and ``popularity``.
 """
 from __future__ import annotations
 
@@ -32,12 +38,8 @@ from pathlib import Path
 from time import perf_counter
 
 from . import __version__
-from .analysis import tradeoff_curve
-from .ingest import LogFormatError, read_counts
 from .network import NetworkConfig, _check_integer
-from .policy import optimal_policy, theoretical_mstar
 from .popularity import PopularityModel, fit_mzipf
-from .simulator import build_grid, run_monte_carlo, simulate_tradeoff
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -135,6 +137,8 @@ def _network_from_args(args, n_users: int, cluster_size: int) -> NetworkConfig:
 
 
 def cmd_fit(args, output: Path) -> tuple[str, dict, list]:
+    from .ingest import read_counts
+
     started = perf_counter()
     empirical, report = read_counts(args.log, args.region)
     ingest = asdict(report) | {"wall_s": perf_counter() - started}
@@ -164,6 +168,8 @@ def cmd_fit(args, output: Path) -> tuple[str, dict, list]:
 
 
 def cmd_policy(args, output: Path) -> tuple[str, dict, list]:
+    from .policy import optimal_policy, theoretical_mstar
+
     model = _model_from_args(args)
     policy = optimal_policy(model, args.s_cache, args.g_c)
     payload = {
@@ -177,6 +183,8 @@ def cmd_policy(args, output: Path) -> tuple[str, dict, list]:
 
 
 def cmd_validate_mstar(args, output: Path) -> tuple[str, dict, list]:
+    from .policy import optimal_policy, theoretical_mstar
+
     model = _model_from_args(args)
     g_c_list = _parse_int_list(args.g_c_list)
     rows = []
@@ -206,6 +214,8 @@ def cmd_tradeoff(args, output: Path) -> tuple[str, dict, list]:
     base = _network_from_args(args, args.n_users or max(1, *g_c_list), 1)
     rows = [{"g_c": g} for g in g_c_list]
     if args.mode in ("analytic", "both"):
+        from .analysis import tradeoff_curve
+
         for row, p in zip(rows, tradeoff_curve(model, base, g_c_list)):
             row["regime"] = p.regime_tag
             row["T_analytic"] = p.throughput
@@ -214,6 +224,8 @@ def cmd_tradeoff(args, output: Path) -> tuple[str, dict, list]:
             row["clamped"] = p.clamped
             row["error"] = p.error
     if args.mode in ("simulate", "both"):
+        from .simulator import simulate_tradeoff
+
         points = simulate_tradeoff(model, base, g_c_list, trials=args.trials, base_seed=args.seed)
         for row, point in zip(rows, points):
             if point.error:
@@ -230,6 +242,9 @@ def cmd_tradeoff(args, output: Path) -> tuple[str, dict, list]:
 
 
 def cmd_simulate(args, output: Path) -> tuple[str, dict, list]:
+    from .policy import optimal_policy
+    from .simulator import build_grid, run_monte_carlo
+
     model = _model_from_args(args)
     network = build_grid(args.n_users, args.g_c)
     config = _network_from_args(args, network.n_users, args.g_c)
@@ -328,6 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _io_errors() -> tuple[type[Exception], ...]:
+    """The errors main reports as EXIT_IO: OSError, and LogFormatError once
+    ingest is loaded, since no other command can raise it."""
+    ingest = sys.modules.get(f"{__package__}.ingest")
+    return (OSError,) if ingest is None else (OSError, ingest.LogFormatError)
+
+
 def main(argv=None) -> int:
     """Run one command, write its outputs and manifest sidecar, and print its summary line."""
     args = build_parser().parse_args(argv)
@@ -351,7 +373,7 @@ def main(argv=None) -> int:
         _stage(staged, manifest, _manifest(args, started, record))
         for temporary, output in staged:
             os.replace(temporary, output)
-    except (LogFormatError, OSError) as exc:
+    except _io_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, MemoryError) as exc:  # parameters too large to run are bad parameters

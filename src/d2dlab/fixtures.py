@@ -35,9 +35,12 @@ _RANK_DIGITS = 6
 
 
 def region_model(region: int) -> PopularityModel:
-    """Popularity model preset for a coverage region (1, 2, or 3)."""
+    """Popularity model preset for a coverage region (1, 2, or 3).
+
+    region must be an integer: 2.0 and True would find a preset too, and
+    write_region_log would write them into the log as they print."""
     try:
-        gamma, q, m_total = REGION_PRESETS[region]
+        gamma, q, m_total = REGION_PRESETS[_check_integer("region", region)]
     except KeyError:
         raise ValueError(f"unknown region {region}; presets exist for {sorted(REGION_PRESETS)}")
     return PopularityModel(gamma=gamma, q=q, m_total=m_total)

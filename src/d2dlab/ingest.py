@@ -39,6 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .network import _check_integer
 from .popularity import EmpiricalDistribution
 
 __all__ = [
@@ -119,8 +120,12 @@ def read_counts(source, region: int | None = None) -> tuple[EmpiricalDistributio
     report are the same either way.
     Raises LogFormatError when the header is missing or wrong or a line
     cannot be read, and ValueError, naming the region and the number of
-    checked rows, when no row is kept.
+    checked rows, when no row is kept. A region other than None must be an
+    integer, of either sign as in the log (True would keep region 1), or a
+    ValueError is raised before the log is read.
     """
+    if region is not None:
+        region = _check_integer("region", region)
     with _opened(source) as stream:
         rows = _CheckedColumns(stream)
         pairs = _count_pairs(_in_region(rows, region))

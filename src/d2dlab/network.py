@@ -9,10 +9,10 @@ import numpy as np
 __all__ = ["NetworkConfig"]
 
 
-def _check_integer(name: str, value: int, least: int) -> int:
+def _check_integer(name: str, value: int, least: float = -math.inf) -> int:
     """value as an int. Anything but an int or numpy integer (a bool is
-    neither, though Python makes it an int), or a value below least, raises
-    a ValueError that names the argument."""
+    neither, though Python makes it an int), or a value below least (by
+    default none is), raises a ValueError that names the argument."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:

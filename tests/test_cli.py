@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from d2dlab import cli
+from d2dlab import simulator
 from d2dlab.cli import main
 from d2dlab.fixtures import write_region_log
 from d2dlab.popularity import PopularityModel
@@ -500,7 +504,8 @@ class TestSimulateCommand:
         def out_of_memory(*args, **kw):
             raise MemoryError(message)
 
-        monkeypatch.setattr(cli, "run_monte_carlo", out_of_memory)
+        # The command imports run_monte_carlo from the simulator when it runs.
+        monkeypatch.setattr(simulator, "run_monte_carlo", out_of_memory)
         code = main([
             "simulate", "--gamma", "1.16", "--q", "22", "--m-total", "500",
             "--s-cache", "2", "--n-users", "16", "--g-c", "4",
@@ -538,6 +543,39 @@ def test_every_command_writes_its_manifest(tmp_path, command, flags, seed):
     assert manifest["parameters"]["output"] == str(out)
     assert manifest["seed"] == seed
     assert manifest["started_at"] <= manifest["finished_at"]
+
+
+# The modules every command loads: the package, the CLI and its top-level imports.
+CLI_MODULES = ["d2dlab", "d2dlab.cli", "d2dlab.network", "d2dlab.popularity"]
+SWEEP_FLAGS = [*MODEL_FLAGS, "--g-c-list", "4", "--n-users", "16", "--trials", "3"]
+
+
+@pytest.mark.parametrize("argv, code, runs", [
+    (["fit", "log.csv"], 0, ["ingest"]),
+    (["fit", "bad.csv"], 3, ["ingest"]),
+    (["policy", *MODEL_FLAGS, "--g-c", "4"], 0, ["policy"]),
+    (["policy", *MODEL_FLAGS, "--g-c", "1"], 2, ["policy"]),
+    (["validate-mstar", *MODEL_FLAGS, "--g-c-list", "10,50"], 0, ["policy"]),
+    (["tradeoff", *SWEEP_FLAGS, "--mode", "analytic"], 0, ["analysis", "policy"]),
+    (["tradeoff", *SWEEP_FLAGS, "--mode", "simulate"], 0, ["policy", "simulator"]),
+    (["tradeoff", *SWEEP_FLAGS, "--mode", "both"], 0, ["analysis", "policy", "simulator"]),
+    (["simulate", *MODEL_FLAGS, "--n-users", "16", "--g-c", "4", "--trials", "3"], 0,
+     ["policy", "simulator"]),
+], ids=["fit", "fit-bad-header", "policy", "policy-bad-g_c", "validate-mstar",
+        "tradeoff-analytic", "tradeoff-simulate", "tradeoff-both", "simulate"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, code, runs):
+    """In a fresh process, main loads the CLI's own modules and those of the
+    command it runs, and no other, whether the command succeeds or fails."""
+    if argv[0] == "fit":
+        write_region_log(tmp_path / "log.csv", region=3, n_accesses=2000, seed=4)
+        (tmp_path / "bad.csv").write_text("who,what,where\n", encoding="utf-8")
+    script = ("import json, sys\nfrom d2dlab.cli import main\ncode = main(sys.argv[1:])\n"
+              "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('d2dlab'))]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(simulator.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", script, *argv, "--output", "out"], cwd=tmp_path,
+                            env=env, capture_output=True, text=True, check=True)
+    loaded = CLI_MODULES + [f"d2dlab.{module}" for module in runs]
+    assert json.loads(result.stdout.splitlines()[-1]) == [code, sorted(loaded)]
 
 
 @pytest.mark.parametrize("command, flags", [

@@ -30,6 +30,12 @@ class TestRegionPresets:
         with pytest.raises(ValueError, match="region"):
             region_model(7)
 
+    @pytest.mark.parametrize("region", [2.0, True, "2", None])
+    def test_region_must_be_an_integer(self, region):
+        """2.0 and True equal preset keys, yet neither is a region id."""
+        with pytest.raises(ValueError, match="region must be an integer"):
+            region_model(region)
+
 
 class TestWriteRegionLog:
     def test_roundtrip_recovers_sampled_multiset(self, tmp_path):
@@ -90,6 +96,21 @@ class TestWriteRegionLog:
         with pytest.raises(ValueError, match="n_accesses"):
             write_region_log(path, n_accesses=n)
         assert not path.exists()
+
+    @pytest.mark.parametrize("region", [2.0, True])
+    def test_bad_region_rejected_before_any_file(self, tmp_path, region):
+        """A region that only equals a preset would be written into every row
+        as it prints, "2.0" or "True", and no row of the log would check out."""
+        path = tmp_path / "log.csv"
+        with pytest.raises(ValueError, match="region must be an integer"):
+            write_region_log(path, region=region, n_accesses=10)
+        assert not path.exists()
+
+    def test_numpy_integer_region(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_region_log(a, region=np.int64(2), n_accesses=700, seed=3)
+        write_region_log(b, region=2, n_accesses=700, seed=3)
+        assert a.read_bytes() == b.read_bytes()
 
     def test_numpy_integer_size(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -432,6 +432,21 @@ class TestReadCounts:
                 tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0]
 
+    @pytest.mark.parametrize("region", [True, 1.0, "1"])
+    def test_region_must_be_an_integer(self, region):
+        """True and 1.0 equal 1, so they kept region 1's rows as if it were asked for."""
+        with pytest.raises(ValueError, match="region must be an integer"):
+            read_counts(log("u1,c1,1", "u2,c1,1"), region=region)
+
+    def test_any_integer_region_is_kept(self):
+        """The region column takes a sign, so a negative region is a region,
+        and a numpy integer reads as the int it holds."""
+        rows = ("u1,c1,-3", "u2,c1,-3", "u1,c2,1")
+        for region, counts in ((-3, [2.0]), (np.int64(-3), [2.0]), (np.int8(1), [1.0])):
+            empirical, report = read_counts(log(*rows), region=region)
+            assert empirical.counts.tolist() == counts
+            assert report.kept == counts[0]
+
     @pytest.mark.parametrize("text", ["", "u1,c1,2\n", "who,what,where\n"],
                              ids=["empty", "no-header", "bad-header"])
     def test_header_checked(self, text):

@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +17,38 @@ from d2dlab import simulator
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SPEC = json.loads((BENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
 BENCHMARK_WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+
+# The modules whose __all__ the namespace re-exports, in its order.
+MODULES = ("analysis", "fixtures", "ingest", "network", "policy", "popularity", "simulator")
+
+
+def test_importing_the_package_loads_no_module():
+    """The namespace resolves its names on first access, so a process that
+    reads none of them loads none of the modules."""
+    script = "import sys, d2dlab\nprint(sorted(m for m in sys.modules if m.startswith('d2dlab')))\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(d2dlab.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "['d2dlab']\n"
+
+
+def test_namespace_lists_each_module_all_in_order():
+    modules = [importlib.import_module(f"d2dlab.{name}") for name in MODULES]
+    assert d2dlab.__all__ == ["__version__", *(name for m in modules for name in m.__all__)]
+    for module_name, module in zip(MODULES, modules):
+        assert getattr(d2dlab, module_name) is module
+        for name in module.__all__:
+            assert getattr(d2dlab, name) is getattr(module, name), name
+
+
+def test_dir_lists_every_exported_name():
+    assert sorted(set(d2dlab.__all__) - set(dir(d2dlab))) == []
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'd2dlab' has no attribute 'no_such_name'"):
+        d2dlab.no_such_name  # noqa: B018
+    assert not hasattr(d2dlab, "_no_such_name")
 
 
 def test_every_exported_name_resolves():
