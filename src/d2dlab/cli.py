@@ -16,10 +16,11 @@ places. It also refuses an output at the path of a file the command
 reads.
 
 A command imports the modules it runs when it runs, so a process loads
-only those: ``fit`` loads ``ingest`` and ``popularity``, ``policy`` and
-``validate-mstar`` load ``policy``, and ``tradeoff`` and ``simulate`` add
-``analysis`` or ``simulator`` as their mode needs them. The module itself
-needs only ``network`` and ``popularity``.
+only those: ``fit`` loads ``ingest``, ``policy`` and ``validate-mstar``
+load ``policy``, ``tradeoff`` adds ``analysis`` for its analytic side and
+``simulator`` for its simulated side, and ``simulate`` loads ``policy``
+and ``simulator``. The module itself needs only ``network`` and
+``popularity``.
 """
 from __future__ import annotations
 
