@@ -5,10 +5,11 @@ optimal random caching policy by water-filling, evaluates closed-form
 throughput-outage tradeoffs, and validates them with Monte Carlo
 simulation of a clustered grid network.
 
-The package namespace re-exports each module's ``__all__`` through a
-module ``__getattr__`` (PEP 562), which loads a module when one of its
-names, or its own name, is first read. So ``import d2dlab`` loads no
-module, and a program loads only the modules whose names it reads.
+``_EXPORTS`` is the one list of public names, grouped by module. The
+package namespace re-exports them through a module ``__getattr__`` (PEP
+562), which loads a module when one of its names, or its own name, is
+first read. So ``import d2dlab`` loads no module, and a program loads
+only the modules whose names it reads.
 """
 from __future__ import annotations
 
@@ -16,8 +17,9 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Each module's __all__, in the order the namespace lists the modules;
-# tests/test_package.py checks that the two agree.
+# The one list of public names: each module's, in the order the namespace
+# lists the modules. A module's public names are those its own source binds
+# at top level without a leading underscore; tests/test_package.py checks it.
 _EXPORTS = {
     "analysis": ("RegimeError", "TradeoffPoint", "REGIME1", "REGIME2", "hit_prob_closed_form",
                  "hit_prob_lower_bound", "tradeoff_point", "tradeoff_curve"),

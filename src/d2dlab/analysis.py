@@ -14,17 +14,6 @@ from .network import NetworkConfig, _check_integer
 from .policy import _c1, _policy_exponent
 from .popularity import PopularityModel
 
-__all__ = [
-    "RegimeError",
-    "TradeoffPoint",
-    "REGIME1",
-    "REGIME2",
-    "hit_prob_closed_form",
-    "hit_prob_lower_bound",
-    "tradeoff_point",
-    "tradeoff_curve",
-]
-
 REGIME1 = "regime1"
 REGIME2 = "regime2"
 

@@ -218,12 +218,14 @@ def cmd_tradeoff(args, output: Path) -> tuple[str, dict, list]:
         from .analysis import tradeoff_curve
 
         for row, p in zip(rows, tradeoff_curve(model, base, g_c_list)):
+            if p.error:
+                row["error"] = p.error
+                continue
             row["regime"] = p.regime_tag
             row["T_analytic"] = p.throughput
             row["Po_analytic"] = p.outage
             row["hit_analytic"] = p.hit_prob
             row["clamped"] = p.clamped
-            row["error"] = p.error
     if args.mode in ("simulate", "both"):
         from .simulator import simulate_tradeoff
 

@@ -13,8 +13,6 @@ import numpy as np
 from .network import _check_integer
 from .popularity import PopularityModel, sample_ranks
 
-__all__ = ["REGION_PRESETS", "region_model", "write_region_log"]
-
 # Fitted (gamma, q, library size) per coverage region, most to least populous.
 REGION_PRESETS: dict[int, tuple[float, float, int]] = {
     1: (1.28, 34.0, 18553),

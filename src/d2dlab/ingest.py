@@ -42,18 +42,6 @@ import numpy as np
 from .network import _check_integer
 from .popularity import EmpiricalDistribution
 
-__all__ = [
-    "AccessRecord",
-    "IngestReport",
-    "LogFormatError",
-    "ParseResult",
-    "UniqueAccessSet",
-    "parse_log",
-    "read_counts",
-    "dedup_unique",
-    "to_empirical",
-]
-
 _REQUIRED_COLUMNS = ("user_id", "content_id", "region_id")
 # An integer column: ASCII digits with an optional sign. int() alone also
 # takes digit-group underscores and non-ASCII digits ("1_0", "٢").

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NetworkConfig"]
-
 
 def _check_integer(name: str, value: int, least: float = -math.inf) -> int:
     """value as an int. Anything but an int or numpy integer (a bool is

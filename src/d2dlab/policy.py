@@ -19,13 +19,6 @@ import numpy as np
 from .network import _check_integer
 from .popularity import PopularityModel, _guide_table
 
-__all__ = [
-    "CachingPolicy",
-    "solve_c1",
-    "optimal_policy",
-    "theoretical_mstar",
-]
-
 _C1_TOL = 1e-10
 
 

@@ -15,15 +15,6 @@ import numpy as np
 
 from .network import _check_integer
 
-__all__ = [
-    "PopularityModel",
-    "EmpiricalDistribution",
-    "FitResult",
-    "UnidentifiableFitError",
-    "sample_ranks",
-    "fit_mzipf",
-]
-
 
 class UnidentifiableFitError(ValueError):
     """Raised when the empirical input cannot identify (gamma, q)."""
@@ -188,7 +179,6 @@ class EmpiricalDistribution:
     """
 
     counts: np.ndarray
-    total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts, dtype=np.float64)
@@ -200,11 +190,9 @@ class EmpiricalDistribution:
             raise ValueError("counts must be non-negative")
         if np.any(np.diff(counts) > 0):
             raise ValueError("counts must be sorted non-increasing")
-        total = float(counts.sum())
-        if total <= 0:
+        if counts.sum() <= 0:
             raise ValueError("counts must have positive total")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "total", total)
 
     @property
     def n_ranks(self) -> int:

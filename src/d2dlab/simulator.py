@@ -17,21 +17,12 @@ from functools import cache, cached_property
 from itertools import islice
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .network import NetworkConfig, _check_integer
 from .policy import CachingPolicy, optimal_policy
 from .popularity import _LOOKUP_BLOCK, PopularityModel, _ranks_from_cdf
-
-__all__ = [
-    "GridNetwork",
-    "TrialOutcome",
-    "SimOutcome",
-    "SweepPoint",
-    "build_grid",
-    "run_trial",
-    "run_monte_carlo",
-    "simulate_tradeoff",
-]
 
 
 @dataclass(frozen=True)
@@ -201,46 +192,38 @@ def _pcg64_seed_words(start: int, stop: int) -> np.ndarray:
     return np.ascontiguousarray(words.T)
 
 
-@cache
-def _preset_seed_sequence() -> type:
+class _PresetSeedSequence(ISeedSequence):
     """An ISeedSequence whose generate_state returns words that are already
     hashed. PCG64 reads them without a check, so they must be the 4
-    C-contiguous uint64 words it asks for. Made on first use, so that
-    importing d2dlab leaves numpy.random unloaded."""
-    from numpy.random.bit_generator import ISeedSequence
+    C-contiguous uint64 words it asks for."""
 
-    class PresetSeedSequence(ISeedSequence):
-        __slots__ = ("words",)
+    __slots__ = ("words",)
 
-        def __init__(self, words: np.ndarray) -> None:
-            self.words = words
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
 
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            return self.words
-
-    return PresetSeedSequence
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
 
 
-def _seeded_generators(seeds: range) -> Iterator[np.random.Generator]:
+def _seeded_generators(seeds: range) -> Iterator[Generator]:
     """np.random.default_rng(seed) for each seed of a range of step 1, in
     order, bit for bit.
 
     A run of at least _SEED_BLOCK_MIN seeds, all below 2**64, is hashed in
     blocks of up to _SEED_BLOCK seeds, and each generator is
     Generator(PCG64) seeded in C from its row of words. The run makes one
-    PresetSeedSequence and sets its words before each PCG64, which reads
+    _PresetSeedSequence and sets its words before each PCG64, which reads
     them when it is made; every generator then holds that one object as its
     seed_seq, so they are for the kernel, not to be spawned from or handed
     out. A shorter run, or one with a seed from 2**64 up, seeds each PCG64
     through SeedSequence itself: no workload draws seeds that high, so the
     array hash takes only two words a seed.
     """
-    from numpy.random import PCG64, Generator
-
     if len(seeds) < _SEED_BLOCK_MIN or seeds.stop > 2**64:
         yield from (Generator(PCG64(seed)) for seed in seeds)
         return
-    preset = _preset_seed_sequence()(None)
+    preset = _PresetSeedSequence(None)
     for start in range(seeds.start, seeds.stop, _SEED_BLOCK):
         for words in _pcg64_seed_words(start, min(seeds.stop, start + _SEED_BLOCK)):
             preset.words = words

@@ -123,13 +123,16 @@ class TestFitCommand:
         code = main(["fit", str(log), "--output", str(tmp_path / "o.json")])
         assert code == 3
 
-    @pytest.mark.parametrize("row, message", [
-        (f"u2,{'c' * 200_000},2\n".encode(), "line 3: field larger than field limit"),
-        (b"u2,c\xff2,2\n", "not UTF-8"),
-    ], ids=["oversized-field", "not-utf8"])
-    def test_unreadable_log_is_a_format_error(self, tmp_path, capsys, row, message):
+    @pytest.mark.parametrize("text, message", [
+        (f"user_id,content_id,region_id\nu1,c1,2\nu2,{'c' * 200_000},2\n".encode(),
+         "line 3: field larger than field limit"),
+        (b"user_id,content_id,region_id\nu1,c1,2\nu2,c\xff2,2\n", "not UTF-8"),
+        (f"user_id,{'c' * 200_000},region_id\nu1,c1,2\n".encode(),
+         "line 1: field larger than field limit"),
+    ], ids=["oversized-field", "not-utf8", "oversized-header-field"])
+    def test_unreadable_log_is_a_format_error(self, tmp_path, capsys, text, message):
         log = tmp_path / "log.csv"
-        log.write_bytes(b"user_id,content_id,region_id\nu1,c1,2\n" + row)
+        log.write_bytes(text)
         code = main(["fit", str(log), "--output", str(tmp_path / "fit.json")])
         assert code == 3
         assert message in capsys.readouterr().err
@@ -425,6 +428,9 @@ class TestTradeoffCommand:
         assert code == 0
         rows = {r["g_c"]: r for r in read_csv(out)}
         assert "cluster too small" in rows["2"]["error"]
+        # A failed point leaves every cell of its side empty, clamped too.
+        for column in ("regime", "T_analytic", "Po_analytic", "hit_analytic", "clamped"):
+            assert rows["2"][column] == "", column
         assert rows["100"]["error"] == ""
 
     @pytest.mark.parametrize("mode", ["analytic", "both"])

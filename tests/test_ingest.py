@@ -244,7 +244,7 @@ class TestToEmpirical:
         ]
         unique = dedup_unique(records)
         emp = to_empirical(unique)
-        assert emp.total == unique.n_unique
+        assert emp.counts.sum() == unique.n_unique
 
     def test_matches_independent_recount(self):
         """Ranked counts agree with a second, direct counting pass."""
@@ -407,7 +407,7 @@ class TestReadCounts:
         assert result.stdout == "False\n"
 
     def test_importing_the_cli_does_not_import_numpy_random(self):
-        """numpy.random is loaded when a Monte Carlo first runs, not by the
+        """numpy.random is loaded when the simulator is loaded, not by the
         import that every fit, validate-mstar and analytic tradeoff pays."""
         script = "import sys\nimport d2dlab, d2dlab.cli\nprint('numpy.random' in sys.modules)\n"
         src = os.path.dirname(os.path.dirname(d2dlab.__file__))
@@ -470,18 +470,23 @@ class TestUnreadableLog:
         "kind, head",
         [("stream", "first-chunk"), ("path", "first-chunk"), ("forward", "first-chunk"),
          ("stream", "later"), ("path", "later"), ("forward", "later"),
-         ("stream", "after-csv"), ("path", "after-csv"), ("forward", "after-csv")],
+         ("stream", "after-csv"), ("path", "after-csv"), ("forward", "after-csv"),
+         ("stream", "header"), ("path", "header"), ("forward", "header")],
         ids=["stream", "path", "forward-only", "later-stream", "later-path", "later-forward-only",
-             "after-csv-stream", "after-csv-path", "after-csv-forward-only"])
+             "after-csv-stream", "after-csv-path", "after-csv-forward-only",
+             "header-stream", "header-path", "header-forward-only"])
     def test_field_over_the_csv_limit(self, tmp_path, reader, kind, head):
-        head = _heads()[head]
-        text = HEADER + head + "u1,c1,2\n" + f"u2,{'c' * 200_000},2\n" + "u3,c3,2\n"
+        if head == "header":  # the oversized field is in the header line itself
+            text, line = f"user_id,{'c' * 200_000},region_id\nu1,c1,2\n", 1
+        else:
+            head = _heads()[head]
+            text = HEADER + head + "u1,c1,2\n" + f"u2,{'c' * 200_000},2\n" + "u3,c3,2\n"
+            line = head.count("\n") + 3
         if kind == "path":
             source = tmp_path / "log.csv"
             source.write_text(text, encoding="utf-8")
         else:
             source = (io.StringIO if kind == "stream" else forward_only)(text)
-        line = head.count("\n") + 3
         with pytest.raises(LogFormatError, match=rf"^line {line}: field larger than field limit"):
             reader(source)
 

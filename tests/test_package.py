@@ -18,27 +18,76 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 SPEC = json.loads((BENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
 BENCHMARK_WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 
-# The modules whose __all__ the namespace re-exports, in its order.
+# The modules whose public names the namespace exports, in its order:
+# every module but cli, the command line.
 MODULES = ("analysis", "fixtures", "ingest", "network", "policy", "popularity", "simulator")
+PACKAGE = Path(d2dlab.__file__).parent
+
+
+def printed_by(script: str) -> str:
+    """What script prints, run in a fresh process that finds this d2dlab."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True).stdout
 
 
 def test_importing_the_package_loads_no_module():
     """The namespace resolves its names on first access, so a process that
     reads none of them loads none of the modules."""
     script = "import sys, d2dlab\nprint(sorted(m for m in sys.modules if m.startswith('d2dlab')))\n"
-    env = dict(os.environ, PYTHONPATH=str(Path(d2dlab.__file__).parents[1]))
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                            text=True, check=True)
-    assert result.stdout == "['d2dlab']\n"
+    assert printed_by(script) == "['d2dlab']\n"
 
 
-def test_namespace_lists_each_module_all_in_order():
-    modules = [importlib.import_module(f"d2dlab.{name}") for name in MODULES]
-    assert d2dlab.__all__ == ["__version__", *(name for m in modules for name in m.__all__)]
-    for module_name, module in zip(MODULES, modules):
+@pytest.mark.parametrize("read, modules", [
+    ("d2dlab.policy", ["network", "policy", "popularity"]),
+    ("d2dlab.write_region_log", ["fixtures", "network", "popularity"]),
+], ids=["module", "name"])
+def test_reading_the_namespace_loads_only_what_it_reads(read, modules):
+    """Reading a module, or one of its names, loads that module and its own
+    imports, and leaves numpy.random unloaded."""
+    script = (f"import sys, d2dlab\n{read}\n"
+              "print(sorted(m for m in sys.modules if m.startswith('d2dlab')),"
+              " 'numpy.random' in sys.modules)\n")
+    loaded = ["d2dlab", *(f"d2dlab.{module}" for module in modules)]
+    assert printed_by(script) == f"{loaded} False\n"
+
+
+def top_level_names(path: Path) -> set[str]:
+    """The names a module's own source binds at top level by def, class or
+    assignment; a name it only imports is not one of them."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    return names
+
+
+def test_namespace_exports_each_module_public_names():
+    """_EXPORTS is the one list of public names: for each module, the names
+    its own source binds at top level without a leading underscore."""
+    assert sorted(path.stem for path in PACKAGE.glob("*.py")) == sorted(
+        ["__init__", "cli", *MODULES])
+    assert list(d2dlab._EXPORTS) == list(MODULES)
+    exported = [name for names in d2dlab._EXPORTS.values() for name in names]
+    assert d2dlab.__all__ == ["__version__", *exported]
+    for module_name, names in d2dlab._EXPORTS.items():
+        bound = top_level_names(PACKAGE / f"{module_name}.py")
+        assert sorted(names) == sorted(n for n in bound if not n.startswith("_")), module_name
+        module = importlib.import_module(f"d2dlab.{module_name}")
         assert getattr(d2dlab, module_name) is module
-        for name in module.__all__:
+        for name in names:
             assert getattr(d2dlab, name) is getattr(module, name), name
+
+
+def test_no_module_but_the_package_assigns_all():
+    """No module keeps a list of its public names beside _EXPORTS."""
+    assigns = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               if "__all__" in top_level_names(path)]
+    assert assigns == ["__init__.py"]
 
 
 def test_dir_lists_every_exported_name():
@@ -83,7 +132,7 @@ def test_every_exported_name_is_reached_by_the_package_or_the_benchmark():
     __init__.py, or imported by bench/workloads.py. A name only the tests
     reach belongs in the tests."""
     reached = set()
-    for path in Path(d2dlab.__file__).parent.glob("*.py"):
+    for path in PACKAGE.glob("*.py"):
         if path.name == "__init__.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -99,7 +148,7 @@ def test_no_module_reads_the_environment():
     input comes in through a parameter or a command-line flag."""
     readers = {"environ", "environb", "getenv"}
     reads = []
-    for path in sorted(Path(d2dlab.__file__).parent.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         os_names = {alias.asname or alias.name for node in ast.walk(tree)
                     if isinstance(node, ast.Import) for alias in node.names if alias.name == "os"}
