@@ -11,7 +11,7 @@ of the analysis is a ratio of the inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -83,8 +83,10 @@ class CachingPolicy:
     draws; water_level is the Lagrangian threshold nu; m_star the number
     of files with positive caching probability. z holds the water-filling
     weights of the blocks that optimal_policy evaluated, from file 1 to the
-    end of the block that holds m_star + 1; it is unset only on policies
-    that tests build by hand. That is the whole library when m_star = M,
+    end of the block that holds m_star + 1. The policy does not keep it:
+    each read evaluates it again, with the search's bits, from the law and
+    exponent that optimal_policy recorded; it is None on policies built by
+    hand. That is the whole library when m_star = M,
     and otherwise reaches past index m_star, where z[m_star] <= nu. The
     weights are non-increasing, so every file past z has z_f <= nu too: z
     is the policy's complete KKT certificate.
@@ -93,15 +95,42 @@ class CachingPolicy:
     probs: np.ndarray
     water_level: float
     m_star: int
-    z: np.ndarray | None = None
+    # What z is evaluated from: the law, the exponent S*(g_c-1)-1 and the
+    # number of files the search evaluated.
+    _law: PopularityModel | None = field(default=None, repr=False, compare=False)
+    _exponent: int = field(default=1, repr=False, compare=False)
+    _searched: int = field(default=0, repr=False, compare=False)
+
+    @property
+    def z(self) -> np.ndarray | None:
+        if self._law is None:
+            return None
+        z = np.empty(self._searched)
+        # Block by block, so that a read holds no temporary of z's length.
+        for lo in range(0, z.size, _BLOCK):
+            hi = min(lo + _BLOCK, z.size)
+            _weights(self._law, self._exponent, lo, hi, z[lo:hi])
+        return z
 
     @cached_property
     def _cdf_guide(self) -> tuple[np.ndarray, np.ndarray]:
-        return _guide_table(np.cumsum(self.probs), self.m_star)
+        return _guide_table(np.cumsum(self.probs[: self.m_star]), self.m_star)
 
 
 # Files per block of optimal_policy's walk over the library.
 _BLOCK = 1 << 12
+
+
+def _weights(popularity: PopularityModel, n: int, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """The water-filling weights z_f = P_r(f)^(1/n) of the files f = lo+1..hi,
+    into out, which is returned: the one evaluator of z (see optimal_policy)."""
+    if n == 1:
+        np.copyto(out, popularity.pmf_values[lo:hi])
+    else:
+        popularity._log_pmf(lo, hi, out=out)
+        out /= n
+        np.exp(out, out=out)
+    return out
 
 
 def optimal_policy(
@@ -112,12 +141,12 @@ def optimal_policy(
     Water-filling construction: m_star is the largest m whose water level
     nu(m) = (m-1) / sum_{f<=m} 1/z_f still sits below z_m; the caching
     probabilities are max(1 - nu/z_f, 0) and sum to 1 by construction.
-    The weights z_f = P_r(f)^(1/n), n = S*(g_c-1)-1, are the pmf itself at
-    n = 1; otherwise each block of z takes the model's log-pmf of its files
-    (PopularityModel._log_pmf), which is divided by n and exponentiated in
-    place, so large exponents do not underflow. A weight that
-    underflows to 0 anyway has an infinite reciprocal and is never
-    feasible; at worst m_star = 1, nu = 0 and the policy caches file 1.
+    The weights z_f = P_r(f)^(1/n), n = S*(g_c-1)-1, are evaluated block by
+    block by _weights: the pmf itself at n = 1, otherwise the model's
+    log-pmf (PopularityModel._log_pmf) divided by n and exponentiated, so
+    large exponents do not underflow. A weight that underflows to 0 anyway
+    has an infinite reciprocal and is never feasible; at worst m_star = 1,
+    nu = 0 and the policy caches file 1.
 
     The feasible m (z_m > nu(m)) form a prefix. With C_m = sum_{f<=m} 1/z_f,
     z_{m+1} <= nu(m+1) = m / (C_m + 1/z_{m+1}) reduces to
@@ -127,7 +156,7 @@ def optimal_policy(
     infeasible one, and only the prefix up to it decides the answer.
 
     The search walks the library in blocks of _BLOCK files. Each block's z
-    goes into the policy's z; its 1/z and their running sum C go into one
+    goes into the call's one buffer; its 1/z and their running sum C go into one
     block-sized scratch, reused for every block, whose first entry takes on
     the last sum of the block before. By the prefix property, a block whose
     last m passes the test is feasible throughout, so the test is made on
@@ -138,38 +167,32 @@ def optimal_policy(
     those of one cumsum over the whole library, and m_star, nu and probs
     those of a scan for the last feasible m over all of it whenever the
     rounded test keeps the prefix property (tests check this against such a
-    scan). The policy keeps z of the evaluated blocks: it holds the first
+    scan). The z of the evaluated blocks holds the first
     infeasible index m_star unless m_star = M, so by the argument above it
     certifies the whole library.
 
-    The log law is evaluated only for the files the search scans, on every
-    call, and no array of the library's length is held but z and probs.
-    At M = 10^6 and S = 4 (one CPU of a 2-vCPU host), a call on a fresh
-    model took 1.2-1.6 ms at g_c = 100-2,500 (m_star 408-8,752), where
-    evaluating the whole law first had taken 7.0-8.7 ms. Calls whose search
-    reaches most of the library pay for the law each time, in blocks: a
-    repeated call on one model took 9.3-9.7 ms at g_c = 10^5 (m_star 345k)
-    against 5.8-7.9 ms, and 22.6-25.2 ms at m_star = M against 15.5-17.1
-    ms, where a call on a fresh model took 21.9-22.7 ms against 16.9-21.1.
+    Once m_star and nu are known, the buffer becomes probs in place: z past
+    m_star is zeroed and z before it turned into 1 - nu/z. So the call holds
+    one array of the library's length, resident up to the last evaluated
+    block, and evaluates the log law only for the files its search scans.
+    The policy records the law, n and the number of files searched instead
+    of z, and evaluates the same z again, through _weights, each time it is
+    read.
     """
     if popularity.m_total < 2:
         raise ValueError("optimal_policy requires a library of at least 2 files")
     n = _policy_exponent(s_cache, cluster_size)
     m_total = popularity.m_total
-    z = np.empty(m_total)  # written, and so resident, only up to the last block
+    # z of the searched blocks, turned into probs in place at the end; written,
+    # and so resident, only up to the last block.
+    z = np.zeros(m_total)
     sums = np.empty(min(_BLOCK, m_total))
     lo, carry = 0, 0.0  # carry is C_lo, the running sum before the block
     # A weight that underflowed to 0 makes 1/z_f and C infinite: the intended limit.
     with np.errstate(divide="ignore", over="ignore"):
         while True:
             hi = min(lo + _BLOCK, m_total)
-            z_new = z[lo:hi]
-            if n == 1:
-                np.copyto(z_new, popularity.pmf_values[lo:hi])
-            else:
-                popularity._log_pmf(lo, hi, out=z_new)
-                z_new /= n
-                np.exp(z_new, out=z_new)
+            z_new = _weights(popularity, n, lo, hi, z[lo:hi])
             block = np.divide(1.0, z_new, out=sums[: hi - lo])
             block[0] += carry
             np.cumsum(block, out=block)
@@ -181,10 +204,11 @@ def optimal_policy(
     infeasible = np.flatnonzero(z_new <= nu_at)
     m_star = lo + int(infeasible[0]) if infeasible.size else m_total
     nu = float((m_star - 1) / (block[m_star - lo - 1] if m_star > lo else carry))
-    probs = np.zeros(m_total)
-    head = np.divide(nu, z[:m_star], out=probs[:m_star])
+    z[m_star:hi] = 0.0
+    head = np.divide(nu, z[:m_star], out=z[:m_star])
     np.subtract(1.0, head, out=head)
-    return CachingPolicy(probs=probs, water_level=nu, m_star=m_star, z=z[:hi])
+    return CachingPolicy(probs=z, water_level=nu, m_star=m_star,
+                         _law=popularity, _exponent=n, _searched=hi)
 
 
 def theoretical_mstar(

@@ -20,7 +20,7 @@ from d2dlab.policy import (
     solve_c1,
     theoretical_mstar,
 )
-from d2dlab.popularity import PopularityModel
+from d2dlab.popularity import PopularityModel, _guide_table
 from d2dlab.simulator import build_grid, run_monte_carlo
 
 from oracles import (
@@ -273,7 +273,9 @@ class TestOptimalPolicy:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             policy = optimal_policy(model, s, g_c)
+            z = policy.z
         assert policy.m_star == 1
+        assert z[0] > 0.0
         assert policy.water_level == 0.0
         np.testing.assert_array_equal(policy.probs, np.eye(1, 100)[0])
 
@@ -298,14 +300,14 @@ def assert_same_bits(policy, reference):
     assert np.all(z[size:] <= nu)
 
 
-def traced_policy(model, s_cache, cluster_size):
-    """optimal_policy(model, s_cache, cluster_size) and the bytes allocated at
-    its peak above what was live before it."""
+def traced(call, *args):
+    """call(*args) and the bytes allocated at its peak above what was live
+    before it."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        policy = optimal_policy(model, s_cache, cluster_size)
-        return policy, tracemalloc.get_traced_memory()[1] - base
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
 
@@ -367,29 +369,31 @@ class TestPrefixSearch:
         expected = {"m* = M", "m* at a block's last entry", "m* at a block's first entry"}
         assert seen == (expected | {"m* inside a block"} if block >= 3 else expected)
 
-    def test_peak_memory_is_z_and_probs(self):
-        """m* = M at M = 10^6: beyond z and probs, only block-sized scratch."""
+    def test_peak_memory_is_one_library_array(self):
+        """m* = M at M = 10^6: beyond the one array that holds z and then
+        probs, only block-sized scratch."""
         m_total = 1_000_000
         model = PopularityModel(gamma=1.16, q=22.0, m_total=m_total)
-        policy, peak = traced_policy(model, 4, 400_000)
+        policy, peak = traced(optimal_policy, model, 4, 400_000)
         assert policy.m_star == m_total
-        assert peak <= 2 * 8 * m_total + 2**20
+        assert peak <= 8 * m_total + 2**20
 
-    def test_peak_memory_of_a_short_search_is_z_and_probs(self):
+    def test_peak_memory_of_a_short_search_is_one_library_array(self):
         """m* in the first block of a fresh M = 10^6 model: no law of the
         library's length is evaluated, so the peak is that of m* = M."""
         m_total = 1_000_000
         model = PopularityModel(gamma=1.16, q=22.0, m_total=m_total)
-        policy, peak = traced_policy(model, 4, 100)
+        policy, peak = traced(optimal_policy, model, 4, 100)
         assert policy.z.size == policy_module._BLOCK
-        assert peak <= 2 * 8 * m_total + 2**20
+        assert peak <= 8 * m_total + 2**20
 
     @pytest.mark.parametrize("block", [1, 3, 1 << 12])
     @pytest.mark.parametrize("m_total, s, g_c", [
         (7345, 4, 100), (7345, 4, 2500), (5405, 60, 5000), (300_000, 4, 100), (50, 2, 6),
     ])
     def test_law_evaluated_once_per_searched_file(self, monkeypatch, block, m_total, s, g_c):
-        """The log law is evaluated for the files of z and no others: once each, in order."""
+        """The log law is evaluated for the files of z and no others: once
+        each, in order, and once more on each later read of z."""
         calls = []
         law = PopularityModel._log_pmf
 
@@ -400,9 +404,47 @@ class TestPrefixSearch:
         monkeypatch.setattr(policy_module, "_BLOCK", block)
         monkeypatch.setattr(PopularityModel, "_log_pmf", counted)
         policy = optimal_policy(PopularityModel(gamma=1.16, q=22.0, m_total=m_total), s, g_c)
-        assert calls[0][0] == 0
-        assert all(hi == lo for (_, hi), (lo, _) in zip(calls, calls[1:]))
-        assert sum(hi - lo for lo, hi in calls) == policy.z.size
+        runs = [calls.copy()]
+        for _ in range(2):
+            calls.clear()
+            size = policy.z.size
+            runs.append(calls.copy())
+        for run in runs:  # files 0..size, each once, in order
+            assert run[0][0] == 0 and run[-1][1] == size
+            assert all(hi == lo for (_, hi), (lo, _) in zip(run, run[1:]))
+
+
+class TestCachingPolicy:
+    """A water-filled policy holds probs alone and evaluates z when it is read."""
+
+    def test_each_read_of_z_is_the_inline_law(self):
+        model = PopularityModel(gamma=1.16, q=22.0, m_total=1_000_000)
+        policy = optimal_policy(model, 4, 400_000)
+        first, second = policy.z, policy.z
+        assert first.size == model.m_total
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == second.tobytes()
+        assert first.tobytes() == log_space_z(model, 4, 400_000)[: first.size].tobytes()
+
+    def test_probs_is_the_only_array_held(self):
+        policy = optimal_policy(PopularityModel(**REGION2), 4, 2500)
+        _ = policy._cdf_guide, policy.z
+        held = {name: value for name, value in vars(policy).items() if name != "_cdf_guide"}
+        assert [name for name, value in held.items() if isinstance(value, np.ndarray)] == ["probs"]
+
+    def test_hand_built_policy_has_no_z(self):
+        assert hand_policy([0.5, 0.5, 0.0]).z is None
+
+    def test_guide_reads_only_the_cached_files(self):
+        """The guide takes the cumulative sums of the m* cached files, not of
+        the library: the same bits as the sums over all of it, at a peak far
+        below one array of the library's length."""
+        policy = optimal_policy(PopularityModel(gamma=1.16, q=22.0, m_total=1_000_000), 4, 100)
+        assert policy.m_star < 1000
+        guide, peak = traced(lambda: policy._cdf_guide)
+        expected = _guide_table(np.cumsum(policy.probs), policy.m_star)
+        assert [a.tobytes() for a in guide] == [a.tobytes() for a in expected]
+        assert peak < 2**20
 
 
 class TestKktMstar:
