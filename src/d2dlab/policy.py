@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .network import _check_integer
-from .popularity import PopularityModel, _guide_table
+from .popularity import PopularityModel, _guide_table, _log_pmf, _power_law
 
 _C1_TOL = 1e-10
 
@@ -75,7 +75,7 @@ def _c1(popularity: PopularityModel, s_cache: int, cluster_size: int) -> float:
     return solve_c1(popularity.q * (popularity.gamma / n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CachingPolicy:
     """Random caching distribution with its water-filling certificate.
 
@@ -83,23 +83,26 @@ class CachingPolicy:
     draws; water_level is the Lagrangian threshold nu; m_star the number
     of files with positive caching probability. z holds the water-filling
     weights of the blocks that optimal_policy evaluated, from file 1 to the
-    end of the block that holds m_star + 1. The policy does not keep it:
-    each read evaluates it again, with the search's bits, from the law and
-    exponent that optimal_policy recorded; it is None on policies built by
-    hand. That is the whole library when m_star = M,
+    end of the block that holds m_star + 1. The policy does not keep it,
+    nor the model: each read evaluates z again, with the search's bits,
+    from the law's three numbers (gamma, q, Z) and the exponent that
+    optimal_policy recorded; it is None on policies built by hand. That is
+    the whole library when m_star = M,
     and otherwise reaches past index m_star, where z[m_star] <= nu. The
     weights are non-increasing, so every file past z has z_f <= nu too: z
     is the policy's complete KKT certificate.
+
+    It compares and hashes by identity.
     """
 
     probs: np.ndarray
     water_level: float
     m_star: int
-    # What z is evaluated from: the law, the exponent S*(g_c-1)-1 and the
-    # number of files the search evaluated.
-    _law: PopularityModel | None = field(default=None, repr=False, compare=False)
-    _exponent: int = field(default=1, repr=False, compare=False)
-    _searched: int = field(default=0, repr=False, compare=False)
+    # What z is evaluated from: the law's (gamma, q, Z), the exponent
+    # S*(g_c-1)-1 and the number of files the search evaluated.
+    _law: tuple[float, float, float] | None = field(default=None, repr=False)
+    _exponent: int = field(default=1, repr=False)
+    _searched: int = field(default=0, repr=False)
 
     @property
     def z(self) -> np.ndarray | None:
@@ -121,13 +124,17 @@ class CachingPolicy:
 _BLOCK = 1 << 12
 
 
-def _weights(popularity: PopularityModel, n: int, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-    """The water-filling weights z_f = P_r(f)^(1/n) of the files f = lo+1..hi,
-    into out, which is returned: the one evaluator of z (see optimal_policy)."""
+def _weights(law: tuple[float, float, float], n: int, lo: int, hi: int,
+             out: np.ndarray) -> np.ndarray:
+    """The water-filling weights z_f = P_r(f)^(1/n) of the files f = lo+1..hi
+    of the law (gamma, q, Z), into out, which is returned: the one evaluator
+    of z (see optimal_policy)."""
+    gamma, q, normalizer = law
     if n == 1:
-        np.copyto(out, popularity.pmf_values[lo:hi])
+        _power_law(gamma, q, lo, hi, out)
+        out /= normalizer
     else:
-        popularity._log_pmf(lo, hi, out=out)
+        _log_pmf(gamma, q, normalizer, lo, hi, out)
         out /= n
         np.exp(out, out=out)
     return out
@@ -142,9 +149,11 @@ def optimal_policy(
     nu(m) = (m-1) / sum_{f<=m} 1/z_f still sits below z_m; the caching
     probabilities are max(1 - nu/z_f, 0) and sum to 1 by construction.
     The weights z_f = P_r(f)^(1/n), n = S*(g_c-1)-1, are evaluated block by
-    block by _weights: the pmf itself at n = 1, otherwise the model's
-    log-pmf (PopularityModel._log_pmf) divided by n and exponentiated, so
-    large exponents do not underflow. A weight that underflows to 0 anyway
+    block by _weights from the model's (gamma, q, Z) alone: the pmf itself
+    at n = 1 (popularity._power_law divided by Z, the bits of pmf_values),
+    otherwise the log-pmf (popularity._log_pmf) divided by n and
+    exponentiated, so large exponents do not underflow. No table of the
+    model is read. A weight that underflows to 0 anyway
     has an infinite reciprocal and is never feasible; at worst m_star = 1,
     nu = 0 and the policy caches file 1.
 
@@ -175,14 +184,16 @@ def optimal_policy(
     m_star is zeroed and z before it turned into 1 - nu/z. So the call holds
     one array of the library's length, resident up to the last evaluated
     block, and evaluates the log law only for the files its search scans.
-    The policy records the law, n and the number of files searched instead
-    of z, and evaluates the same z again, through _weights, each time it is
-    read.
+    The policy records the law's (gamma, q, Z), n and the number of files
+    searched instead of z, and evaluates the same z again, through
+    _weights, each time it is read. It keeps no reference to the model, so
+    the model's tables are freed with the model.
     """
     if popularity.m_total < 2:
         raise ValueError("optimal_policy requires a library of at least 2 files")
     n = _policy_exponent(s_cache, cluster_size)
     m_total = popularity.m_total
+    law = (popularity.gamma, popularity.q, popularity.normalizer)
     # z of the searched blocks, turned into probs in place at the end; written,
     # and so resident, only up to the last block.
     z = np.zeros(m_total)
@@ -192,7 +203,7 @@ def optimal_policy(
     with np.errstate(divide="ignore", over="ignore"):
         while True:
             hi = min(lo + _BLOCK, m_total)
-            z_new = _weights(popularity, n, lo, hi, z[lo:hi])
+            z_new = _weights(law, n, lo, hi, z[lo:hi])
             block = np.divide(1.0, z_new, out=sums[: hi - lo])
             block[0] += carry
             np.cumsum(block, out=block)
@@ -208,7 +219,7 @@ def optimal_policy(
     head = np.divide(nu, z[:m_star], out=z[:m_star])
     np.subtract(1.0, head, out=head)
     return CachingPolicy(probs=z, water_level=nu, m_star=m_star,
-                         _law=popularity, _exponent=n, _searched=hi)
+                         _law=law, _exponent=n, _searched=hi)
 
 
 def theoretical_mstar(

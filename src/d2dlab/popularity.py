@@ -35,9 +35,10 @@ class PopularityModel:
 
     The law is evaluated once, on construction: normalizer is Z and
     pmf_values holds the probability of each rank, shape (m_total,).
-    _log_pmf evaluates log P_r over a range of ranks into a caller's buffer
-    on every call and keeps nothing, so a caller that reads only a prefix
-    of the library holds no array of its length.
+    (gamma, q, Z) determine the law: _power_law (divided by Z, the bits of
+    pmf_values) and _log_pmf evaluate it over any range of ranks from those
+    three numbers, so a caller that keeps them needs neither the model nor
+    an array of the library's length.
     """
 
     gamma: float
@@ -52,8 +53,7 @@ class PopularityModel:
         if not 0 <= self.q < math.inf:
             raise ValueError(f"q must be non-negative and finite, got {self.q}")
         _check_integer("m_total", self.m_total, 1)
-        w = _shifted_ranks(0, self.m_total, self.q)
-        np.power(w, -self.gamma, out=w)
+        w = _power_law(self.gamma, self.q, 0, self.m_total)
         z = float(w.sum())
         if not z > 0:
             raise ValueError(
@@ -71,22 +71,6 @@ class PopularityModel:
     def _cdf_guide(self) -> tuple[np.ndarray, np.ndarray]:
         return _guide_table(self.cdf_values, self.m_total)
 
-    def _log_pmf(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        """log P_r(f) for the ranks f = lo+1..hi, evaluated in log space into
-        out, a float64 array of hi-lo entries, which is returned.
-
-        pmf_values underflows to 0 at large gamma, where this stays finite;
-        policy takes its water-filling weights from it, block by block.
-        Where gamma*log(f+q) overflows it reads -inf, the log of the
-        underflowed probability.
-        """
-        _shifted_ranks(lo, hi, self.q, out)
-        np.log(out, out=out)
-        with np.errstate(over="ignore"):
-            out *= -self.gamma
-        out -= math.log(self.normalizer)
-        return out
-
 
 def _shifted_ranks(lo: int, hi: int, q: float, out: np.ndarray | None = None) -> np.ndarray:
     """f + q for the ranks f = lo+1..hi, as float64, into out when given.
@@ -98,6 +82,35 @@ def _shifted_ranks(lo: int, hi: int, q: float, out: np.ndarray | None = None) ->
     """
     w = np.arange(lo + 1, hi + 1, dtype=np.float64)
     return np.add(w, q, out=w if out is None else out)
+
+
+def _power_law(gamma: float, q: float, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(f + q)^-gamma, the law before normalization, for the ranks f =
+    lo+1..hi, into out when given: the one linear-space evaluator of the law.
+
+    Divided by the normalizer, it has the bits of pmf_values[lo:hi].
+    """
+    w = _shifted_ranks(lo, hi, q, out)
+    return np.power(w, -gamma, out=w)
+
+
+def _log_pmf(gamma: float, q: float, normalizer: float, lo: int, hi: int,
+             out: np.ndarray) -> np.ndarray:
+    """log P_r(f) = -gamma*log(f+q) - log(Z) for the ranks f = lo+1..hi of
+    the law (gamma, q, Z), evaluated in log space into out, a float64 array
+    of hi-lo entries, which is returned: the one log-space evaluator of the law.
+
+    pmf_values underflows to 0 at large gamma, where this stays finite;
+    policy takes its water-filling weights from it, block by block.
+    Where gamma*log(f+q) overflows it reads -inf, the log of the
+    underflowed probability.
+    """
+    _shifted_ranks(lo, hi, q, out)
+    np.log(out, out=out)
+    with np.errstate(over="ignore"):
+        out *= -gamma
+    out -= math.log(normalizer)
+    return out
 
 
 def _guide_table(cdf: np.ndarray, max_rank: int) -> tuple[np.ndarray, np.ndarray]:
@@ -169,13 +182,14 @@ def sample_ranks(model: PopularityModel, rng: np.random.Generator, size: int) ->
     return _ranks_from_cdf(model._cdf_guide, rng.random(size))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
     """Ranked request counts, rank 1 = most requested.
 
     Counts are non-negative reals ordered non-increasingly. Log ingestion
     always produces integers; real values are accepted so that an exact
     model pmf can be fed back in as a degenerate "empirical" input.
+    It compares and hashes by identity.
     """
 
     counts: np.ndarray

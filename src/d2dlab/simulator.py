@@ -82,10 +82,11 @@ def build_grid(n_users: int, cluster_size: int) -> GridNetwork:
     return GridNetwork(side=side, cluster_side=cluster_side, n_requested=n_users)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialOutcome:
     """Exact per-trial counts and the per-user D2D throughput vector; cluster
-    counts come from cluster_links, the potential D2D links per cluster."""
+    counts come from cluster_links, the potential D2D links per cluster.
+    It compares and hashes by identity."""
 
     n_users: int
     hits: int

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import d2dlab
@@ -118,6 +119,20 @@ def benchmark_imports() -> set[str]:
         if isinstance(node, ast.ImportFrom) and node.module == "d2dlab" and node.level == 0
         for alias in node.names
     }
+
+
+@pytest.mark.parametrize("make", [
+    lambda: d2dlab.CachingPolicy(probs=np.array([0.5, 0.5]), water_level=0.5, m_star=2),
+    lambda: d2dlab.EmpiricalDistribution(np.array([3.0, 1.0])),
+    lambda: d2dlab.TrialOutcome(n_users=2, hits=1, self_hits=0, d2d_available=1,
+                                cluster_links=np.array([1]), throughput=np.array([0.25, 0.0])),
+], ids=["CachingPolicy", "EmpiricalDistribution", "TrialOutcome"])
+def test_types_that_hold_arrays_compare_and_hash_by_identity(make):
+    """Comparing two equal objects whose fields hold arrays neither raises
+    nor compares the arrays, and the objects can be hashed."""
+    a, b = make(), make()
+    assert a == a and not a == b and a != b
+    assert len({a, b, a}) == 2
 
 
 def test_names_the_benchmark_imports_are_exported():

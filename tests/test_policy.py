@@ -1,10 +1,12 @@
 """Tests for the water-filling caching policy and the constant c1."""
 from __future__ import annotations
 
+import gc
 import math
 import re
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -126,6 +128,19 @@ class TestZValues:
         z = optimal_policy(HAND_MODEL, 1, 3).z
         np.testing.assert_array_equal(z, HAND_MODEL.pmf_values)
         assert not np.shares_memory(z, HAND_MODEL.pmf_values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=st.floats(0.05, 4.0), q=st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
+           m_total=st.integers(2, 20_000), sizes=st.sampled_from([(1, 3), (2, 2)]),
+           block=st.sampled_from([1, 3, 1 << 12]))
+    def test_exponent_one_is_the_pmf_bit_for_bit(self, gamma, q, m_total, sizes, block):
+        """At exponent 1, z evaluated from (gamma, q, Z) block by block has
+        the bits of the model's pmf over every searched file."""
+        model = PopularityModel(gamma=gamma, q=q, m_total=m_total)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(policy_module, "_BLOCK", block)
+            z = optimal_policy(model, *sizes).z
+        assert z.tobytes() == model.pmf_values[: z.size].tobytes()
 
     def test_large_exponent_flattens(self):
         model = PopularityModel(**REGION2)
@@ -395,14 +410,14 @@ class TestPrefixSearch:
         """The log law is evaluated for the files of z and no others: once
         each, in order, and once more on each later read of z."""
         calls = []
-        law = PopularityModel._log_pmf
+        law = policy_module._log_pmf
 
-        def counted(model, lo, hi, out):
+        def counted(gamma, q, normalizer, lo, hi, out):
             calls.append((lo, hi))
-            return law(model, lo, hi, out)
+            return law(gamma, q, normalizer, lo, hi, out)
 
         monkeypatch.setattr(policy_module, "_BLOCK", block)
-        monkeypatch.setattr(PopularityModel, "_log_pmf", counted)
+        monkeypatch.setattr(policy_module, "_log_pmf", counted)
         policy = optimal_policy(PopularityModel(gamma=1.16, q=22.0, m_total=m_total), s, g_c)
         runs = [calls.copy()]
         for _ in range(2):
@@ -434,6 +449,20 @@ class TestCachingPolicy:
 
     def test_hand_built_policy_has_no_z(self):
         assert hand_policy([0.5, 0.5, 0.0]).z is None
+
+    @pytest.mark.parametrize("s, g_c", [(4, 100), (4, 400_000), (1, 3)])
+    def test_policy_does_not_keep_its_model_alive(self, s, g_c):
+        """The policy keeps (gamma, q, Z), not the model: once the model is
+        dropped its tables are freed, and z still reads the inline law."""
+        params = dict(gamma=1.16, q=22.0, m_total=100_000)
+        model = PopularityModel(**params)
+        _ = model.cdf_values, model._cdf_guide
+        policy, ref = optimal_policy(model, s, g_c), weakref.ref(model)
+        del model
+        gc.collect()
+        assert ref() is None
+        z = policy.z
+        assert z.tobytes() == log_space_z(PopularityModel(**params), s, g_c)[: z.size].tobytes()
 
     def test_guide_reads_only_the_cached_files(self):
         """The guide takes the cumulative sums of the m* cached files, not of

@@ -17,6 +17,8 @@ from d2dlab.popularity import (
     PopularityModel,
     UnidentifiableFitError,
     _guide_table,
+    _log_pmf,
+    _power_law,
     _ranks_from_cdf,
     fit_mzipf,
     sample_ranks,
@@ -90,7 +92,8 @@ class TestPmf:
            m_total=st.integers(1, 20_000), data=st.data())
     def test_law_keeps_the_out_of_place_bits(self, gamma, q, m_total, data):
         """Built in one buffer, the law has the bits of the plain expressions,
-        and the log law over any range of ranks the bits of those ranks."""
+        and over any range of ranks, from (gamma, q, Z) alone, the log law
+        and the normalized power law the bits of those ranks."""
         model = PopularityModel(gamma=gamma, q=q, m_total=m_total)
         pmf, normalizer, log_pmf = out_of_place_law(gamma, q, m_total)
         assert model.normalizer == normalizer
@@ -99,8 +102,11 @@ class TestPmf:
         hi = data.draw(st.integers(lo, m_total), label="hi")
         for start, stop in [(0, m_total), (lo, hi)]:
             out = np.full(stop - start, np.nan)
-            assert model._log_pmf(start, stop, out) is out
+            assert _log_pmf(gamma, q, model.normalizer, start, stop, out) is out
             assert out.tobytes() == log_pmf[start:stop].tobytes()
+            assert _power_law(gamma, q, start, stop, out) is out
+            out /= model.normalizer
+            assert out.tobytes() == pmf[start:stop].tobytes()
 
     def test_law_peaks_at_one_library_array(self):
         """The pmf takes one M-length buffer, and the log law over all M
@@ -108,7 +114,8 @@ class TestPmf:
         m_total = 10**6
         model, pmf_peak = traced_peak(lambda: PopularityModel(gamma=1.16, q=22.0, m_total=m_total))
         out = np.empty(m_total)
-        _, log_pmf_peak = traced_peak(lambda: model._log_pmf(0, m_total, out))
+        _, log_pmf_peak = traced_peak(
+            lambda: _log_pmf(model.gamma, model.q, model.normalizer, 0, m_total, out))
         assert pmf_peak <= 1.25 * 8 * m_total
         assert log_pmf_peak <= 1.25 * 8 * m_total
 
