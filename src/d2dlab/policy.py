@@ -120,8 +120,8 @@ class CachingPolicy:
         return _guide_table(np.cumsum(self.probs[: self.m_star]), self.m_star)
 
 
-# Files per block of optimal_policy's walk over the library.
-_BLOCK = 1 << 12
+# Files per block of optimal_policy's walk over the library (see there).
+_BLOCK = 1 << 14
 
 
 def _weights(law: tuple[float, float, float], n: int, lo: int, hi: int,
@@ -164,7 +164,11 @@ def optimal_policy(
     infeasible too. m_star is therefore the count of m before the first
     infeasible one, and only the prefix up to it decides the answer.
 
-    The search walks the library in blocks of _BLOCK files. Each block's z
+    The search walks the library in blocks of _BLOCK = 2^14 files. Each
+    block pays a fixed cost of numpy calls and Python frames, about 10 us,
+    so larger blocks pay it less often; but a block's z and its sums take
+    128 KB each at 2^14, which still fit in L2, and at 2^16 they no longer
+    do and the walk slows again. Each block's z
     goes into the call's one buffer; its 1/z and their running sum C go into one
     block-sized scratch, reused for every block, whose first entry takes on
     the last sum of the block before. By the prefix property, a block whose

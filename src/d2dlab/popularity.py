@@ -232,12 +232,13 @@ class FitResult:
 
     Near the minimum the KL, like the entries of search_trace, can read as
     low as about -1e-16: the normalization rounding of the data and model
-    pmfs sets this floor, and exact-pmf inputs reach it.
+    pmfs sets this floor, and exact-pmf inputs reach it. The trace is a
+    tuple, so that a result, like its model, is immutable and hashable.
     """
 
     model: PopularityModel
     kl_distance: float
-    search_trace: list[tuple[float, float, float]]  # (gamma, q, kl)
+    search_trace: tuple[tuple[float, float, float], ...]  # (gamma, q, kl)
 
 
 def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -327,4 +328,4 @@ def fit_mzipf(empirical: EmpiricalDistribution) -> FitResult:
         profile, float(qs[max(best - 1, 0)]), float(qs[min(best + 1, _Q_POINTS - 1)]), _Q_TOL
     )
     model = PopularityModel(gamma=gamma, q=q_best, m_total=m_total)
-    return FitResult(model=model, kl_distance=kl, search_trace=trace)
+    return FitResult(model=model, kl_distance=kl, search_trace=tuple(trace))

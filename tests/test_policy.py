@@ -132,7 +132,7 @@ class TestZValues:
     @settings(max_examples=60, deadline=None)
     @given(gamma=st.floats(0.05, 4.0), q=st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
            m_total=st.integers(2, 20_000), sizes=st.sampled_from([(1, 3), (2, 2)]),
-           block=st.sampled_from([1, 3, 1 << 12]))
+           block=st.sampled_from([1, 3, 1 << 12, policy_module._BLOCK]))
     def test_exponent_one_is_the_pmf_bit_for_bit(self, gamma, q, m_total, sizes, block):
         """At exponent 1, z evaluated from (gamma, q, Z) block by block has
         the bits of the model's pmf over every searched file."""
@@ -402,7 +402,7 @@ class TestPrefixSearch:
         assert policy.z.size == policy_module._BLOCK
         assert peak <= 8 * m_total + 2**20
 
-    @pytest.mark.parametrize("block", [1, 3, 1 << 12])
+    @pytest.mark.parametrize("block", [1, 3, 1 << 12, policy_module._BLOCK])
     @pytest.mark.parametrize("m_total, s, g_c", [
         (7345, 4, 100), (7345, 4, 2500), (5405, 60, 5000), (300_000, 4, 100), (50, 2, 6),
     ])

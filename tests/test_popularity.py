@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2dlab.policy import optimal_policy
+from d2dlab.policy import _BLOCK, optimal_policy
 from d2dlab.popularity import (
     _GAMMA_HI,
     EmpiricalDistribution,
@@ -107,6 +107,22 @@ class TestPmf:
             assert _power_law(gamma, q, start, stop, out) is out
             out /= model.normalizer
             assert out.tobytes() == pmf[start:stop].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=st.floats(0.05, 4.0),
+           q=st.one_of(st.sampled_from([0.0, 0.1, 22.3, 1e4 + 0.3]), st.floats(0.0, 1e4)),
+           normalizer=st.floats(1e-3, 1e3), lo=st.integers(0, 10**12),
+           width=st.integers(0, 3 * _BLOCK + 1))
+    def test_law_keeps_the_bits_at_large_rank_offsets(self, gamma, q, normalizer, lo, width):
+        """Far into a library and over several blocks, the law written into
+        out has the bits of the out-of-place expressions over the ranks."""
+        hi = lo + width
+        shifted = np.arange(lo + 1, hi + 1, dtype=np.float64) + q
+        out = np.full(width, np.nan)
+        assert _log_pmf(gamma, q, normalizer, lo, hi, out) is out
+        assert out.tobytes() == (-gamma * np.log(shifted) - math.log(normalizer)).tobytes()
+        assert _power_law(gamma, q, lo, hi, out) is out
+        assert out.tobytes() == np.power(shifted, -gamma).tobytes()
 
     def test_law_peaks_at_one_library_array(self):
         """The pmf takes one M-length buffer, and the log law over all M
@@ -386,6 +402,13 @@ class TestFit:
         result = fit_mzipf(region_sample(*REGION_SAMPLES[0]))
         near = Counter(q for g, q, _ in result.search_trace if abs(g - _GAMMA_HI) <= 1e-6)
         assert near and max(near.values()) == 1
+
+    def test_equal_fits_hash_equal(self):
+        """A frozen result holds an immutable trace, so it hashes."""
+        emp = EmpiricalDistribution(counts=PopularityModel(1.2, 4.0, 200).pmf_values)
+        a, b = fit_mzipf(emp), fit_mzipf(emp)
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
 
     def test_degenerate_single_rank(self):
         with pytest.raises(UnidentifiableFitError):
