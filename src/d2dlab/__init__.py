@@ -3,7 +3,7 @@
 Fits Mandelbrot-Zipf popularity models to request logs, computes the
 optimal random caching policy by water-filling, evaluates closed-form
 throughput-outage tradeoffs, and validates them with Monte Carlo
-simulation of a clustered grid network.
+simulation of a clustered network.
 
 ``_EXPORTS`` is the one list of public names, grouped by module. The
 package namespace re-exports them through a module ``__getattr__`` (PEP

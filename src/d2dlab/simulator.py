@@ -1,7 +1,8 @@
-"""Monte Carlo simulation of the clustered grid D2D network.
+"""Monte Carlo simulation of the clustered D2D network.
 
-Users sit on a square grid partitioned into square clusters of g_c users.
-Each trial draws every device's cache (S independent draws from the
+Users are numbered 0 .. N-1, and a cluster is a run of g_c consecutive
+user ids: user u is in cluster u // g_c. No position or distance enters a
+trial. Each trial draws every device's cache (S independent draws from the
 caching distribution, duplicates allowed) and one request per user. A
 request is a hit when the file sits in the user's own cache (a self-hit,
 which consumes no airtime) or in some other cluster member's cache. The
@@ -27,23 +28,15 @@ from .popularity import _LOOKUP_BLOCK, PopularityModel, _ranks_from_cdf
 
 @dataclass(frozen=True)
 class GridNetwork:
-    """Square user grid split into contiguous square clusters."""
+    """n_users users in whole clusters of cluster_size consecutive user ids."""
 
-    side: int
-    cluster_side: int
+    n_users: int
+    cluster_size: int
     n_requested: int
 
     @property
-    def n_users(self) -> int:
-        return self.side * self.side
-
-    @property
-    def cluster_size(self) -> int:
-        return self.cluster_side * self.cluster_side
-
-    @property
     def n_clusters(self) -> int:
-        return (self.side // self.cluster_side) ** 2
+        return self.n_users // self.cluster_size
 
     @property
     def padding(self) -> int:
@@ -53,33 +46,19 @@ class GridNetwork:
     @cached_property
     def members(self) -> np.ndarray:
         """User ids per cluster, shape (n_clusters, cluster_size)."""
-        blocks = self.side // self.cluster_side
-        ids = np.arange(self.n_users).reshape(self.side, self.side)
-        grouped = ids.reshape(blocks, self.cluster_side, blocks, self.cluster_side)
-        return grouped.transpose(0, 2, 1, 3).reshape(self.n_clusters, self.cluster_size)
+        return np.arange(self.n_users).reshape(self.n_clusters, self.cluster_size)
 
 
 def build_grid(n_users: int, cluster_size: int) -> GridNetwork:
-    """Lay out at least n_users on a square grid of whole square clusters.
+    """At least n_users in whole clusters of cluster_size consecutive ids.
 
-    cluster_size must be a perfect square. The grid side is the smallest
-    multiple of the cluster side whose square covers n_users, so the
-    actual user count may exceed the request; the difference is reported
-    as padding.
+    The user count is n_users rounded up to a multiple of cluster_size; the
+    users added to fill the last cluster are reported as padding.
     """
     n_users = _check_integer("n_users", n_users, 1)
     cluster_size = _check_integer("cluster_size", cluster_size, 1)
-    cluster_side = math.isqrt(cluster_size)
-    if cluster_side * cluster_side != cluster_size:
-        raise ValueError(
-            f"cluster_size must be a perfect square (grid clusters are square cells), "
-            f"got {cluster_size}"
-        )
-    min_side = math.isqrt(n_users)
-    if min_side * min_side < n_users:
-        min_side += 1
-    side = ((min_side + cluster_side - 1) // cluster_side) * cluster_side
-    return GridNetwork(side=side, cluster_side=cluster_side, n_requested=n_users)
+    return GridNetwork(n_users=-(-n_users // cluster_size) * cluster_size,
+                       cluster_size=cluster_size, n_requested=n_users)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,13 +88,15 @@ class TrialOutcome:
         return 1.0 - self.hit_frac
 
 
-# Cache entries (users x slots) the kernel holds at once. Trials that fit
-# run in batches of up to this many entries, about 60 bytes each, which
-# share one lookup, copy count and link pass. A larger trial runs alone, in
-# strips of as many whole cluster rows as fit, and at least one row. Every
-# batch or strip costs a few dozen numpy calls: at 2**12 entries they made
-# a trial of 4*10**4 entries (S=4, N=10**4) about 1.3x slower in strips
-# than whole, and small-trial batches about 1.3x slower than at 2**14.
+# Cache entries (users x slots) the kernel plans its work by, about 60
+# bytes each. A strip is the fewest whole clusters whose entries reach this
+# budget, so it holds less than the budget plus one cluster's entries. A
+# trial of at most one strip runs in a batch of as many trials as that
+# strip holds, which share one lookup, copy count and link pass; a larger
+# trial runs alone, strip by strip. Every batch or strip costs a few dozen
+# numpy calls: at 2**12 entries they made a trial of 4*10**4 entries (S=4,
+# N=10**4) about 1.3x slower in strips than whole, and small-trial batches
+# about 1.3x slower than at 2**14.
 _BATCH_ENTRIES = 1 << 14
 
 
@@ -252,7 +233,9 @@ def _run_trials(
     """The Monte Carlo kernel: one network realization per seed, yielded in
     batches of consecutive seeds, in seed order.
 
-    It plans its batches and strips from _BATCH_ENTRIES. Each seed's own
+    It plans its batches and strips from _BATCH_ENTRIES: a strip is the
+    fewest whole clusters whose cache entries reach it, and a batch as many
+    trials as a strip holds, at least one. Each seed's own
     generator draws the trial's caches (users x slots) and then its
     requests. _seeded_generators builds them for the whole run, hashing its
     seeds in blocks, in the state default_rng(seed) would give: numpy's
@@ -267,24 +250,21 @@ def _run_trials(
     and requests straight on from its stream, so one rng.random(out=row)
     fills the row. A larger trial draws its requests first: its stream
     advances N*S, draws the N requests and advances back to offset 0, and
-    each strip, the contiguous user ids lo .. hi-1, then draws its caches
-    straight on. One inverse-CDF lookup, one own-copy count and one copy
-    count serve every trial of a strip, and one link pass every trial of a
-    batch, in buffers made once per call. A user's own copies are one
+    each strip, the users lo .. hi-1 of its clusters, then draws its
+    caches straight on. One inverse-CDF lookup, one own-copy count and one
+    copy count serve every trial of a strip, and one link pass every trial
+    of a batch, in buffers made once per call. A user's own copies are one
     bincount of its matching slots.
     """
     s, n_users, n_clusters = config.s_cache, network.n_users, network.n_clusters
-    blocks = network.side // network.cluster_side
-    row_users = n_users // blocks
-    step = max(1, _BATCH_ENTRIES // (row_users * s))  # cluster rows a strip
-    n = min(max(1, step // blocks), len(seeds))  # trials a batch
-    height = min(step, blocks)
+    g_c = network.cluster_size
+    step = -(-_BATCH_ENTRIES // (g_c * s))  # clusters a strip
+    n = min(max(1, step // n_clusters), len(seeds))  # trials a batch
+    height = min(step, n_clusters)
     width = policy.m_star + 1
-    cluster = np.empty(n_users, dtype=np.intp)
-    cluster[network.members] = np.arange(n_clusters)[:, None]
-    group = np.arange(n)[:, None] * n_clusters + cluster
+    group = np.arange(n)[:, None] * n_clusters + np.arange(n_users) // g_c
 
-    first = height * row_users * s  # the first strip's cache draws; the requests follow
+    first = height * g_c * s  # the first strip's cache draws; the requests follow
     draws = np.empty((n, first + n_users))
     caches = np.empty(n * first, dtype=np.intp)
     same = np.empty(caches.size, dtype=bool)
@@ -292,7 +272,7 @@ def _run_trials(
     scratch = np.empty(min(draws.size, _LOOKUP_BLOCK))
     self_hit = np.empty((n, n_users), dtype=bool)
     other_has = np.empty((n, n_users), dtype=bool)
-    whole = step >= blocks
+    whole = step >= n_clusters
     generators = _seeded_generators(seeds)
     while streams := list(islice(generators, n)):
         k = len(streams)
@@ -306,9 +286,9 @@ def _run_trials(
                 rng.bit_generator.advance(-n_users * (s + 1) % 2**128)
         _ranks_from_cdf(popularity._cdf_guide, rows[:, first:], requests[:k], scratch)
         # Copy-count keys, with clusters counted from the strip's first, stay below this.
-        bins = ((k - 1) * n_clusters + height * blocks) * width
-        for r0 in range(0, blocks, step):
-            lo, hi = r0 * row_users, min(r0 + step, blocks) * row_users
+        bins = ((k - 1) * n_clusters + height) * width
+        for c0 in range(0, n_clusters, step):
+            lo, hi = c0 * g_c, min(c0 + step, n_clusters) * g_c
             shape = (k, hi - lo, s)
             m = (hi - lo) * s
             if not whole:
@@ -325,7 +305,7 @@ def _run_trials(
             # counts, so that the next strip or batch never holds this one's.
             # File 0 never enters a cache, so requests for files no device
             # caches look it up and find no copy.
-            base = (group[:k, lo:hi] - r0 * blocks) * width
+            base = (group[:k, lo:hi] - c0) * width
             ranks += base[:, :, None]
             in_cluster = np.bincount(ranks.reshape(-1), minlength=bins)[
                 base + np.where(wanted < width, wanted, 0)]
@@ -346,11 +326,12 @@ def _run_trials(
 
 
 def _check_config(network: GridNetwork, config: NetworkConfig) -> None:
-    if config.cluster_size != network.cluster_size:
-        raise ValueError(
-            f"config cluster_size {config.cluster_size} does not match "
-            f"network cluster_size {network.cluster_size}"
-        )
+    for name in ("n_users", "cluster_size"):
+        if getattr(config, name) != getattr(network, name):
+            raise ValueError(
+                f"config {name} {getattr(config, name)} does not match "
+                f"network {name} {getattr(network, name)}"
+            )
 
 
 def run_trial(
@@ -366,13 +347,14 @@ def run_trial(
     default_rng(seed), built as _run_trials says, draws the S cache
     entries of each user in turn and then one request per user, so user u's
     cache draws sit at stream offsets u*S .. u*S+S-1 and its request at
-    N*S + u. A trial of more than _BATCH_ENTRIES cache entries runs in
-    strips of as many whole cluster rows as fit that budget, at least one:
-    it draws its requests first, by bit_generator.advance, and then each
-    strip's caches in stream order. Its memory then grows with one strip's
-    entries and the trial's N users, not with N*S. One kernel call runs
-    every strip in buffers it makes once. The strips change no bit of the
-    outcome.
+    N*S + u. A trial runs in strips, each the fewest whole clusters whose
+    cache entries reach _BATCH_ENTRIES, the last one perhaps fewer. A trial
+    of more than one strip draws its requests first, by
+    bit_generator.advance, and then each strip's caches in stream order.
+    Its memory then grows with one strip's entries, less than the budget
+    plus one cluster's, and the trial's N users, not with N*S. One kernel
+    call runs every strip in buffers it makes once. The strips change no
+    bit of the outcome.
     """
     seed = _check_integer("seed", seed, 0)
     _check_config(network, config)
@@ -433,15 +415,15 @@ def run_monte_carlo(
     """Average run_trial over seeds base_seed .. base_seed+trials-1.
 
     Standard errors are sample standard deviations of the per-trial
-    statistics divided by sqrt(trials). Trials run in batches of at most
-    _BATCH_ENTRIES cache entries, and a trial larger than that alone, in
-    strips of whole cluster rows as in run_trial, so memory is bounded by
-    one batch or one strip beside the per-user arrays. One kernel call
-    serves the whole run and reuses its buffers across every batch and
-    strip. Every statistic is reduced in the order of one trial at a time,
-    so neither batches nor strips change a bit of the result: the per-user
-    throughput total takes one sum a batch, which adds the batch's rows to
-    it in seed order.
+    statistics divided by sqrt(trials). Trials of one strip run in batches
+    of as many trials as a strip holds, and a larger trial alone, in strips
+    as in run_trial, so memory is bounded by one batch or one strip, less
+    than _BATCH_ENTRIES plus one cluster's cache entries, beside the
+    per-user arrays. One kernel call serves the whole run and reuses its
+    buffers across every batch and strip. Every statistic is reduced in the
+    order of one trial at a time, so neither batches nor strips change a
+    bit of the result: the per-user throughput total takes one sum a batch,
+    which adds the batch's rows to it in seed order.
     """
     trials = _check_integer("trials", trials, 1)
     base_seed = _check_integer("base_seed", base_seed, 0)
@@ -463,7 +445,7 @@ def run_monte_carlo(
         # A sum in seed order: the running total joins the first trial's row,
         # since adding it there commutes, and numpy adds the rows along axis 0
         # one after another. (Rows of one user would be summed pairwise, but a
-        # grid of one user has one-user clusters and no D2D throughput.)
+        # network of one user has one-user clusters and no D2D throughput.)
         t.throughput[0] += tp_user_sum
         tp_user_sum = np.add.reduce(t.throughput, axis=0)
 
@@ -505,7 +487,7 @@ def simulate_tradeoff(
 ) -> list[SweepPoint]:
     """Simulate the tradeoff across cluster sizes, one point after another.
 
-    For each cluster size: build the grid, compute the optimal caching
+    For each cluster size: build the network, compute the optimal caching
     policy, run the Monte Carlo. Per-point failures, running out of memory
     included, are recorded on the point rather than raised; a trials or
     base_seed that is not an integer, trials < 1, base_seed < 0 and

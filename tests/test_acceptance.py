@@ -83,8 +83,7 @@ def test_criterion_2_water_filling_correctness():
     0.01-resolution simplex search on the exact objective; and on small
     instances the water-filled policy's simulated D2D hit rate is not
     beaten by any 0.05-resolution simplex policy beyond two standard
-    errors (Monte Carlo instances use square cluster sizes, the only ones
-    the grid layout supports)."""
+    errors."""
     hand = PopularityModel(gamma=1.0, q=0.0, m_total=3)
     policy = optimal_policy(hand, 1, 3)
     exact_ok = (

@@ -401,6 +401,20 @@ class TestTradeoffCommand:
                 1.0 - float(row["hit_sim"]), abs=1e-9
             )
 
+    def test_cluster_sizes_that_are_not_squares_run_in_both_modes(self, tmp_path):
+        out = tmp_path / "any.csv"
+        code = main([
+            "tradeoff", *self.MODEL_ARGS, "--s-cache", "4", "--n-users", "30",
+            "--g-c-list", "3,5", "--mode", "both", "--trials", "10",
+            "--seed", "1", "--output", str(out),
+        ])
+        assert code == 0
+        rows = read_csv(out)
+        assert [r["g_c"] for r in rows] == ["3", "5"]
+        for row in rows:
+            assert row["error"] == ""
+            assert row["hit_analytic"] != "" and row["hit_sim"] != ""
+
     def test_plateau_gate_error_row_and_no_kappa_flag(self, tmp_path):
         """A regime-1 point with q > 10*S*g_c/gamma lands in error with the
         bound in it; the bound is a constant, not a flag."""
@@ -487,19 +501,11 @@ class TestSimulateCommand:
         ])
         assert code == 0
         payload = read_json(out)
-        assert payload["n_users"] == 16
-        assert payload["padding"] == 6
+        assert payload["n_users"] == 12
+        assert payload["padding"] == 2
         assert payload["trials"] == 25
         assert payload["hit_prob"] + payload["outage"] == pytest.approx(1.0, abs=1e-9)
         assert 0 <= payload["good_cluster_rate"] <= 1
-
-    def test_non_square_cluster_is_parameter_error(self, tmp_path):
-        code = main([
-            "simulate", "--gamma", "1.16", "--q", "22", "--m-total", "500",
-            "--s-cache", "2", "--n-users", "100", "--g-c", "10",
-            "--output", str(tmp_path / "o.json"),
-        ])
-        assert code == 2
 
     @pytest.mark.parametrize("message, shown", [
         ("Unable to allocate 7.28 TiB for an array", "Unable to allocate 7.28 TiB"),

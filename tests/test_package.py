@@ -208,8 +208,8 @@ def test_one_benchmark_mc_large_cache_pass_in_strips(tmp_path, monkeypatch):
     """The benchmark's mc_large_cache pass checks out when its trials run in strips.
 
     The tiny size holds 4,000 cache entries a trial, under the default
-    budget, so the budget is set below one cluster row (2,000 entries) to
-    put it on the strip path.
+    budget, so the budget is set to one cluster's entries (1,000) to put it
+    on the strip path, one cluster a strip.
     """
     monkeypatch.syspath_prepend(str(BENCH))
     from tracing import Tracer
@@ -220,6 +220,6 @@ def test_one_benchmark_mc_large_cache_pass_in_strips(tmp_path, monkeypatch):
     workload = WORKLOADS["mc_large_cache"](3, "tiny", tmp_path, tracer)
     out = workload.run_pass(tracer)
     net = out["network"]
-    row_entries = net.n_users * net.cluster_side // net.side * workload.config.s_cache
-    assert row_entries > simulator._BATCH_ENTRIES  # one row a strip
+    cluster_entries = net.cluster_size * workload.config.s_cache
+    assert cluster_entries >= simulator._BATCH_ENTRIES  # one cluster a strip
     workload.check(out)

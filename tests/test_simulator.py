@@ -1,4 +1,4 @@
-"""Tests for the clustered-grid Monte Carlo simulator."""
+"""Tests for the clustered D2D Monte Carlo simulator."""
 from __future__ import annotations
 
 import dataclasses
@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from d2dlab import simulator
@@ -47,23 +47,19 @@ def make_config(network, s=1, c=1.0, k=4) -> NetworkConfig:
 class TestBuildGrid:
     def test_four_clusters_of_four(self):
         net = build_grid(16, 4)
-        assert (net.side, net.cluster_side) == (4, 2)
+        assert (net.n_users, net.cluster_size) == (16, 4)
         assert net.n_clusters == 4
         assert net.padding == 0
 
     def test_hundred_by_hundred(self):
         net = build_grid(10_000, 100)
-        assert net.side == 100
+        assert net.n_users == 10_000
         assert net.n_clusters == 100
 
     def test_padding_reported(self):
         net = build_grid(10, 4)
-        assert net.n_users == 16
-        assert net.padding == 6
-
-    def test_non_square_cluster_rejected(self):
-        with pytest.raises(ValueError, match="perfect square"):
-            build_grid(100, 10)
+        assert net.n_users == 12
+        assert net.padding == 2
 
     @pytest.mark.parametrize("n_users", [0, -16])
     def test_non_positive_user_count_rejected(self, n_users):
@@ -83,8 +79,7 @@ class TestBuildGrid:
 
     def test_members_are_contiguous_blocks(self):
         net = build_grid(16, 4)
-        # Top-left 2x2 block of the 4x4 grid.
-        assert sorted(net.members[0].tolist()) == [0, 1, 4, 5]
+        assert net.members[0].tolist() == [0, 1, 2, 3]
 
 
 class TestRunTrial:
@@ -153,6 +148,19 @@ class TestRunTrial:
         with pytest.raises(ValueError, match="does not match"):
             run_trial(net, hand_policy([1.0, 0.0, 0.0]), model, cfg, seed=0)
 
+    def test_config_user_count_mismatch_rejected(self):
+        """The kernel reads the network's user count, so a config that
+        counts the requested users, not the padded ones, is refused."""
+        model = PopularityModel(gamma=1.0, q=0.0, m_total=3)
+        policy = hand_policy([1.0, 0.0, 0.0])
+        net = build_grid(10, 4)  # 12 users
+        cfg = NetworkConfig(n_users=10, s_cache=1, rate_c=1.0, reuse_k=4, cluster_size=4)
+        message = "^config n_users 10 does not match network n_users 12$"
+        with pytest.raises(ValueError, match=message):
+            run_trial(net, policy, model, cfg, seed=0)
+        with pytest.raises(ValueError, match=message):
+            run_monte_carlo(net, policy, model, cfg, 3)
+
 
 class TestAgainstEnumeration:
     def test_single_cluster_brute_force(self):
@@ -188,6 +196,17 @@ class TestAgainstEnumeration:
         assert out.hit_prob_estimate == pytest.approx(exact, abs=3 * out.hit_prob_se)
         exact_d2d = iid_hit_probability(model.pmf_values, policy.probs, 2 * 15)
         assert out.d2d_hit_rate == pytest.approx(exact_d2d, abs=3 * out.d2d_hit_se)
+
+    @pytest.mark.parametrize("g_c", [2, 3, 5, 12])
+    def test_product_form_hit_at_cluster_sizes_that_are_not_squares(self, g_c):
+        """At S=4 the Monte Carlo hit lies within 4 SE of the exact
+        S*g_c-slot i.i.d. hit, with clusters of any size."""
+        model = PopularityModel(gamma=1.16, q=22.0, m_total=500)
+        policy = optimal_policy(model, 4, g_c)
+        net = build_grid(60, g_c)
+        out = run_monte_carlo(net, policy, model, make_config(net, s=4), trials=2000, base_seed=39)
+        exact = iid_hit_probability(model.pmf_values, policy.probs, 4 * g_c)
+        assert abs(out.hit_prob_estimate - exact) <= 4 * out.hit_prob_se
 
 
 class TestRunMonteCarlo:
@@ -334,28 +353,27 @@ class TestBatching:
 
 
 class TestStrips:
-    """A trial over the budget runs in strips of whole cluster rows; the strips never show."""
+    """A trial over the budget runs in strips of whole clusters; the strips never show."""
 
     MODEL = PopularityModel(gamma=1.16, q=22.0, m_total=500)
-    BUDGETS = [None, 1, 2]  # the default, then cluster rows per strip
+    BUDGETS = [None, 1, 2]  # the default, then clusters per strip
 
     def case(self):
-        net = build_grid(100, 4)  # 5 cluster rows, so strips of 2 rows leave a short last one
+        net = build_grid(100, 4)  # 25 clusters, so strips of 2 clusters leave a short last one
         cfg = make_config(net, s=3, c=2.0)
         return net, optimal_policy(self.MODEL, 3, 4), cfg
 
-    def set_budget(self, monkeypatch, net, cfg, rows):
-        entries = net.n_users * cfg.s_cache
-        if rows is None:
-            assert simulator._BATCH_ENTRIES >= entries  # the whole trial at once
+    def set_budget(self, monkeypatch, net, cfg, clusters):
+        if clusters is None:
+            assert simulator._BATCH_ENTRIES >= net.n_users * cfg.s_cache  # the whole trial at once
         else:
-            row_entries = entries * net.cluster_side // net.side
-            monkeypatch.setattr(simulator, "_BATCH_ENTRIES", rows * row_entries)
+            cluster_entries = net.cluster_size * cfg.s_cache
+            monkeypatch.setattr(simulator, "_BATCH_ENTRIES", clusters * cluster_entries)
 
-    @pytest.mark.parametrize("rows", BUDGETS, ids=["default", "one-row", "two-rows"])
-    def test_trial_matches_the_whole_trial_oracle(self, monkeypatch, rows):
+    @pytest.mark.parametrize("clusters", BUDGETS, ids=["default", "one-cluster", "two-clusters"])
+    def test_trial_matches_the_whole_trial_oracle(self, monkeypatch, clusters):
         net, policy, cfg = self.case()
-        self.set_budget(monkeypatch, net, cfg, rows)
+        self.set_budget(monkeypatch, net, cfg, clusters)
         for seed in (0, 1, 7, 2**64 - 1):
             trial = run_trial(net, policy, self.MODEL, cfg, seed=seed)
             expected = whole_trial(net, policy, self.MODEL, cfg, seed)
@@ -366,11 +384,11 @@ class TestStrips:
                 else:
                     assert type(got) is type(want) and got == want, field.name
 
-    @pytest.mark.parametrize("rows", BUDGETS[1:], ids=["one-row", "two-rows"])
-    def test_monte_carlo_is_bit_identical_in_strips(self, monkeypatch, rows):
+    @pytest.mark.parametrize("clusters", BUDGETS[1:], ids=["one-cluster", "two-clusters"])
+    def test_monte_carlo_is_bit_identical_in_strips(self, monkeypatch, clusters):
         net, policy, cfg = self.case()
         whole = run_monte_carlo(net, policy, self.MODEL, cfg, 6, base_seed=3)
-        self.set_budget(monkeypatch, net, cfg, rows)
+        self.set_budget(monkeypatch, net, cfg, clusters)
         stripped = run_monte_carlo(net, policy, self.MODEL, cfg, 6, base_seed=3)
         for field in dataclasses.fields(SimOutcome):
             assert getattr(stripped, field.name) == getattr(whole, field.name), field.name
@@ -383,7 +401,9 @@ class TestStrips:
         assert calls == [[1] * 6]
 
     def test_one_row_strips_bound_the_peak_memory(self, monkeypatch):
-        net = build_grid(1024, 4)  # 16 cluster rows
+        """Strips of one cluster (128 entries) keep a trial of 256 clusters
+        at a quarter of its whole-trial peak or less."""
+        net = build_grid(1024, 4)  # 256 clusters
         cfg = make_config(net, s=32)
         policy = optimal_policy(self.MODEL, 32, 4)
         entries = net.n_users * cfg.s_cache
@@ -398,7 +418,7 @@ class TestStrips:
             finally:
                 tracemalloc.stop()
 
-        assert 4 * peak(entries // 16) <= peak(entries)
+        assert 4 * peak(net.cluster_size * cfg.s_cache) <= peak(entries)
 
 
 def generator_states(seeds) -> list[dict]:
@@ -565,22 +585,27 @@ class TestKernel:
     MODEL = PopularityModel(gamma=1.16, q=22.0, m_total=500)
 
     @settings(max_examples=60, deadline=None)
-    @given(s=st.integers(1, 5), g_c=st.sampled_from([4, 9, 16, 25]), n_users=st.integers(1, 100),
+    @given(s=st.integers(1, 5), g_c=st.integers(2, 30), n_users=st.integers(1, 100),
            start=st.one_of(st.integers(0, 2**32), st.integers(2**64 - 12, 2**64 + 4)),
            trials=st.integers(1, 12), layout=st.sampled_from(["batches", "one-strip", "strips"]),
-           parts=st.integers(2, 5))
+           parts=st.integers(1, 50), trim=st.integers(0, 149))
     def test_rows_match_the_whole_trial_oracle(self, s, g_c, n_users, start, trials, layout,
-                                               parts):
+                                               parts, trim):
+        """Batches of 1..5 trials, one strip, or strips of 1..n_clusters-1
+        clusters; a budget trimmed below a whole number of clusters plans
+        the same strips as the whole number, since a strip is the fewest
+        clusters that reach it."""
+        assume(s * (g_c - 1) >= 2)  # optimal_policy needs two slots besides a user's own
         net = build_grid(n_users, g_c)
         cfg = make_config(net, s=s)
         policy = optimal_policy(self.MODEL, s, g_c)
-        entries = net.n_users * s
-        blocks = net.side // net.cluster_side
-        budget = {
-            "batches": parts * entries,
-            "one-strip": entries,
-            "strips": max(1, min(parts - 1, blocks - 1)) * entries // blocks,
+        cluster_entries = g_c * s
+        clusters = {
+            "batches": (1 + parts % 5) * net.n_clusters,
+            "one-strip": net.n_clusters,
+            "strips": min(parts, max(1, net.n_clusters - 1)),
         }[layout]
+        budget = clusters * cluster_entries - trim % cluster_entries
         seeds = range(start, start + trials)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulator, "_BATCH_ENTRIES", budget)
@@ -604,13 +629,16 @@ class TestKernel:
         run_trial(net, policy, self.MODEL, cfg, seed=8)
         assert [proxy.calls for proxy in counted] == [{"random": 1, "advance": 0}] * 21
 
-    @pytest.mark.parametrize("rows, strips", [(1, 5), (2, 3), (4, 2)])
+    # A strip is the fewest clusters of 12 entries that reach the budget, so
+    # step = ceil(budget / 12) clusters and a trial of 25 takes ceil(25 / step) strips.
+    @pytest.mark.parametrize("budget, strips", [(12, 25), (13, 13), (24, 13), (100, 3), (288, 2)],
+                             ids=["step-1", "step-2", "step-2-exact", "step-9", "step-24"])
     def test_a_trial_in_strips_draws_once_a_strip_and_once_for_its_requests(
-            self, monkeypatch, rows, strips):
-        net = build_grid(100, 4)  # 5 cluster rows
+            self, monkeypatch, budget, strips):
+        net = build_grid(100, 4)  # 25 clusters of 4 users, 12 cache entries each
         cfg = make_config(net, s=3)
         policy = optimal_policy(self.MODEL, 3, 4)
-        monkeypatch.setattr(simulator, "_BATCH_ENTRIES", rows * net.n_users * 3 // 5)
+        monkeypatch.setattr(simulator, "_BATCH_ENTRIES", budget)
         counted = count_draw_calls(monkeypatch)
         run_monte_carlo(net, policy, self.MODEL, cfg, 3, base_seed=8)
         # Forward to the requests, then back to the first strip.
@@ -645,9 +673,9 @@ class TestSimulateTradeoff:
 
     def test_per_point_errors_recorded(self):
         points = simulate_tradeoff(
-            self.MODEL, self.base_config(), [10, 16], trials=3, base_seed=0
+            self.MODEL, self.base_config(), [1, 16], trials=3, base_seed=0
         )
-        assert points[0].error is not None and "perfect square" in points[0].error
+        assert points[0].error is not None and "cluster too small" in points[0].error
         assert points[1].error is None
 
     def test_throughput_and_outage_fall_with_cluster_size(self):
