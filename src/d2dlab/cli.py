@@ -119,13 +119,15 @@ def _stage(staged: list[tuple[Path, Path]], output: Path, text: str) -> None:
 
 
 def _parse_int_list(text: str) -> list[int]:
+    """Integers split on commas. int() strips each field and refuses one that
+    is empty or has whitespace inside it."""
+    fields = text.split(",")
+    if not any(field.strip() for field in fields):
+        raise ValueError("g_c list must not be empty")
     try:
-        values = [int(tok) for tok in text.replace(" ", "").split(",") if tok]
+        return [int(field) for field in fields]
     except ValueError:
         raise ValueError(f"expected a comma-separated list of integers, got {text!r}")
-    if not values:
-        raise ValueError("g_c list must not be empty")
-    return values
 
 
 def _model_from_args(args) -> PopularityModel:

@@ -36,7 +36,9 @@ class NetworkConfig:
         Users per cluster g_c.
 
     The four counts n_users, s_cache, reuse_k and cluster_size are integers
-    (int or numpy integer), each at least 1.
+    (int or numpy integer), each at least 1. cluster_size is not checked
+    against n_users: the analysis reads no user count, and the simulator
+    takes both from the layout that build_grid pads to whole clusters.
     """
 
     n_users: int
@@ -50,10 +52,6 @@ class NetworkConfig:
             _check_integer(name, getattr(self, name), 1)
         if not 0 < self.rate_c < math.inf:
             raise ValueError(f"rate_c must be positive and finite, got {self.rate_c}")
-        if self.cluster_size > self.n_users:
-            raise ValueError(
-                f"cluster_size {self.cluster_size} exceeds n_users {self.n_users}"
-            )
 
     @property
     def cluster_rate(self) -> float:

@@ -28,11 +28,30 @@ from .popularity import _LOOKUP_BLOCK, PopularityModel, _ranks_from_cdf
 
 @dataclass(frozen=True)
 class GridNetwork:
-    """n_users users in whole clusters of cluster_size consecutive user ids."""
+    """n_users users in whole clusters of cluster_size consecutive user ids.
+
+    User u is in cluster u // cluster_size, so the layout alone places every
+    user, cache slot and request in its cluster: the kernel reads clusters
+    as views of its arrays and keeps no cluster map. n_users must be a
+    positive multiple of cluster_size, and n_requested, the users asked for
+    before padding, must lie in 1 .. n_users; build_grid makes such a
+    layout.
+    """
 
     n_users: int
     cluster_size: int
     n_requested: int
+
+    def __post_init__(self) -> None:
+        cluster_size = _check_integer("cluster_size", self.cluster_size, 1)
+        if _check_integer("n_users", self.n_users, 1) % cluster_size:
+            raise ValueError(
+                f"n_users {self.n_users} is not a multiple of cluster_size {cluster_size}"
+            )
+        if _check_integer("n_requested", self.n_requested, 1) > self.n_users:
+            raise ValueError(
+                f"n_requested {self.n_requested} exceeds n_users {self.n_users}"
+            )
 
     @property
     def n_clusters(self) -> int:
@@ -255,6 +274,15 @@ def _run_trials(
     copy count serve every trial of a strip, and one link pass every trial
     of a batch, in buffers made once per call. A user's own copies are one
     bincount of its matching slots.
+
+    A cluster is a run of g_c users, so its g_c*S cache entries and g_c
+    requests are runs too: the kernel keeps no user-to-cluster map. A
+    strip's ranks are viewed as (trials, clusters, g_c*S), each (trial,
+    cluster) offset by its own run of m*+1 copy-count keys, and its
+    requests looked up through a (trials, clusters, g_c) view. A batch's
+    links per cluster are the sum of its (trials, clusters, g_c) view of
+    the potential links, and each user's throughput is its cluster's
+    per-link rate broadcast back over that view.
     """
     s, n_users, n_clusters = config.s_cache, network.n_users, network.n_clusters
     g_c = network.cluster_size
@@ -262,7 +290,6 @@ def _run_trials(
     n = min(max(1, step // n_clusters), len(seeds))  # trials a batch
     height = min(step, n_clusters)
     width = policy.m_star + 1
-    group = np.arange(n)[:, None] * n_clusters + np.arange(n_users) // g_c
 
     first = height * g_c * s  # the first strip's cache draws; the requests follow
     draws = np.empty((n, first + n_users))
@@ -285,10 +312,9 @@ def _run_trials(
                 rng.random(out=row[first:])
                 rng.bit_generator.advance(-n_users * (s + 1) % 2**128)
         _ranks_from_cdf(popularity._cdf_guide, rows[:, first:], requests[:k], scratch)
-        # Copy-count keys, with clusters counted from the strip's first, stay below this.
-        bins = ((k - 1) * n_clusters + height) * width
         for c0 in range(0, n_clusters, step):
-            lo, hi = c0 * g_c, min(c0 + step, n_clusters) * g_c
+            h = min(step, n_clusters - c0)  # the strip's clusters
+            lo, hi = c0 * g_c, (c0 + h) * g_c
             shape = (k, hi - lo, s)
             m = (hi - lo) * s
             if not whole:
@@ -305,15 +331,16 @@ def _run_trials(
             # counts, so that the next strip or batch never holds this one's.
             # File 0 never enters a cache, so requests for files no device
             # caches look it up and find no copy.
-            base = (group[:k, lo:hi] - c0) * width
-            ranks += base[:, :, None]
-            in_cluster = np.bincount(ranks.reshape(-1), minlength=bins)[
-                base + np.where(wanted < width, wanted, 0)]
+            keys = np.arange(0, k * h * width, width).reshape(k, h, 1)
+            by_cluster = ranks.reshape(k, h, g_c * s)
+            by_cluster += keys
+            asked = np.where(wanted < width, wanted, 0).reshape(k, h, g_c)
+            in_cluster = np.bincount(ranks.reshape(-1), minlength=k * h * width)[keys + asked]
             np.greater(own, 0, out=self_hit[:k, lo:hi])
-            np.greater(in_cluster, own, out=other_has[:k, lo:hi])
+            np.greater(in_cluster.reshape(k, -1), own, out=other_has[:k, lo:hi])
 
-        potential = other_has[:k] & ~self_hit[:k]
-        links = np.bincount(group[:k][potential], minlength=k * n_clusters).reshape(k, n_clusters)
+        potential = (other_has[:k] & ~self_hit[:k]).reshape(k, n_clusters, g_c)
+        links = potential.sum(axis=2)
         per_link_rate = np.zeros(links.shape)
         np.divide(config.cluster_rate, links, out=per_link_rate, where=links > 0)
         yield _Trials(
@@ -321,7 +348,7 @@ def _run_trials(
             self_hits=self_hit[:k].sum(axis=1),
             d2d_available=other_has[:k].sum(axis=1),
             cluster_links=links,
-            throughput=potential * per_link_rate.reshape(-1)[group[:k]],
+            throughput=(potential * per_link_rate[:, :, None]).reshape(k, n_users),
         )
 
 
@@ -354,7 +381,8 @@ def run_trial(
     Its memory then grows with one strip's entries, less than the budget
     plus one cluster's, and the trial's N users, not with N*S. One kernel
     call runs every strip in buffers it makes once. The strips change no
-    bit of the outcome.
+    bit of the outcome. The config's n_users and cluster_size must be the
+    network's, or a ValueError names the first that differs.
     """
     seed = _check_integer("seed", seed, 0)
     _check_config(network, config)

@@ -274,6 +274,14 @@ class TestValidateMstarCommand:
         for row in read_csv(out):
             assert int(row["kkt_m_star"]) == kkt_mstar(model, 2, int(row["g_c"]))
 
+    def test_spaces_around_list_fields_are_read(self, tmp_path):
+        out = tmp_path / "mstar.csv"
+        assert main([
+            "validate-mstar", "--gamma", "1.16", "--q", "22", "--m-total", "500",
+            "--g-c-list= 4 , 9 ", "--output", str(out),
+        ]) == 0
+        assert [int(r["g_c"]) for r in read_csv(out)] == [4, 9]
+
     def test_bad_cluster_size_leaves_no_partial_csv(self, tmp_path):
         out = tmp_path / "mstar.csv"
         assert main([
@@ -288,6 +296,9 @@ class TestValidateMstarCommand:
     ("", "g_c list must not be empty"),
     (",", "g_c list must not be empty"),
     ("a", "comma-separated list of integers"),
+    ("100 400", "expected a comma-separated list of integers"),
+    ("4,,9", "expected a comma-separated list of integers"),
+    ("4,9,", "expected a comma-separated list of integers"),
 ])
 def test_bad_g_c_list_is_a_parameter_error(tmp_path, capsys, command, g_c_list, message):
     out = tmp_path / "out.csv"

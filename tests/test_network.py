@@ -9,7 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from d2dlab.analysis import tradeoff_curve
 from d2dlab.network import NetworkConfig
+from d2dlab.policy import optimal_policy
+from d2dlab.popularity import PopularityModel
+from d2dlab.simulator import build_grid, run_trial
 
 
 def make(**kwargs) -> NetworkConfig:
@@ -57,5 +61,14 @@ def test_numpy_integer_counts_accepted():
 
 
 def test_cluster_larger_than_network_rejected():
-    with pytest.raises(ValueError, match="cluster_size 25 exceeds n_users 16"):
-        make(cluster_size=25)
+    """A config may name more users per cluster than users: the analysis
+    reads no user count, and the simulator refuses the config against the
+    layout that build_grid pads to whole clusters."""
+    config = make(cluster_size=25)
+    assert (config.n_users, config.cluster_size) == (16, 25)
+    model = PopularityModel(gamma=1.16, q=22.0, m_total=500)
+    assert tradeoff_curve(model, make(), [25]) == tradeoff_curve(model, make(n_users=25), [25])
+    network = build_grid(16, 25)
+    assert network.n_users == 25
+    with pytest.raises(ValueError, match="^config n_users 16 does not match network n_users 25$"):
+        run_trial(network, optimal_policy(model, 1, 25), model, config, seed=0)

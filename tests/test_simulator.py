@@ -81,6 +81,34 @@ class TestBuildGrid:
         net = build_grid(16, 4)
         assert net.members[0].tolist() == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("call", ["members", "run_trial", "run_monte_carlo"])
+    def test_a_layout_of_partial_clusters_is_refused(self, call):
+        """Ten users cannot fill clusters of four. The kernel reads clusters
+        as views of the layout, so a hand-built network states its fields up
+        front, not through an IndexError or numpy's reshape error."""
+        model = PopularityModel(gamma=1.16, q=22.0, m_total=500)
+        policy = optimal_policy(model, 1, 4)
+        cfg = NetworkConfig(n_users=10, s_cache=1, rate_c=1.0, reuse_k=4, cluster_size=4)
+        calls = {
+            "members": lambda net: net.members,
+            "run_trial": lambda net: run_trial(net, policy, model, cfg, seed=0),
+            "run_monte_carlo": lambda net: run_monte_carlo(net, policy, model, cfg, 3),
+        }
+        with pytest.raises(ValueError, match="^n_users 10 is not a multiple of cluster_size 4$"):
+            calls[call](simulator.GridNetwork(n_users=10, cluster_size=4, n_requested=10))
+
+    @pytest.mark.parametrize("fields, message", [
+        ((0, 4, 1), "n_users must be >= 1, got 0"),
+        ((12.0, 4, 10), "n_users must be an integer, got 12.0"),
+        ((12, 0, 10), "cluster_size must be >= 1, got 0"),
+        ((12, 4, 0), "n_requested must be >= 1, got 0"),
+        ((12, 4, 13), "n_requested 13 exceeds n_users 12"),
+        ((12, 4, 10.0), "n_requested must be an integer, got 10.0"),
+    ])
+    def test_layout_fields_are_checked(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulator.GridNetwork(*fields)
+
 
 class TestRunTrial:
     def test_all_self_hits_consume_no_airtime(self):
@@ -734,7 +762,8 @@ class TestSimulateTradeoff:
         ("4", "cluster_size must be an integer, got '4'"),
     ], ids=["4.0", "49.0", "str"])
     def test_both_sweeps_name_a_non_integer_cluster_size_alike(self, g_c, message):
-        """49.0 exceeds the 36 users, so the analytic sweep would also make it n_users."""
+        """49.0 exceeds the 36 users; both sweeps name it as they name 4.0, by
+        NetworkConfig's integer check, which no user-count rule precedes."""
         base = self.base_config(n=36, s=2)
         assert tradeoff_curve(self.MODEL, base, [g_c])[0].error == message
         assert simulate_tradeoff(self.MODEL, base, [g_c], trials=3)[0].error == message
