@@ -64,19 +64,22 @@ def _clamp_unit(x: float) -> tuple[float, bool]:
     return x, False
 
 
-def _regime_of(
-    popularity: PopularityModel, s_cache: int, cluster_size: int
-) -> tuple[str, float]:
-    """Regime tag and c1; regime 1 is c1*S*g_c/gamma < M."""
-    c1 = _c1(popularity, s_cache, cluster_size)
-    below = c1 * s_cache * cluster_size / popularity.gamma < popularity.m_total
-    return (REGIME1 if below else REGIME2), c1
+def _regime_of(popularity: PopularityModel, config: NetworkConfig) -> tuple[str, float, float]:
+    """Regime tag, c1 and the closed form's index a = c1*S*g_c/gamma; regime 1 is a < M.
+
+    A library of one file, whose closed form divides by zero, is refused as
+    optimal_policy refuses it.
+    """
+    if popularity.m_total < 2:
+        raise ValueError("optimal_policy requires a library of at least 2 files")
+    c1 = _c1(popularity, config.s_cache, config.cluster_size)
+    a = c1 * config.s_cache * config.cluster_size / popularity.gamma
+    return (REGIME1 if a < popularity.m_total else REGIME2), c1, a
 
 
-def _closed_form(popularity: PopularityModel, config: NetworkConfig, c1: float) -> float:
-    """Unclamped regime-1 closed form."""
+def _closed_form(popularity: PopularityModel, a: float) -> float:
+    """Unclamped regime-1 closed form at index a."""
     gamma, q, m = popularity.gamma, popularity.q, popularity.m_total
-    a = c1 * config.s_cache * config.cluster_size / gamma
     e = 1.0 - gamma
     if abs(e) < _GAMMA_ONE_EPS:
         num = math.log((a + q) / (q + 1.0)) - a / (a + q)
@@ -108,9 +111,14 @@ def _lower_bound(popularity: PopularityModel, config: NetworkConfig) -> float:
     return 1.0 - factor * math.exp(-n * math.log(bracket))
 
 
+def _hit(popularity: PopularityModel, config: NetworkConfig, regime: str, a: float) -> float:
+    """Unclamped hit probability of a point in regime: the closed form at a, or the bound."""
+    return _closed_form(popularity, a) if regime == REGIME1 else _lower_bound(popularity, config)
+
+
 def _hit_prob(popularity: PopularityModel, config: NetworkConfig, regime: str) -> float:
     """Clamped hit probability of a point that must lie in the given regime."""
-    actual, c1 = _regime_of(popularity, config.s_cache, config.cluster_size)
+    actual, c1, a = _regime_of(popularity, config)
     if actual != regime:
         raise RegimeError(
             f"cluster_size {config.cluster_size} is at or beyond gamma*M/(c1*S); "
@@ -120,8 +128,7 @@ def _hit_prob(popularity: PopularityModel, config: NetworkConfig, regime: str) -
             f" < gamma={popularity.gamma}; "
             "cluster too small for the regime-2 bound (use the closed form)"
         )
-    hit = _closed_form(popularity, config, c1) if regime == REGIME1 else _lower_bound(popularity, config)
-    return _clamp_unit(hit)[0]
+    return _clamp_unit(_hit(popularity, config, regime, a))[0]
 
 
 def hit_prob_closed_form(popularity: PopularityModel, config: NetworkConfig) -> float:
@@ -154,21 +161,20 @@ def tradeoff_point(popularity: PopularityModel, config: NetworkConfig) -> Tradeo
     regime-2 hit probability lower bound.
     """
     gamma, q = popularity.gamma, popularity.q
-    regime, c1 = _regime_of(popularity, config.s_cache, config.cluster_size)
+    regime, c1, a = _regime_of(popularity, config)
     throughput = config.cluster_rate / config.cluster_size
+    if regime == REGIME1 and q > _KAPPA * config.s_cache * config.cluster_size / gamma:
+        raise RegimeError(
+            f"plateau factor q={q} exceeds kappa*S*g_c/gamma="
+            f"{_KAPPA * config.s_cache * config.cluster_size / gamma:.4g}; "
+            "the regime-1 outage expression assumes q = O(S*g_c/gamma)"
+        )
+    hit = _hit(popularity, config, regime, a)
     if regime == REGIME1:
-        if q > _KAPPA * config.s_cache * config.cluster_size / gamma:
-            raise RegimeError(
-                f"plateau factor q={q} exceeds kappa*S*g_c/gamma="
-                f"{_KAPPA * config.s_cache * config.cluster_size / gamma:.4g}; "
-                "the regime-1 outage expression assumes q = O(S*g_c/gamma)"
-            )
         c6 = q / config.cluster_size
         s_c1 = config.s_cache * c1
         outage_raw = _pow(c6, gamma - 1.0) * (s_c1 + c6) / _pow(s_c1 / gamma + c6, gamma)
-        hit = _closed_form(popularity, config, c1)
     else:
-        hit = _lower_bound(popularity, config)
         outage_raw = 1.0 - hit
     outage, clamped = _clamp_unit(outage_raw)
     return TradeoffPoint(

@@ -39,7 +39,7 @@ from pathlib import Path
 from time import perf_counter
 
 from . import __version__
-from .network import NetworkConfig, _check_integer
+from .network import NetworkConfig, _check_integer, _parse_integer
 from .popularity import PopularityModel, fit_mzipf
 
 EXIT_OK = 0
@@ -119,15 +119,37 @@ def _stage(staged: list[tuple[Path, Path]], output: Path, text: str) -> None:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """Integers split on commas. int() strips each field and refuses one that
-    is empty or has whitespace inside it."""
+    """Integers split on commas, each read by _parse_integer, as an integer
+    flag is: it strips the field and refuses one that is empty or has
+    whitespace inside it."""
     fields = text.split(",")
     if not any(field.strip() for field in fields):
         raise ValueError("g_c list must not be empty")
     try:
-        return [int(field) for field in fields]
+        return [_parse_integer(field) for field in fields]
     except ValueError:
-        raise ValueError(f"expected a comma-separated list of integers, got {text!r}")
+        raise ValueError(f"g_c list: expected a comma-separated list of integers, got {text!r}")
+
+
+def _integer(text: str) -> int:
+    """An integer flag, read by _parse_integer as a log's region is. argparse
+    shows the message of an ArgumentTypeError, not the name of this function."""
+    try:
+        return _parse_integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _real(text: str) -> float:
+    """A real flag as a float, refused if it holds a digit-group underscore
+    or a non-ASCII character, which float() alone takes. nan and inf pass, to
+    the checks of the model and the network config."""
+    try:
+        if "_" not in text and text.isascii():
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid number {text!r}")
 
 
 def _model_from_args(args) -> PopularityModel:
@@ -211,10 +233,9 @@ def cmd_tradeoff(args, output: Path) -> tuple[str, dict, list]:
     # Every flag is checked whether or not the chosen mode reads it.
     _check_integer("trials", args.trials, 1)
     _check_integer("seed", args.seed, 0)
-    if args.n_users is not None:
-        _check_integer("n_users", args.n_users, 1)
     # Each sweep sets the cluster size of every point, and checks it there.
-    base = _network_from_args(args, args.n_users or max(1, *g_c_list), 1)
+    n_users = args.n_users if args.n_users is not None else max(1, *g_c_list)
+    base = _network_from_args(args, n_users, 1)
     rows = [{"g_c": g} for g in g_c_list]
     if args.mode in ("analytic", "both"):
         from .analysis import tradeoff_curve
@@ -290,19 +311,19 @@ _INPUTS = ("log",)
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", type=float, required=True, help="Zipf factor (> 0)")
-    p.add_argument("--q", type=float, required=True, help="plateau factor (>= 0)")
-    p.add_argument("--m-total", type=int, required=True, dest="m_total", help="library size M")
-    p.add_argument("--s-cache", type=int, default=1, dest="s_cache",
+    p.add_argument("--gamma", type=_real, required=True, help="Zipf factor (> 0)")
+    p.add_argument("--q", type=_real, required=True, help="plateau factor (>= 0)")
+    p.add_argument("--m-total", type=_integer, required=True, dest="m_total", help="library size M")
+    p.add_argument("--s-cache", type=_integer, default=1, dest="s_cache",
                    help="cache slots per device")
 
 
 def _add_network_args(p: argparse.ArgumentParser) -> None:
     _add_model_args(p)
-    p.add_argument("--rate-c", type=float, default=1.0, dest="rate_c", help="link rate C (bits/s/Hz)")
-    p.add_argument("--reuse-k", type=int, default=4, dest="reuse_k", help="TDMA reuse factor K")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rate-c", type=_real, default=1.0, dest="rate_c", help="link rate C (bits/s/Hz)")
+    p.add_argument("--reuse-k", type=_integer, default=4, dest="reuse_k", help="TDMA reuse factor K")
+    p.add_argument("--trials", type=_integer, default=200)
+    p.add_argument("--seed", type=_integer, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,13 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit an MZipf model to an access log")
     p.add_argument("log", help="CSV log: user_id,content_id,region_id[,timestamp]")
-    p.add_argument("--region", type=int, default=None, help="keep only this region_id")
+    p.add_argument("--region", type=_integer, default=None, help="keep only this region_id")
     p.add_argument("--ranks-csv", default=None, dest="ranks_csv",
                    help="rank/count CSV path (default: alongside the JSON)")
 
     p = sub.add_parser("policy", help="compute the optimal caching distribution")
     _add_model_args(p)
-    p.add_argument("--g-c", type=int, required=True, dest="g_c", help="cluster size")
+    p.add_argument("--g-c", type=_integer, required=True, dest="g_c", help="cluster size")
 
     p = sub.add_parser("validate-mstar", help="compare water-filled and closed-form m*")
     _add_model_args(p)
@@ -330,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tradeoff", help="throughput-outage curve (analytic and/or simulated)")
     _add_network_args(p)
-    p.add_argument("--n-users", type=int, default=None, dest="n_users",
+    p.add_argument("--n-users", type=_integer, default=None, dest="n_users",
                    help="users N (defaults to the largest cluster size); "
                         "each point pads N to whole clusters")
     p.add_argument("--g-c-list", required=True, dest="g_c_list")
@@ -338,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo run at a single cluster size")
     _add_network_args(p)
-    p.add_argument("--n-users", type=int, required=True, dest="n_users", help="users N")
-    p.add_argument("--g-c", type=int, required=True, dest="g_c")
+    p.add_argument("--n-users", type=_integer, required=True, dest="n_users", help="users N")
+    p.add_argument("--g-c", type=_integer, required=True, dest="g_c")
 
     for name, p in sub.choices.items():
         p.add_argument("--output", required=True,

@@ -28,7 +28,6 @@ import contextlib
 import csv
 import gc
 import io
-import re
 from array import array
 from dataclasses import dataclass
 from functools import partial
@@ -39,20 +38,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import _check_integer
+from .network import _INTEGER, _check_integer, _parse_integer
 from .popularity import EmpiricalDistribution
 
 _REQUIRED_COLUMNS = ("user_id", "content_id", "region_id")
-# An integer column: ASCII digits with an optional sign. int() alone also
-# takes digit-group underscores and non-ASCII digits ("1_0", "٢").
-_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 # Characters a chunk of the log holds, before it runs on to the end of a line.
 _CHUNK = 1 << 15
-# The bytes of plain text (see _plain_columns) but \r: printable ASCII other
-# than the double quote, and \n. A \r may come right before a \n.
+# The bytes of plain text (see _plain_columns): printable ASCII other than
+# the double quote, and \n.
 _PLAIN = bytes(c for c in range(0x21, 0x7F) if c != ord('"')) + b"\n"
-_COMMA, _LF, _CR = b",\n\r"
+_COMMA, _LF = b",\n"
 
 
 class LogFormatError(Exception):
@@ -275,14 +271,14 @@ class _CheckedColumns:
 class _RegionIds(dict):
     """The region id of each region field, None for a malformed one, parsed once per field.
 
-    A chunk holds a handful of regions. A field is malformed unless it
-    matches _INTEGER and int() converts it: int() refuses more digits than
-    sys.get_int_max_str_digits().
+    A chunk holds a handful of regions. A field is malformed unless
+    _parse_integer, the rule of the integer flags too, converts it: int()
+    refuses more digits than sys.get_int_max_str_digits().
     """
 
     def __missing__(self, field: str) -> int | None:
         try:
-            region = int(field) if _INTEGER.fullmatch(field) else None
+            region = _parse_integer(field)
         except ValueError:
             region = None
         self[field] = region
@@ -322,33 +318,31 @@ def _chunks(stream):
 def _plain_columns(text: str, width: int, limit: int):
     """Split a chunk of whole lines on its bytes, if it is plain.
 
-    Plain text is printable ASCII other than the double quote, split by
-    commas and by line ends \n or \r\n, with every field shorter than
-    limit. csv.reader would split it at the same commas and line ends, and
-    strip would change no field. Returns None for any other text, else
-    (lines, rows, columns): the number of lines and of non-blank lines, and
-    one list of fields per column, of the rows of the log's width.
+    Each \r\n becomes \n first, so only \n ends a line. Plain text is then
+    printable ASCII other than the double quote, split by commas and \n,
+    with every field shorter than limit; a \r left over is not plain.
+    csv.reader would split it at the same commas and line ends, and strip
+    would change no field. Returns None for any other text, else (lines,
+    rows, columns): the number of lines and of non-blank lines, and one
+    list of fields per column, of the rows of the log's width.
     """
     if not text.isascii():
         return None
     if not text.endswith("\n"):
         text += "\n"  # the last line of a log that does not end in a line break
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
     data = text.encode("ascii")
-    odd = data.translate(None, _PLAIN)  # plain text leaves only the \r of each \r\n
+    if data.translate(None, _PLAIN):
+        return None  # a byte that is not plain, or a \r that does not end a line
     a = np.frombuffer(data, np.uint8)
     sep = np.flatnonzero((a == _COMMA) | (a == _LF))  # the byte after each field
-    length = np.diff(sep, prepend=-1) - 1  # a line's last field may hold its \r
+    length = np.diff(sep, prepend=-1) - 1
     if length.max() >= limit:
         return None
     last = np.flatnonzero(a[sep] == _LF)  # each line's last field
-    # sep[last] - 1 is -1 only for a blank first line, and a[-1] is a \n.
-    cr = a[sep[last] - 1] == _CR
-    if np.count_nonzero(cr) != len(odd):
-        return None  # a byte that is not plain, or a \r that does not end a line
     n_fields = np.diff(last, prepend=-1)
-    rows = last.size - int(np.count_nonzero((n_fields == 1) & (length[last] == cr)))
-    if odd:
-        text = text.replace("\r\n", "\n")
+    rows = last.size - int(np.count_nonzero((n_fields == 1) & (length[last] == 0)))
     fields = text.replace("\n", ",").split(",")  # field i ends at sep[i]
     arity = n_fields == width
     if arity.all():  # every line a row of the log's width: the columns are strides

@@ -2,9 +2,14 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
+
+# An integer as text: ASCII digits with an optional sign. int() alone also
+# takes digit-group underscores and non-ASCII digits ("1_0", "٢").
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _check_integer(name: str, value: int, least: float = -math.inf) -> int:
@@ -16,6 +21,15 @@ def _check_integer(name: str, value: int, least: float = -math.inf) -> int:
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+def _parse_integer(text: str) -> int:
+    """text, stripped, as an int: ASCII digits with an optional sign, of at
+    most the digits int() converts, or a ValueError."""
+    field = text.strip()
+    if not _INTEGER.fullmatch(field):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(field)
 
 
 @dataclass(frozen=True)

@@ -311,6 +311,43 @@ class TestHitProbSeam:
         assert point.throughput == cfg.cluster_rate / g_c
 
 
+class TestErrorOrder:
+    """A regime mismatch and the plateau gate raise before any formula runs."""
+
+    MODEL = PopularityModel(gamma=1.16, q=22.0, m_total=2000)
+
+    @pytest.fixture(autouse=True)
+    def no_formula(self, monkeypatch):
+        def ran(*args):
+            raise AssertionError("a hit formula ran")
+
+        monkeypatch.setattr(analysis, "_closed_form", ran)
+        monkeypatch.setattr(analysis, "_lower_bound", ran)
+
+    def test_regime_mismatch(self):
+        with pytest.raises(RegimeError, match=r"^cluster_size 2600 is at or beyond gamma\*M/"):
+            hit_prob_closed_form(self.MODEL, config(2600, s=1))
+        with pytest.raises(RegimeError, match="cluster too small for the regime-2 bound"):
+            hit_prob_lower_bound(self.MODEL, config(100, s=1))
+
+    def test_plateau_gate(self):
+        model = PopularityModel(gamma=1.16, q=863.0, m_total=100_000)
+        with pytest.raises(RegimeError, match=r"^plateau factor q=863.0 exceeds kappa"):
+            tradeoff_point(model, config(100, s=1))
+
+
+def test_a_one_file_library_is_refused():
+    """At M = 1 the closed form's denominator is 0: the library is refused as
+    optimal_policy refuses it, and a curve records that at the point."""
+    model = PopularityModel(gamma=5.0, q=0.0, m_total=1)
+    message = "optimal_policy requires a library of at least 2 files"
+    for hit in (hit_prob_closed_form, hit_prob_lower_bound):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            hit(model, config(3, s=1))
+    (point,) = tradeoff_curve(model, config(3, s=1), [3])
+    assert point.error == message
+
+
 class TestTradeoffCurve:
     MODEL = PopularityModel(gamma=1.16, q=22.0, m_total=2000)
 

@@ -618,6 +618,74 @@ def test_non_finite_flags_are_parameter_errors(tmp_path, command, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, value", [("+4", 4), (" 4 ", 4), ("1_0", None),
+                                         ("\u0661\u0660", None)],
+                         ids=["sign", "padded", "underscore", "arabic-indic"])
+def test_integer_flags_and_list_fields_follow_the_log_rule(tmp_path, capsys, text, value):
+    """A count is ASCII digits with an optional sign, stripped, as a log's
+    region is: int() alone would read 1_0 and the Arabic-Indic digits as 10."""
+    args = ["validate-mstar", *MODEL_FLAGS]
+    flag, listed = tmp_path / "flag.csv", tmp_path / "listed.csv"
+    flag_argv = [*args, "--s-cache", text, "--g-c-list", "10", "--output", str(flag)]
+    listed_argv = [*args, f"--g-c-list={text},10", "--output", str(listed)]
+    if value is None:
+        with pytest.raises(SystemExit) as excinfo:
+            main(flag_argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --s-cache: invalid integer {text!r}" in err
+        assert main(listed_argv) == 2
+        assert (f"g_c list: expected a comma-separated list of integers, got '{text},10'"
+                in capsys.readouterr().err)
+        assert not flag.exists() and not listed.exists()
+        return
+    assert main(flag_argv) == 0
+    assert read_json(tmp_path / "flag.csv.manifest.json")["parameters"]["s_cache"] == value
+    assert main(listed_argv) == 0
+    assert [int(row["g_c"]) for row in read_csv(listed)] == [value, 10]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["fit", "log.csv", "--region", "0_2"], "--region"),
+    (["tradeoff", *MODEL_FLAGS, "--g-c-list", "4", "--n-users", "6_4"], "--n-users"),
+    (["tradeoff", *MODEL_FLAGS, "--g-c-list", "4", "--trials", "1_0"], "--trials"),
+    (["simulate", *MODEL_FLAGS, "--n-users", "16", "--g-c", "4", "--seed", "\u0662"], "--seed"),
+], ids=["fit-region", "tradeoff-n-users", "tradeoff-trials", "simulate-seed"])
+def test_an_integer_flag_int_alone_would_read_exits_2(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--output", str(out)])
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: invalid integer {argv[-1]!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--gamma", "--q", "--rate-c"])
+@pytest.mark.parametrize("text", ["1_1", "\u0661.5", "1.5\u00a0"],
+                         ids=["underscore", "arabic-indic", "no-break-space"])
+def test_a_real_flag_refuses_what_float_alone_would_read(tmp_path, capsys, flag, text):
+    """float() alone reads 1_1 as 11.0, the Arabic-Indic one as 1, and strips a no-break space."""
+    values = {"--gamma": "1.16", "--q": "22", "--rate-c": "1"} | {flag: text}
+    out = tmp_path / "out.csv"
+    argv = ["tradeoff", *(item for pair in values.items() for item in pair), "--m-total", "500",
+            "--g-c-list", "4", "--output", str(out)]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid number {text!r}" in err
+    assert not out.exists()
+
+
+def test_a_one_file_library_fails_at_its_point(tmp_path):
+    """At M = 1 the closed form divides by zero; the point records the error instead."""
+    out = tmp_path / "out.csv"
+    assert main(["tradeoff", "--gamma", "5", "--q", "0", "--m-total", "1", "--s-cache", "1",
+                 "--g-c-list", "3", "--output", str(out)]) == 0
+    (row,) = read_csv(out)
+    assert row["error"] == "optimal_policy requires a library of at least 2 files"
+
+
 @pytest.mark.parametrize("mode", ["simulate", "both"])
 def test_zero_trials_is_a_parameter_error(tmp_path, capsys, mode):
     out = tmp_path / "out.csv"

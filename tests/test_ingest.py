@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import gc
 import io
 import os
@@ -587,6 +588,25 @@ class TestChunks:
                     assert parse_log(source(text)) == expected
         assert (expected.rows, expected.malformed, len(expected.records)) == (302, 0, 302)
         assert expected.records[150] == AccessRecord("v", "c", 10**19 - 1)
+
+    def test_a_line_end_is_no_part_of_its_last_field(self):
+        """A CRLF log whose last field is one character short of
+        csv.field_size_limit() stays with the plain reader, and reads as csv.reader reads it."""
+        text = ("user_id,content_id,region_id,timestamp\r\n"
+                f"u1,c1,2,{'7' * (csv.field_size_limit() - 1)}\r\nu2,c1,2,7\r\nu1,c2,2,\r\n")
+        counts, report = reference_counts(text, None)
+        calls = []
+        csv_columns = ingest._CheckedColumns._csv_columns
+
+        def spy(self, chunks):
+            calls.append(chunks)
+            return csv_columns(self, chunks)
+
+        with mock.patch.object(ingest._CheckedColumns, "_csv_columns", spy):
+            empirical, ingested = read_counts(io.StringIO(text, newline=""))
+        assert calls == []
+        assert empirical.counts.tolist() == counts
+        assert asdict(ingested) == report
 
     def test_a_stream_that_cannot_seek_reads_alike(self):
         text = HEADER + "u1,c1,2\n u2,c1,2\nu3,c2,3\n\nu1,c1\n"
