@@ -369,13 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _io_errors() -> tuple[type[Exception], ...]:
-    """The errors main reports as EXIT_IO: OSError, and LogFormatError once
-    ingest is loaded, since no other command can raise it."""
-    ingest = sys.modules.get(f"{__package__}.ingest")
-    return (OSError,) if ingest is None else (OSError, ingest.LogFormatError)
-
-
 def main(argv=None) -> int:
     """Run one command, write its outputs and manifest sidecar, and print its summary line."""
     args = build_parser().parse_args(argv)
@@ -399,7 +392,7 @@ def main(argv=None) -> int:
         _stage(staged, manifest, _manifest(args, started, record))
         for temporary, output in staged:
             os.replace(temporary, output)
-    except _io_errors() as exc:
+    except OSError as exc:  # a missing or unwritable file, or a malformed log (LogFormatError)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, MemoryError) as exc:  # parameters too large to run are bad parameters

@@ -51,8 +51,8 @@ _PLAIN = bytes(c for c in range(0x21, 0x7F) if c != ord('"')) + b"\n"
 _COMMA, _LF = b",\n"
 
 
-class LogFormatError(Exception):
-    """The input is not in the documented CSV log format."""
+class LogFormatError(OSError):
+    """The input is not in the documented CSV log format (an OSError, as gzip.BadGzipFile is)."""
 
 
 class AccessRecord(NamedTuple):
@@ -102,11 +102,11 @@ def read_counts(source, region: int | None = None) -> tuple[EmpiricalDistributio
     newline=""; numpy splits plain chunks and csv.reader the rest (see the
     module docstring), and one row check serves both, so the counts and the
     report are the same either way.
-    Raises LogFormatError when the header is missing or wrong or a line
-    cannot be read, and ValueError, naming the region and the number of
-    checked rows, when no row is kept. A region other than None must be an
-    integer, of either sign as in the log (True would keep region 1), or a
-    ValueError is raised before the log is read.
+    Raises LogFormatError, an OSError, when the header is missing or wrong
+    or a line cannot be read, and ValueError, naming the region and the
+    number of checked rows, when no row is kept. A region other than None
+    must be an integer, of either sign as in the log (True would keep
+    region 1), or a ValueError is raised before the log is read.
     """
     if region is not None:
         region = _check_integer("region", region)
@@ -147,9 +147,9 @@ def parse_log(source) -> ParseResult:
     Objects allocated since the last collection move too, the caller's
     among them, so cyclic garbage among those waits for the next full
     collection. With objects frozen, nothing moves.
-    Raises LogFormatError when the header is missing or wrong, or when a
-    line cannot be read: a field over csv.field_size_limit(), or text that
-    is not UTF-8.
+    Raises LogFormatError, an OSError, when the header is missing or wrong,
+    or when a line cannot be read: a field over csv.field_size_limit(), or
+    text that is not UTF-8.
     """
     records: list[AccessRecord] = []
     record = partial(tuple.__new__, AccessRecord)
@@ -291,14 +291,17 @@ def _good_rows(columns):
     columns holds one list of stripped fields per column of the log. A row
     passes with non-empty ids, a region that _RegionIds parses and, in a log
     with a timestamp column, a timestamp that is empty or matches _INTEGER
-    (it is never converted). Without a timestamp column, a chunk of good rows
-    is checked by list scans in C, with no Python-level step per row. The
+    (it is never converted). A chunk of good rows, its timestamps unsigned,
+    is checked by scans in C, the timestamps joined into one string, with no
+    Python-level step per row; any other chunk is checked row by row. The
     parsed regions are kept for one chunk only, so a log whose regions are
     all distinct costs no memory per row.
     """
     users, contents, fields, *timestamps = columns
     region_ids = list(map(_RegionIds().__getitem__, fields))
-    if not timestamps and "" not in users and "" not in contents and None not in region_ids:
+    stamps = "".join(chain.from_iterable(timestamps))
+    if ("" not in users and "" not in contents and None not in region_ids
+            and stamps.isascii() and (stamps.isdigit() or not stamps)):
         return users, contents, region_ids
     checks = [users, contents, map(is_not, region_ids, repeat(None))]  # a row passes all
     for column in timestamps:

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from d2dlab import simulator
 from d2dlab.cli import main
@@ -138,6 +140,12 @@ class TestFitCommand:
         assert message in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
 
+    def test_a_format_error_is_an_os_error(self):
+        """main maps a malformed log to exit 3 by its type, as it does a missing file."""
+        from d2dlab.ingest import LogFormatError
+
+        assert issubclass(LogFormatError, OSError)
+
     def test_unwritable_ranks_csv_leaves_no_json(self, tmp_path, capsys):
         log = tmp_path / "r.csv"
         write_region_log(log, region=3, n_accesses=3000, seed=5)
@@ -169,6 +177,28 @@ class TestFitCommand:
         assert main(["fit", str(log), "--output", str(tmp_path / "plain.json")]) == 0
         assert main(["fit", str(bom), "--output", str(tmp_path / "bom.json")]) == 0
         assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.from_regex(r"([+-]?[0-9]{1,12})?", fullmatch=True), min_size=1,
+                    max_size=4))
+    def test_a_timestamp_column_fits_as_the_plain_log(self, tmp_path, stamps):
+        """A timestamp, of digits, signed or empty, is checked but never kept,
+        so the log with one on every row writes the plain log's fit and ranks."""
+        log = tmp_path / "log.csv"
+        write_region_log(log, region=3, n_accesses=3000, seed=5)
+        header, *rows = log.read_text(encoding="utf-8").splitlines()
+        stamped = tmp_path / "stamped.csv"
+        stamped.write_text("\n".join([header + ",timestamp"] + [
+            f"{row},{stamps[i % len(stamps)]}" for i, row in enumerate(rows)]) + "\n",
+            encoding="utf-8")
+        outputs = []
+        for path in (log, stamped):
+            out = path.with_suffix(".json")
+            assert main(["fit", str(path), "--output", str(out)]) == 0
+            ranks = path.with_name(f"{path.stem}_ranks.csv")
+            outputs.append((out.read_bytes(), ranks.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_a_directory_output_is_refused_before_anything_moves(self, tmp_path, capsys):
         log = tmp_path / "log.csv"

@@ -608,6 +608,28 @@ class TestChunks:
         assert empirical.counts.tolist() == counts
         assert asdict(ingested) == report
 
+    @pytest.mark.parametrize("odd", [None, "+17", "17x"], ids=["clean", "signed", "bad"])
+    def test_only_a_chunk_with_an_odd_timestamp_is_checked_row_by_row(self, odd):
+        """Timestamps of digits or nothing are checked by one scan per chunk,
+        with no call of _INTEGER.fullmatch; a signed (valid) or bad
+        (malformed) one sends its chunk of about ten rows, and only it, row by row."""
+        rows = [f"u{i},c{i % 7},{i % 3},{1404165600 + i if i % 4 else ''}\n" for i in range(300)]
+        if odd:
+            rows[150] = f"u150,c3,2,{odd}\n"
+        text = "user_id,content_id,region_id,timestamp\n" + "".join(rows)
+        counts, report = reference_counts(text, 2)
+        pattern = mock.Mock(wraps=ingest._INTEGER)
+        with mock.patch.multiple(ingest, _CHUNK=256, _INTEGER=pattern):
+            empirical, ingested = read_counts(io.StringIO(text), 2)
+            read_calls = pattern.fullmatch.call_count
+            parsed = parse_log(io.StringIO(text))
+        assert empirical.counts.tolist() == counts
+        assert asdict(ingested) == report
+        assert (parsed.rows, parsed.malformed) == (report["rows"], report["malformed"])
+        assert report["malformed"] == (odd == "17x")
+        assert read_calls == pattern.fullmatch.call_count - read_calls <= 30
+        assert (read_calls > 0) == (odd is not None)
+
     def test_a_stream_that_cannot_seek_reads_alike(self):
         text = HEADER + "u1,c1,2\n u2,c1,2\nu3,c2,3\n\nu1,c1\n"
         assert parse_log(forward_only(text)) == parse_log(io.StringIO(text))
