@@ -50,10 +50,14 @@ class TradeoffPoint:
 
 
 def _pow(x: float, e: float) -> float:
-    """x**e via log space, for x >= 0; 0**e is 0 for e > 0, 1 for e = 0 and +inf for e < 0."""
+    """x**e via log space, for x >= 0; 0**e is 0 for e > 0, 1 for e = 0 and +inf
+    for e < 0, and a power past the largest double is +inf too."""
     if x == 0.0:
         return 0.0 if e > 0.0 else 1.0 if e == 0.0 else math.inf
-    return math.exp(e * math.log(x))
+    try:
+        return math.exp(e * math.log(x))
+    except OverflowError:
+        return math.inf
 
 
 def _clamp_unit(x: float) -> tuple[float, bool]:
@@ -65,15 +69,10 @@ def _clamp_unit(x: float) -> tuple[float, bool]:
 
 
 def _regime_of(popularity: PopularityModel, config: NetworkConfig) -> tuple[str, float, float]:
-    """Regime tag, c1 and the closed form's index a = c1*S*g_c/gamma; regime 1 is a < M.
-
-    A library of one file, whose closed form divides by zero, is refused as
-    optimal_policy refuses it.
-    """
-    if popularity.m_total < 2:
-        raise ValueError("optimal_policy requires a library of at least 2 files")
-    c1 = _c1(popularity, config.s_cache, config.cluster_size)
-    a = c1 * config.s_cache * config.cluster_size / popularity.gamma
+    """Regime tag, c1 and the closed form's index a = c1*S*g_c/gamma, both
+    from policy._c1; regime 1 is a < M. _c1 refuses a one-file library,
+    whose closed form divides by zero, as optimal_policy does."""
+    c1, a = _c1(popularity, config.s_cache, config.cluster_size)
     return (REGIME1 if a < popularity.m_total else REGIME2), c1, a
 
 
@@ -99,7 +98,7 @@ def _lower_bound(popularity: PopularityModel, config: NetworkConfig) -> float:
     1 - (1-gamma)*exp(gamma - S*g_c/M) for gamma < 1, and 1 for gamma >= 1.
     """
     gamma = popularity.gamma
-    n = _policy_exponent(config.s_cache, config.cluster_size)
+    n = _policy_exponent(popularity, config.s_cache, config.cluster_size)
     d, beta = popularity.q / popularity.m_total, gamma / n
     e = 1.0 - gamma
     decay = math.exp(gamma - config.s_cache * config.cluster_size / popularity.m_total)

@@ -279,7 +279,7 @@ def cmd_simulate(args, output: Path) -> tuple[str, dict, list]:
     payload = {
         "g_c": args.g_c,
         "n_users": network.n_users,
-        "padding": network.padding,
+        "padding": network.n_users - args.n_users,
         "trials": outcome.trials,
         "m_star": policy.m_star,
         "hit_prob": outcome.hit_prob_estimate,

@@ -57,7 +57,10 @@ def solve_c1(c2: float) -> float:
     return c1
 
 
-def _policy_exponent(s_cache: int, cluster_size: int) -> int:
+def _policy_exponent(popularity: PopularityModel, s_cache: int, cluster_size: int) -> int:
+    """The exponent n = S*(g_c-1)-1, after the one check of M >= 2, S and g_c."""
+    if popularity.m_total < 2:
+        raise ValueError("optimal_policy requires a library of at least 2 files")
     _check_integer("s_cache", s_cache, 1)
     _check_integer("cluster_size", cluster_size, 1)
     n = s_cache * (cluster_size - 1) - 1
@@ -69,10 +72,12 @@ def _policy_exponent(s_cache: int, cluster_size: int) -> int:
     return n
 
 
-def _c1(popularity: PopularityModel, s_cache: int, cluster_size: int) -> float:
-    """c1 of the model and cluster: solve_c1 at c2 = q*gamma/(S*(g_c-1)-1)."""
-    n = _policy_exponent(s_cache, cluster_size)
-    return solve_c1(popularity.q * (popularity.gamma / n))
+def _c1(popularity: PopularityModel, s_cache: int, cluster_size: int) -> tuple[float, float]:
+    """c1, solve_c1 at c2 = q*gamma/(S*(g_c-1)-1), and the closed form's index
+    a = c1*S*g_c/gamma, which theoretical_mstar and analysis._regime_of read."""
+    n = _policy_exponent(popularity, s_cache, cluster_size)
+    c1 = solve_c1(popularity.q * (popularity.gamma / n))
+    return c1, c1 * s_cache * cluster_size / popularity.gamma
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +122,7 @@ class CachingPolicy:
 
     @cached_property
     def _cdf_guide(self) -> tuple[np.ndarray, np.ndarray]:
-        return _guide_table(np.cumsum(self.probs[: self.m_star]), self.m_star)
+        return _guide_table(self.probs[: self.m_star])
 
 
 # Files per block of optimal_policy's walk over the library (see there).
@@ -193,9 +198,7 @@ def optimal_policy(
     _weights, each time it is read. It keeps no reference to the model, so
     the model's tables are freed with the model.
     """
-    if popularity.m_total < 2:
-        raise ValueError("optimal_policy requires a library of at least 2 files")
-    n = _policy_exponent(s_cache, cluster_size)
+    n = _policy_exponent(popularity, s_cache, cluster_size)
     m_total = popularity.m_total
     law = (popularity.gamma, popularity.q, popularity.normalizer)
     # z of the searched blocks, turned into probs in place at the end; written,
@@ -229,11 +232,10 @@ def optimal_policy(
 def theoretical_mstar(
     popularity: PopularityModel, s_cache: int, cluster_size: int
 ) -> float:
-    """Closed-form truncation index min(c1*S*g_c/gamma, M).
+    """Closed-form truncation index min(a, M), with a = c1*S*g_c/gamma from _c1.
 
     Asymptotically exact for large clusters; at small cluster sizes it
     overshoots the water-filled index because S*g_c exceeds the effective
     exponent S*(g_c-1)-1 by a non-negligible factor.
     """
-    c1 = _c1(popularity, s_cache, cluster_size)
-    return min(c1 * s_cache * cluster_size / popularity.gamma, float(popularity.m_total))
+    return min(_c1(popularity, s_cache, cluster_size)[1], float(popularity.m_total))

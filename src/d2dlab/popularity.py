@@ -69,7 +69,7 @@ class PopularityModel:
 
     @cached_property
     def _cdf_guide(self) -> tuple[np.ndarray, np.ndarray]:
-        return _guide_table(self.cdf_values, self.m_total)
+        return _guide_table(self.pmf_values)
 
 
 def _shifted_ranks(lo: int, hi: int, q: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -113,21 +113,23 @@ def _log_pmf(gamma: float, q: float, normalizer: float, lo: int, hi: int,
     return out
 
 
-def _guide_table(cdf: np.ndarray, max_rank: int) -> tuple[np.ndarray, np.ndarray]:
+def _guide_table(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Guide table ("indexed search", Chen & Asau 1974) for _ranks_from_cdf.
 
-    Returns the first max_rank-1 cumulative sums closed by an inf sentinel,
-    and, for each of K+1 buckets, the count of those sums at or below a
-    lower bound on every draw u whose computed u*K truncates to the bucket.
-    K is four times the number of sums. A sum moves only the draws above it
-    in its own bucket, at most 1/K of them, so a draw takes at most a
-    quarter of a step on average; twice that K ran no faster.
+    pmf is a model's pmf_values or a policy's probs up to m_star. Returns
+    the cumulative sums of all but its last entry (numpy adds them in
+    sequence, so they are the cdf's bits) closed by an inf sentinel, and,
+    for each of K+1 buckets, the count of those sums at or below a lower
+    bound on every draw u whose computed u*K truncates to the bucket. K is
+    four times the number of sums. A sum moves only the draws above it in
+    its own bucket, at most 1/K of them, so a draw takes at most a quarter
+    of a step on average; twice that K ran no faster.
     A computed u*K >= k implies u >= (k/K)*(1-2^-53); the computed edge k/K
     is shrunk by 2^-50 to stay below that bound, so each count is at most
     the lookup's answer even where u*K rounds up into the next bucket. u*K
     can round up to K itself, hence the last bucket.
     """
-    sums = np.append(cdf[: max_rank - 1], math.inf)
+    sums = np.append(np.cumsum(pmf[:-1]), math.inf)
     k = 4 * max(sums.size - 1, 1)
     edges = np.arange(k + 1, dtype=np.float64) / k * (1.0 - 2.0**-50)
     return sums, np.searchsorted(sums, edges, side="right")
@@ -138,13 +140,13 @@ _LOOKUP_BLOCK = 1 << 16
 
 
 def _ranks_from_cdf(guide: tuple[np.ndarray, np.ndarray], draws, out=None, scratch=None):
-    """Inverse-CDF lookup through a _guide_table(cdf, max_rank): the 1-based
-    rank r with cdf[r-2] <= draw < cdf[r-1], for draws in [0, 1).
+    """Inverse-CDF lookup through a _guide_table(pmf): the 1-based rank r
+    with cdf[r-2] <= draw < cdf[r-1], for draws in [0, 1), cdf = cumsum(pmf).
 
-    Ranks are capped at max_rank, which absorbs draws at or above a final
+    Ranks are capped at pmf.size, which absorbs draws at or above a final
     cumulative sum that rounding left below 1, and keeps draws off a
     zero-probability tail. The answer is min(searchsorted(cdf, u, "right"),
-    max_rank-1) + 1: each draw starts at its bucket's count in the guide
+    pmf.size-1) + 1: each draw starts at its bucket's count in the guide
     table and steps forward while the next sum is at or below it.
 
     The ranks go to out, a C-contiguous intp array of the draws' shape, and

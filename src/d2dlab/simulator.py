@@ -33,14 +33,11 @@ class GridNetwork:
     User u is in cluster u // cluster_size, so the layout alone places every
     user, cache slot and request in its cluster: the kernel reads clusters
     as views of its arrays and keeps no cluster map. n_users must be a
-    positive multiple of cluster_size, and n_requested, the users asked for
-    before padding, must lie in 1 .. n_users; build_grid makes such a
-    layout.
+    positive multiple of cluster_size; build_grid makes such a layout.
     """
 
     n_users: int
     cluster_size: int
-    n_requested: int
 
     def __post_init__(self) -> None:
         cluster_size = _check_integer("cluster_size", self.cluster_size, 1)
@@ -48,19 +45,10 @@ class GridNetwork:
             raise ValueError(
                 f"n_users {self.n_users} is not a multiple of cluster_size {cluster_size}"
             )
-        if _check_integer("n_requested", self.n_requested, 1) > self.n_users:
-            raise ValueError(
-                f"n_requested {self.n_requested} exceeds n_users {self.n_users}"
-            )
 
     @property
     def n_clusters(self) -> int:
         return self.n_users // self.cluster_size
-
-    @property
-    def padding(self) -> int:
-        """Users added beyond the requested count to fill whole clusters."""
-        return self.n_users - self.n_requested
 
     @cached_property
     def members(self) -> np.ndarray:
@@ -72,12 +60,13 @@ def build_grid(n_users: int, cluster_size: int) -> GridNetwork:
     """At least n_users in whole clusters of cluster_size consecutive ids.
 
     The user count is n_users rounded up to a multiple of cluster_size; the
-    users added to fill the last cluster are reported as padding.
+    layout keeps no count of the users asked for, so a caller that reports
+    the padding subtracts that count itself.
     """
     n_users = _check_integer("n_users", n_users, 1)
     cluster_size = _check_integer("cluster_size", cluster_size, 1)
     return GridNetwork(n_users=-(-n_users // cluster_size) * cluster_size,
-                       cluster_size=cluster_size, n_requested=n_users)
+                       cluster_size=cluster_size)
 
 
 @dataclass(frozen=True, eq=False)

@@ -162,7 +162,7 @@ def test_criterion_4_lower_bound_validity():
     for i, (gamma, q, m_total, s, g_c) in enumerate(REGIME2_SETS):
         model = PopularityModel(gamma=gamma, q=q, m_total=m_total)
         cfg = single_cluster_config(g_c, s)
-        rho = _c1(model, s, g_c) * s * g_c / m_total
+        rho = _c1(model, s, g_c)[0] * s * g_c / m_total
         assert gamma <= rho <= 4 * gamma
         bound = hit_prob_lower_bound(model, cfg)
         net = build_grid(g_c, g_c)

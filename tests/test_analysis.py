@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from d2dlab import analysis
@@ -20,7 +20,7 @@ from d2dlab.analysis import (
     tradeoff_point,
 )
 from d2dlab.network import NetworkConfig
-from d2dlab.policy import _c1, optimal_policy, solve_c1
+from d2dlab.policy import _c1, optimal_policy, solve_c1, theoretical_mstar
 from d2dlab.popularity import PopularityModel
 
 from oracles import eq5_direct, eq6_direct, iid_hit_probability, regime1_outage_direct
@@ -62,7 +62,7 @@ class TestClosedForm:
         gamma, q, m = 1.16, 100.0, 10_000
         g = 2000
         for _ in range(30):  # fixed point of the boundary condition
-            c1 = _c1(self.MODEL, 4, g)
+            c1 = _c1(self.MODEL, 4, g)[0]
             g = int(gamma * m / (c1 * 4))
         while True:
             try:
@@ -119,7 +119,7 @@ class TestLowerBound:
     def test_zero_plateau_reduces_to_zipf_bound(self):
         model = PopularityModel(gamma=1.3, q=0.0, m_total=1000)
         cfg = config(900, s=2)
-        assert _c1(model, 2, 900) == 1.0  # q=0 means c2=0
+        assert _c1(model, 2, 900)[0] == 1.0  # q=0 means c2=0
         assert hit_prob_lower_bound(model, cfg) == 1.0
 
     @pytest.mark.parametrize("gamma", [0.8, 1.0, 1.2, 1.5])
@@ -249,7 +249,7 @@ class TestRegime2:
     def test_throughput_formula_and_tag(self):
         model = PopularityModel(gamma=1.11, q=18.0, m_total=5405)
         cfg = config(2500, s=8, c=1.0, k=4)
-        c1 = _c1(model, 8, 2500)
+        c1 = _c1(model, 8, 2500)[0]
         rho = c1 * 8 * 2500 / 5405
         point = point_in(REGIME2, model, cfg)
         assert point.regime_tag == REGIME2
@@ -334,6 +334,30 @@ class TestErrorOrder:
         model = PopularityModel(gamma=1.16, q=863.0, m_total=100_000)
         with pytest.raises(RegimeError, match=r"^plateau factor q=863.0 exceeds kappa"):
             tradeoff_point(model, config(100, s=1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gamma=st.floats(0.1, 3.0), q=st.floats(0.0, 1e3), m_total=st.integers(2, 10**5),
+       s=st.integers(1, 16), g_c=st.integers(2, 10**5))
+def test_regime1_is_where_theoretical_mstar_is_below_the_library(gamma, q, m_total, s, g_c):
+    """The regime and theoretical_mstar read one index a = c1*S*g_c/gamma,
+    from policy._c1: a point is in regime 1 exactly when min(a, M) < M."""
+    assume(s * (g_c - 1) >= 2 and q <= 10.0 * s * g_c / gamma)  # admissible in both regimes
+    model = PopularityModel(gamma=gamma, q=q, m_total=m_total)
+    point = tradeoff_point(model, config(g_c, s=s))
+    assert (point.regime_tag == REGIME1) == (theoretical_mstar(model, s, g_c) < m_total)
+
+
+def test_a_vanishing_plateau_is_the_zero_plateau_point():
+    """At q = 1e-250 the power (q/M)^(1-gamma) of the regime-2 bound passes
+    the largest double, as it is infinite at q = 0: the point is the q = 0
+    point, not an OverflowError that escapes the curve."""
+    tiny, zero = (
+        tradeoff_curve(PopularityModel(gamma=3.0, q=q, m_total=2), config(3, s=2), [3])
+        for q in (1e-250, 0.0)
+    )
+    assert tiny == zero
+    assert (tiny[0].regime_tag, tiny[0].hit_prob, tiny[0].error) == (REGIME2, 1.0, None)
 
 
 def test_a_one_file_library_is_refused():

@@ -197,6 +197,14 @@ class TestZValues:
         with pytest.raises(ValueError, match=re.escape(message)):
             func(PopularityModel(**REGION2), s, g_c)
 
+    @pytest.mark.parametrize("func", FUNCS_OF_SIZES)
+    def test_one_file_library_rejected_before_the_sizes(self, func):
+        """Each function refuses a one-file library with the one message,
+        before it reads the sizes, which here are invalid too."""
+        message = "optimal_policy requires a library of at least 2 files"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            func(PopularityModel(gamma=1.0, q=0.0, m_total=1), 4.5, 0)
+
 
 class TestOptimalPolicy:
     def test_hand_water_filling(self):
@@ -471,8 +479,9 @@ class TestCachingPolicy:
         policy = optimal_policy(PopularityModel(gamma=1.16, q=22.0, m_total=1_000_000), 4, 100)
         assert policy.m_star < 1000
         guide, peak = traced(lambda: policy._cdf_guide)
-        expected = _guide_table(np.cumsum(policy.probs), policy.m_star)
+        expected = _guide_table(policy.probs[: policy.m_star])
         assert [a.tobytes() for a in guide] == [a.tobytes() for a in expected]
+        assert guide[0][:-1].tobytes() == np.cumsum(policy.probs)[: policy.m_star - 1].tobytes()
         assert peak < 2**20
 
 
@@ -511,7 +520,7 @@ class TestC1:
     def test_residual(self):
         """c1 of S=1, g_c=100 solves the fixed point at c2 = q*gamma/(S*(g_c-1)-1)."""
         c2 = 22.0 * (1.16 / 98)
-        c1 = _c1(PopularityModel(**REGION2), 1, 100)
+        c1 = _c1(PopularityModel(**REGION2), 1, 100)[0]
         assert c1 == solve_c1(c2)
         assert residual(c1, c2) <= 1e-10 * max(1.0, c1)
 

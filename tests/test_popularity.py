@@ -236,7 +236,7 @@ class TestSampling:
                 np.minimum(np.searchsorted(cdf, draws, side="right"), model.m_total - 1) + 1
             )
             np.testing.assert_array_equal(
-                _ranks_from_cdf(_guide_table(cdf, model.m_total), draws), expected
+                _ranks_from_cdf(_guide_table(model.pmf_values), draws), expected
             )
             for u, want in zip(draws, expected):
                 assert lookup(model, float(u)) == want
@@ -269,6 +269,22 @@ class TestSampling:
         np.testing.assert_array_equal(
             _ranks_from_cdf(guide, draws), searchsorted_ranks(cdf, draws, max_rank)
         )
+
+    @pytest.mark.parametrize("owner", ["model", "flat-tail-policy"])
+    def test_guide_sums_are_the_cdf_of_its_pmf_prefix(self, owner):
+        """The guide sums all but the last entry of the pmf prefix it is built
+        from: the bits of np.cumsum(pmf)[:-1], then inf. A model builds it
+        without building its cdf_values."""
+        model = PopularityModel(**REGION3)
+        if owner == "model":
+            source, pmf = model, model.pmf_values
+        else:
+            source = optimal_policy(model, 4, 4)
+            pmf = source.probs[: source.m_star]
+            assert pmf.size < model.m_total
+        sums, _ = source._cdf_guide
+        assert sums.tobytes() == np.append(np.cumsum(pmf)[:-1], np.inf).tobytes()
+        assert "cdf_values" not in model.__dict__
 
     @settings(max_examples=80, deadline=None)
     @given(u=st.floats(0.0, 1.0, exclude_max=True), seed=st.integers(0, 10))

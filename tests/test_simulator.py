@@ -49,7 +49,6 @@ class TestBuildGrid:
         net = build_grid(16, 4)
         assert (net.n_users, net.cluster_size) == (16, 4)
         assert net.n_clusters == 4
-        assert net.padding == 0
 
     def test_hundred_by_hundred(self):
         net = build_grid(10_000, 100)
@@ -57,9 +56,12 @@ class TestBuildGrid:
         assert net.n_clusters == 100
 
     def test_padding_reported(self):
+        """Ten users fill three clusters of four. The layout keeps no count of
+        the users asked for: the CLI reports the padding as 12 - 10 (see
+        test_cli's test_single_point_with_padding)."""
         net = build_grid(10, 4)
-        assert net.n_users == 12
-        assert net.padding == 2
+        assert (net.n_users, net.n_clusters) == (12, 3)
+        assert [f.name for f in dataclasses.fields(net)] == ["n_users", "cluster_size"]
 
     @pytest.mark.parametrize("n_users", [0, -16])
     def test_non_positive_user_count_rejected(self, n_users):
@@ -95,15 +97,12 @@ class TestBuildGrid:
             "run_monte_carlo": lambda net: run_monte_carlo(net, policy, model, cfg, 3),
         }
         with pytest.raises(ValueError, match="^n_users 10 is not a multiple of cluster_size 4$"):
-            calls[call](simulator.GridNetwork(n_users=10, cluster_size=4, n_requested=10))
+            calls[call](simulator.GridNetwork(n_users=10, cluster_size=4))
 
     @pytest.mark.parametrize("fields, message", [
-        ((0, 4, 1), "n_users must be >= 1, got 0"),
-        ((12.0, 4, 10), "n_users must be an integer, got 12.0"),
-        ((12, 0, 10), "cluster_size must be >= 1, got 0"),
-        ((12, 4, 0), "n_requested must be >= 1, got 0"),
-        ((12, 4, 13), "n_requested 13 exceeds n_users 12"),
-        ((12, 4, 10.0), "n_requested must be an integer, got 10.0"),
+        ((0, 4), "n_users must be >= 1, got 0"),
+        ((12.0, 4), "n_users must be an integer, got 12.0"),
+        ((12, 0), "cluster_size must be >= 1, got 0"),
     ])
     def test_layout_fields_are_checked(self, fields, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
