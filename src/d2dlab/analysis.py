@@ -1,6 +1,7 @@
 """Closed-form hit probability and the two-regime throughput-outage tradeoff.
 
-All expressions here are asymptotic in the library size, cluster size, and
+Both hit formulas are ratios of integrals of the MZipf law, all taken by
+_integral. All expressions here are asymptotic in the library size, cluster size, and
 plateau factor; evaluated at finite parameters they can exit [0, 1] by the
 unquantified lower-order slack. Out-of-range values are clamped and
 flagged rather than rejected so that desk-scale curves stay usable.
@@ -17,9 +18,6 @@ from .popularity import PopularityModel
 REGIME1 = "regime1"
 REGIME2 = "regime2"
 
-# Switch to the log-limit forms when the tail exponent is this close to 1,
-# where the (1-gamma) powers become 0/0.
-_GAMMA_ONE_EPS = 1e-6
 # Regime 1 admits q <= _KAPPA*S*g_c/gamma, since its outage law assumes q = O(S*g_c/gamma).
 _KAPPA = 10.0
 
@@ -35,9 +33,9 @@ class TradeoffPoint:
     hit_prob is the finite-size hit probability of the point's regime: the
     closed form in regime 1, the lower bound in regime 2, each clamped to
     [0, 1]. In regime 1 it is not one minus the outage, whose law is
-    asymptotic and meets it only as M grows, like M^-(gamma-1). A failed
-    point has NaN throughput, outage and hit_prob, an empty regime_tag, and
-    its error.
+    asymptotic and meets it only as M grows, like M^-(gamma-1). clamped
+    says the outage or hit_prob was clamped. A failed point has NaN
+    throughput, outage and hit_prob, an empty regime_tag, and its error.
     """
 
     throughput: float
@@ -76,38 +74,48 @@ def _regime_of(popularity: PopularityModel, config: NetworkConfig) -> tuple[str,
     return (REGIME1 if a < popularity.m_total else REGIME2), c1, a
 
 
-def _closed_form(popularity: PopularityModel, a: float) -> float:
-    """Unclamped regime-1 closed form at index a."""
-    gamma, q, m = popularity.gamma, popularity.q, popularity.m_total
+def _integral(lo: float, hi: float, gamma: float) -> float:
+    """The integral of t^-gamma from lo to hi >= 0: signed, +inf where it diverges
+    (lo = 0, gamma >= 1), log(hi/lo) at e = 1-gamma = 0, else the larger of hi^e
+    and lo^e times -expm1 of a non-positive argument over |e|, so nothing cancels."""
+    if hi < lo:
+        return -_integral(hi, lo, gamma)
     e = 1.0 - gamma
-    if abs(e) < _GAMMA_ONE_EPS:
-        num = math.log((a + q) / (q + 1.0)) - a / (a + q)
-        den = math.log((m + q) / (q + 1.0))
-    else:
-        num = _pow(a + q, e) - e * _pow(a + q, -gamma) * a - _pow(q + 1.0, e)
-        den = _pow(m + q, e) - _pow(q + 1.0, e)
-    return num / den
+    log_ratio = math.log(hi / lo) if lo else math.inf
+    if e == 0.0:
+        return log_ratio
+    return _pow(hi if e > 0.0 else lo, e) * -math.expm1(-abs(e) * log_ratio) / abs(e)
+
+
+def _closed_form(popularity: PopularityModel, a: float) -> float:
+    """Unclamped regime-1 closed form at index a, with I = _integral:
+    (I(q+1, a+q) - a*(a+q)^-gamma) / I(q+1, M+q), in units of q+1 so that a
+    large gamma does not underflow the denominator. I(q+1, a+q) < 0 at a < 1."""
+    gamma, q = popularity.gamma, popularity.q
+    top = (a + q) / (q + 1.0)
+    num = _integral(1.0, top, gamma) - a / (q + 1.0) * _pow(top, -gamma)
+    return num / _integral(1.0, (popularity.m_total + q) / (q + 1.0), gamma)
 
 
 def _lower_bound(popularity: PopularityModel, config: NetworkConfig) -> float:
-    """Unclamped regime-2 bound, with D = q/M and beta = gamma/(S*(g_c-1)-1).
+    """Unclamped regime-2 bound, with D = q/M, n = S*(g_c-1)-1, beta = gamma/n and
+    I = _integral: 1 - exp(gamma - S*g_c/M) * bracket^-n / I(D, 1+D, gamma), where
+    bracket = (1+D)^(beta+1) - D^(beta+1) = (beta+1)*I(D, 1+D, -beta).
 
     The paper writes its decay as exp(gamma - rho/c1) with
-    rho = c1*S*g_c/M; rho/c1 = S*g_c/M, so c1 cancels. At q = 0, where _pow
-    takes the D-powers to their limits, the bound is its q -> 0+ limit:
-    1 - (1-gamma)*exp(gamma - S*g_c/M) for gamma < 1, and 1 for gamma >= 1.
+    rho = c1*S*g_c/M; rho/c1 = S*g_c/M, so c1 cancels. Both integrals are in
+    units of 1+D and the subtracted term is one exp of a sum of logs, so no
+    power past the range of a double makes it NaN. At q = 0 it is its q -> 0+
+    limit: 1 - (1-gamma)*exp(gamma - S*g_c/M) for gamma < 1, and 1 for gamma >= 1.
     """
     gamma = popularity.gamma
     n = _policy_exponent(popularity, config.s_cache, config.cluster_size)
     d, beta = popularity.q / popularity.m_total, gamma / n
-    e = 1.0 - gamma
-    decay = math.exp(gamma - config.s_cache * config.cluster_size / popularity.m_total)
-    bracket = _pow(1.0 + d, beta + 1.0) - _pow(d, beta + 1.0)
-    if abs(e) < _GAMMA_ONE_EPS:
-        factor = decay / math.log((1.0 + d) / d) if d else 0.0
-    else:
-        factor = e * decay / (_pow(1.0 + d, e) - _pow(d, e))
-    return 1.0 - factor * math.exp(-n * math.log(bracket))
+    lo, log_unit = d / (1.0 + d), math.log1p(d)
+    log_norm = (1.0 - gamma) * log_unit + math.log(_integral(lo, 1.0, gamma))
+    log_bracket = (beta + 1.0) * log_unit + math.log((beta + 1.0) * _integral(lo, 1.0, -beta))
+    log_decay = gamma - config.s_cache * config.cluster_size / popularity.m_total
+    return 1.0 - _pow(math.e, log_decay - log_norm - n * log_bracket)
 
 
 def _hit(popularity: PopularityModel, config: NetworkConfig, regime: str, a: float) -> float:
@@ -172,17 +180,19 @@ def tradeoff_point(popularity: PopularityModel, config: NetworkConfig) -> Tradeo
     if regime == REGIME1:
         c6 = q / config.cluster_size
         s_c1 = config.s_cache * c1
-        outage_raw = _pow(c6, gamma - 1.0) * (s_c1 + c6) / _pow(s_c1 / gamma + c6, gamma)
+        b = s_c1 / gamma + c6
+        outage_raw = _pow(c6 / b, gamma - 1.0) * (s_c1 + c6) / b
     else:
         outage_raw = 1.0 - hit
-    outage, clamped = _clamp_unit(outage_raw)
+    outage, outage_clamped = _clamp_unit(outage_raw)
+    hit_prob, hit_clamped = _clamp_unit(hit)
     return TradeoffPoint(
         throughput=throughput,
         outage=outage,
         regime_tag=regime,
         g_c_used=config.cluster_size,
-        hit_prob=_clamp_unit(hit)[0],
-        clamped=clamped,
+        hit_prob=hit_prob,
+        clamped=outage_clamped or hit_clamped,
     )
 
 

@@ -30,7 +30,6 @@ import csv
 import errno
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -49,12 +48,10 @@ EXIT_INTERNAL = 4
 
 
 def _fmt(x) -> str:
-    """Render a number with 10 significant digits; empty for None/NaN; strings as is."""
+    """Render a number with 10 significant digits; empty for None; strings as is."""
     if isinstance(x, str):
         return x
     if x is None:
-        return ""
-    if isinstance(x, float) and math.isnan(x):
         return ""
     if isinstance(x, bool):
         return "1" if x else "0"

@@ -19,7 +19,8 @@ Monte Carlo trial drawn whole from one generator and counted cluster by
 cluster, with no strips, batches or copy-count keys. reference_region_log
 is the synthetic log as csv.writer writes it, row by row, from one draw
 of every double it needs. kl_to_model is the KL distance from counts
-to a model pmf, which fit_mzipf computes inline.
+to a model pmf, which fit_mzipf computes inline. law_integral is the
+integral of the MZipf law's power in 50-digit decimal arithmetic.
 """
 from __future__ import annotations
 
@@ -333,6 +334,20 @@ def c1_relative_error(c1: float, c2: float) -> float:
         x, c = Decimal(c1), Decimal(c2)
         residual = x - 1 - c * (1 + x / c).ln()
         return float(abs(residual * (c + x) / x) / x)
+
+
+def law_integral(lo, hi, gamma) -> Decimal:
+    """The integral of t^-gamma from lo to hi (both > 0), to 50 digits.
+
+    (hi^e - lo^e)/e with e = 1 - gamma, or ln(hi/lo) at e = 0, in decimal
+    arithmetic from the exact values of its arguments (doubles, integers or
+    Decimals): near gamma = 1 the difference of powers loses as many digits
+    as e has leading zeros, and 50 leaves more than 30 at e = 1e-9.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lo, hi, e = Decimal(lo), Decimal(hi), 1 - Decimal(gamma)
+        return (hi / lo).ln() if e == 0 else (hi**e - lo**e) / e
 
 
 def _ascii_integer(text: str) -> bool:

@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from d2dlab import analysis
@@ -23,7 +24,13 @@ from d2dlab.network import NetworkConfig
 from d2dlab.policy import _c1, optimal_policy, solve_c1, theoretical_mstar
 from d2dlab.popularity import PopularityModel
 
-from oracles import eq5_direct, eq6_direct, iid_hit_probability, regime1_outage_direct
+from oracles import (
+    eq5_direct,
+    eq6_direct,
+    iid_hit_probability,
+    law_integral,
+    regime1_outage_direct,
+)
 
 
 def config(g_c: int, s: int = 1, c: float = 1.0, k: int = 4, n: int | None = None) -> NetworkConfig:
@@ -38,6 +45,53 @@ def point_in(regime: str, model: PopularityModel, cfg: NetworkConfig):
     point = tradeoff_point(model, cfg)
     assert point.regime_tag == regime
     return point
+
+
+# gamma = 1, where the law integrates to a log, and 1 -/+ 10^-k for k = 2..9.
+NEAR_UNIT_GAMMAS = [1.0, *(1.0 + sign * 10.0**-k for k in range(2, 10) for sign in (-1.0, 1.0))]
+
+
+def closed_form_reference(gamma: float, q: float, m_total: int, a: float) -> Decimal:
+    """(I(q+1, a+q) - a*(a+q)^-gamma) / I(q+1, M+q) to 50 digits, I = law_integral."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        q, a = Decimal(q), Decimal(a)
+        num = law_integral(q + 1, a + q, gamma) - a * (a + q) ** -Decimal(gamma)
+        return num / law_integral(q + 1, m_total + q, gamma)
+
+
+class TestIntegral:
+    """analysis._integral, the one evaluator of the law's integral, and the two
+    formulas built on it, to 1e-12 of a 50-digit reference near gamma = 1."""
+
+    @pytest.mark.parametrize("gamma", NEAR_UNIT_GAMMAS)
+    def test_integral(self, gamma):
+        for lo, hi in ((11.0, 310.0), (310.0, 11.0), (1.0, 28.18), (0.0033, 1.0033)):
+            expected = float(law_integral(lo, hi, gamma))
+            assert analysis._integral(lo, hi, gamma) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", NEAR_UNIT_GAMMAS)
+    def test_closed_form(self, gamma):
+        model = PopularityModel(gamma=gamma, q=10.0, m_total=2000)
+        expected = float(closed_form_reference(gamma, 10.0, 2000, 300.0))
+        assert analysis._closed_form(model, 300.0) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", NEAR_UNIT_GAMMAS)
+    def test_lower_bound(self, gamma):
+        """q=5, M=1000, S=1, g_c=3000: n = 2998, D = q/M and decay exp(gamma - 3)."""
+        model = PopularityModel(gamma=gamma, q=5.0, m_total=1000)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            n, d = 2998, Decimal(5.0 / 1000)
+            p = Decimal(gamma) / n + 1
+            bracket = (1 + d) ** p - d**p
+            expected = 1 - (Decimal(gamma) - 3).exp() * bracket**-n / law_integral(d, 1 + d, gamma)
+        got = analysis._lower_bound(model, config(3000, s=1))
+        assert got == pytest.approx(float(expected), abs=1e-12)
+
+    def test_diverges_from_zero_at_and_above_unit_gamma(self):
+        assert [analysis._integral(0.0, 1.0, g) for g in (1.0, 1.5)] == [math.inf, math.inf]
+        assert analysis._integral(0.0, 1.0, 0.5) == 2.0
 
 
 class TestClosedForm:
@@ -95,7 +149,7 @@ class TestClosedForm:
         assert abs(analytic - exact) <= 0.02
 
     def test_gamma_near_one_limit_form(self):
-        """The log-limit branch is continuous with the direct formula."""
+        """The closed form is continuous as gamma approaches 1."""
         cfg = config(100, s=2)
         direct = hit_prob_closed_form(
             PopularityModel(gamma=1.0 + 1e-4, q=10.0, m_total=2000), cfg
@@ -153,14 +207,13 @@ class TestLowerBound:
         assert values[-1] < 1.0
 
     def test_gamma_one_limit_form(self):
-        """At gamma = 1 the log-limit branch runs; gamma = 1 -/+ 2e-6 lie outside it
-        and bracket its value within 1e-6."""
+        """The bound at gamma = 1, where the law integrates to a log, lies between
+        its values at gamma = 1 -/+ 2e-6, which bracket it within 1e-6."""
         cfg = config(3000, s=1)
         below, at, above = (
             hit_prob_lower_bound(PopularityModel(gamma=g, q=5.0, m_total=1000), cfg)
             for g in (1.0 - 2e-6, 1.0, 1.0 + 2e-6)
         )
-        assert analysis._GAMMA_ONE_EPS < 2e-6
         assert below < at < above
         assert above - below < 1e-6
 
@@ -346,6 +399,45 @@ def test_regime1_is_where_theoretical_mstar_is_below_the_library(gamma, q, m_tot
     model = PopularityModel(gamma=gamma, q=q, m_total=m_total)
     point = tradeoff_point(model, config(g_c, s=s))
     assert (point.regime_tag == REGIME1) == (theoretical_mstar(model, s, g_c) < m_total)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gamma=st.floats(1e-3, 5e3), q=st.one_of(st.just(0.0), st.floats(1e-300, 1e9)),
+       m_total=st.integers(1, 10**6), s=st.integers(1, 10**4), g_c=st.integers(2, 10**5))
+@example(gamma=219.0, q=0.0, m_total=4, s=1, g_c=168)
+@example(gamma=5000.0, q=0.1, m_total=2, s=1, g_c=8000)
+@example(gamma=5000.0, q=0.1, m_total=2, s=1, g_c=20000)
+@example(gamma=53.5, q=1e6, m_total=2, s=2, g_c=2)
+@example(gamma=372.0, q=6.36, m_total=114_352, s=7316, g_c=93)
+def test_every_admissible_point_reads_a_probability(gamma, q, m_total, s, g_c):
+    """Over admissible extremes a point either raises a ValueError or reads
+    an outage and a hit probability that are finite and in [0, 1]: no power
+    that under- or overflows makes it 0/0 or NaN."""
+    try:
+        model = PopularityModel(gamma=gamma, q=q, m_total=m_total)
+    except ValueError:  # a normalizer that underflows to 0
+        reject()
+    try:
+        point = tradeoff_point(model, config(g_c, s=s))
+    except ValueError:
+        return
+    assert 0.0 <= point.outage <= 1.0
+    assert 0.0 <= point.hit_prob <= 1.0
+
+
+def test_a_point_below_the_first_file_is_clamped_and_flagged():
+    """At gamma=9, q=0, M=3, S=2, g_c=2 the index a = 4/9 lies below the first
+    file, so the closed form's first integral runs backwards and the form
+    reads about -5911: hit_prob clamps to 0 and the point is flagged, though
+    its outage law reads 0 unclamped."""
+    model = PopularityModel(gamma=9.0, q=0.0, m_total=3)
+    regime, _, a = analysis._regime_of(model, config(2, s=2))
+    assert (regime, a) == (REGIME1, pytest.approx(4.0 / 9.0, rel=1e-15))
+    raw = analysis._closed_form(model, a)
+    assert raw == pytest.approx(float(closed_form_reference(9.0, 0.0, 3, a)), rel=1e-12)
+    assert round(raw) == -5911
+    point = tradeoff_point(model, config(2, s=2))
+    assert (point.hit_prob, point.outage, point.clamped) == (0.0, 0.0, True)
 
 
 def test_a_vanishing_plateau_is_the_zero_plateau_point():

@@ -691,10 +691,11 @@ def test_an_integer_flag_int_alone_would_read_exits_2(tmp_path, capsys, argv, fl
 
 
 @pytest.mark.parametrize("flag", ["--gamma", "--q", "--rate-c"])
-@pytest.mark.parametrize("text", ["1_1", "\u0661.5", "1.5\u00a0"],
-                         ids=["underscore", "arabic-indic", "no-break-space"])
+@pytest.mark.parametrize("text", ["1_1", "\u0661.5", "1.5\u00a0", "abc"],
+                         ids=["underscore", "arabic-indic", "no-break-space", "not-a-number"])
 def test_a_real_flag_refuses_what_float_alone_would_read(tmp_path, capsys, flag, text):
-    """float() alone reads 1_1 as 11.0, the Arabic-Indic one as 1, and strips a no-break space."""
+    """float() alone reads 1_1 as 11.0, the Arabic-Indic one as 1, and strips a
+    no-break space; what float() refuses is refused with the same message."""
     values = {"--gamma": "1.16", "--q": "22", "--rate-c": "1"} | {flag: text}
     out = tmp_path / "out.csv"
     argv = ["tradeoff", *(item for pair in values.items() for item in pair), "--m-total", "500",
@@ -714,6 +715,24 @@ def test_a_one_file_library_fails_at_its_point(tmp_path):
                  "--g-c-list", "3", "--output", str(out)]) == 0
     (row,) = read_csv(out)
     assert row["error"] == "optimal_policy requires a library of at least 2 files"
+
+
+@pytest.mark.parametrize("flags, rows", [
+    ("--gamma 219 --q 0 --m-total 4 --s-cache 1 --g-c-list 168",
+     ["168,regime1,0.001488095238,0,0,,,,,,1,"]),
+    ("--gamma 5000 --q 0.1 --m-total 2 --s-cache 1 --g-c-list 8000,20000",
+     ["8000,regime1,3.125e-05,0,1,,,,,,0,", "20000,regime2,1.25e-05,0,1,,,,,,0,"]),
+    ("--gamma 53.5 --q 1e6 --m-total 2 --s-cache 2 --g-c-list 2",
+     ["2,regime2,0.125,1,0,,,,,,1,"]),
+], ids=["outage-law-underflow", "closed-form-underflow", "bound-overflow"])
+def test_extreme_flags_fill_every_analytic_cell(tmp_path, flags, rows):
+    """A large gamma underflows the outage law's (S*c1/gamma + c6)^gamma and the
+    closed form's (M+q)^(1-gamma) - (q+1)^(1-gamma) to 0, and overflows both
+    powers of the bound's bracket; each row still reads a number in every
+    analytic cell, and a clamped hit or outage is flagged."""
+    out = tmp_path / "out.csv"
+    assert main(["tradeoff", *flags.split(), "--output", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").splitlines()[1:] == rows
 
 
 @pytest.mark.parametrize("mode", ["simulate", "both"])

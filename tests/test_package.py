@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import ast
-import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -51,6 +51,16 @@ def test_reading_the_namespace_loads_only_what_it_reads(read, modules):
               " 'numpy.random' in sys.modules)\n")
     loaded = ["d2dlab", *(f"d2dlab.{module}" for module in modules)]
     assert printed_by(script) == f"{loaded} False\n"
+
+
+def test_reading_a_module_on_a_fresh_namespace_loads_it():
+    """A namespace that has not yet bound a module as an attribute resolves
+    its name through __getattr__, to the module itself."""
+    spec = importlib.util.spec_from_file_location("d2dlab", d2dlab.__file__)
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    assert "analysis" not in vars(fresh)
+    assert fresh.analysis is importlib.import_module("d2dlab.analysis")
 
 
 def top_level_names(path: Path) -> set[str]:
