@@ -74,46 +74,46 @@ def _regime_of(popularity: PopularityModel, config: NetworkConfig) -> tuple[str,
     return (REGIME1 if a < popularity.m_total else REGIME2), c1, a
 
 
-def _integral(lo: float, hi: float, gamma: float) -> float:
-    """The integral of t^-gamma from lo to hi >= 0: signed, +inf where it diverges
-    (lo = 0, gamma >= 1), log(hi/lo) at e = 1-gamma = 0, else the larger of hi^e
-    and lo^e times -expm1 of a non-positive argument over |e|, so nothing cancels."""
-    if hi < lo:
-        return -_integral(hi, lo, gamma)
+def _integral(lo: float, width: float, gamma: float) -> float:
+    """The integral of t^-gamma from lo >= 0 to lo + width > 0, signed as width: with
+    e = 1-gamma and L = log1p(width/lo) (+inf at lo = 0), L at e = 0, else the larger
+    end's power times -expm1(-|e*L|)/|e|, so nothing cancels and no width is lost to lo."""
     e = 1.0 - gamma
-    log_ratio = math.log(hi / lo) if lo else math.inf
+    log_ratio = math.log1p(width / lo) if lo else math.inf
     if e == 0.0:
         return log_ratio
-    return _pow(hi if e > 0.0 else lo, e) * -math.expm1(-abs(e) * log_ratio) / abs(e)
+    end = lo + width if (e > 0.0) == (width > 0.0) else lo
+    return math.copysign(_pow(end, e) * -math.expm1(-abs(e * log_ratio)) / abs(e), width)
 
 
 def _closed_form(popularity: PopularityModel, a: float) -> float:
-    """Unclamped regime-1 closed form at index a, with I = _integral:
-    (I(q+1, a+q) - a*(a+q)^-gamma) / I(q+1, M+q), in units of q+1 so that a
-    large gamma does not underflow the denominator. I(q+1, a+q) < 0 at a < 1."""
+    """Unclamped regime-1 closed form at index a, (I(q+1, a+q) - a*(a+q)^-gamma) / I(q+1, M+q)
+    with I the law's integral between two ends, in units of q+1 so that a large gamma does
+    not underflow the denominator: _integral from 1 over (a-1)/(q+1), negative at a < 1,
+    and over (M-1)/(q+1)."""
     gamma, q = popularity.gamma, popularity.q
-    top = (a + q) / (q + 1.0)
-    num = _integral(1.0, top, gamma) - a / (q + 1.0) * _pow(top, -gamma)
-    return num / _integral(1.0, (popularity.m_total + q) / (q + 1.0), gamma)
+    num = _integral(1.0, (a - 1.0) / (q + 1.0), gamma) - a / (q + 1.0) * _pow((a + q) / (q + 1.0), -gamma)
+    return num / _integral(1.0, (popularity.m_total - 1.0) / (q + 1.0), gamma)
 
 
 def _lower_bound(popularity: PopularityModel, config: NetworkConfig) -> float:
     """Unclamped regime-2 bound, with D = q/M, n = S*(g_c-1)-1, beta = gamma/n and
-    I = _integral: 1 - exp(gamma - S*g_c/M) * bracket^-n / I(D, 1+D, gamma), where
-    bracket = (1+D)^(beta+1) - D^(beta+1) = (beta+1)*I(D, 1+D, -beta).
+    I = the integral from D to 1+D: 1 - exp(gamma - S*g_c/M) * bracket^-n / I(t^-gamma),
+    where bracket = (1+D)^(beta+1) - D^(beta+1) = (beta+1)*I(t^beta).
 
     The paper writes its decay as exp(gamma - rho/c1) with
     rho = c1*S*g_c/M; rho/c1 = S*g_c/M, so c1 cancels. Both integrals are in
-    units of 1+D and the subtracted term is one exp of a sum of logs, so no
-    power past the range of a double makes it NaN. At q = 0 it is its q -> 0+
+    units of 1+D, from D/(1+D) over 1/(1+D), so their log ratio log1p(1/D) stays
+    where D/(1+D) rounds to 1 (D >= 2^53). The subtracted term is one exp of a sum of logs,
+    so no power past the range of a double makes it NaN. At q = 0 it is its q -> 0+
     limit: 1 - (1-gamma)*exp(gamma - S*g_c/M) for gamma < 1, and 1 for gamma >= 1.
     """
     gamma = popularity.gamma
     n = _policy_exponent(popularity, config.s_cache, config.cluster_size)
     d, beta = popularity.q / popularity.m_total, gamma / n
-    lo, log_unit = d / (1.0 + d), math.log1p(d)
-    log_norm = (1.0 - gamma) * log_unit + math.log(_integral(lo, 1.0, gamma))
-    log_bracket = (beta + 1.0) * log_unit + math.log((beta + 1.0) * _integral(lo, 1.0, -beta))
+    lo, width, log_unit = d / (1.0 + d), 1.0 / (1.0 + d), math.log1p(d)
+    log_norm = (1.0 - gamma) * log_unit + math.log(_integral(lo, width, gamma))
+    log_bracket = (beta + 1.0) * log_unit + math.log((beta + 1.0) * _integral(lo, width, -beta))
     log_decay = gamma - config.s_cache * config.cluster_size / popularity.m_total
     return 1.0 - _pow(math.e, log_decay - log_norm - n * log_bracket)
 

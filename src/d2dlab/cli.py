@@ -395,7 +395,7 @@ def main(argv=None) -> int:
     except (ValueError, MemoryError) as exc:  # parameters too large to run are bad parameters
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_PARAMS
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a fault of the program itself
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     finally:

@@ -25,20 +25,19 @@ _C1_TOL = 1e-10
 def solve_c1(c2: float) -> float:
     """Solve c1 = 1 + c2*log(1 + c1/c2) for the unique root c1 >= 1.
 
-    Natural log; c2 = 0 returns exactly 1. Bracketed bisection on
-    [1, max(10, 10*c2)] down to a relative residual of 1e-10. Above
-    c2 = 1e12 the residual cancels to noise near the root (about
-    sqrt(2*c2)), so such c2 are rejected.
+    Natural log. Bracketed bisection on [1, max(10, 10*c2)] of the residual
+    x - 1 - c2*log1p(x/c2) down to a relative residual of 1e-10. Below
+    c2 = 1e-20, 0 included, it returns exactly 1: there c1 - 1 <= c2*log1p(2/c2)
+    < 2^-53, so the root rounds to 1. Above c2 = 1e12 the residual cancels to
+    noise near the root (about sqrt(2*c2)), so such c2 are rejected.
     """
     if not 0 <= c2 <= 1e12:
         raise ValueError(f"c2 must be finite and in [0, 1e12], got {c2}")
-    if c2 == 0.0:
+    if c2 < 1e-20:
         return 1.0
 
     def g(x: float) -> float:
-        if x < c2 * 1e12:  # ratio safely representable, log1p keeps precision
-            return x - 1.0 - c2 * math.log1p(x / c2)
-        return x - 1.0 - c2 * (math.log(c2 + x) - math.log(c2))
+        return x - 1.0 - c2 * math.log1p(x / c2)
 
     lo, hi = 1.0, max(10.0, 10.0 * c2)
     if g(hi) <= 0:  # cannot happen for the admissible bracket

@@ -60,15 +60,34 @@ def closed_form_reference(gamma: float, q: float, m_total: int, a: float) -> Dec
         return num / law_integral(q + 1, m_total + q, gamma)
 
 
+def lower_bound_reference(gamma: float, q: float, m_total: int, s: int, g_c: int,
+                          prec: int = 50) -> Decimal:
+    """The regime-2 bound 1 - exp(gamma - S*g_c/M) * bracket^-n / I(D, 1+D) to prec
+    digits, with n = S*(g_c-1)-1, D = q/M, bracket = (1+D)^p - D^p, p = gamma/n + 1."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        n, d = s * (g_c - 1) - 1, Decimal(q / m_total)
+        p = Decimal(gamma) / n + 1
+        bracket = (1 + d) ** p - d**p
+        decay = (Decimal(gamma) - Decimal(s * g_c) / m_total).exp()
+        return 1 - decay * bracket**-n / law_integral(d, 1 + d, gamma)
+
+
 class TestIntegral:
     """analysis._integral, the one evaluator of the law's integral, and the two
     formulas built on it, to 1e-12 of a 50-digit reference near gamma = 1."""
 
     @pytest.mark.parametrize("gamma", NEAR_UNIT_GAMMAS)
     def test_integral(self, gamma):
-        for lo, hi in ((11.0, 310.0), (310.0, 11.0), (1.0, 28.18), (0.0033, 1.0033)):
+        """From lo over a signed width, one of them backwards, and a width of 1
+        at lo = 1e20 that lo + width rounds away in doubles."""
+        for lo, width in ((11.0, 299.0), (310.0, -299.0), (1.0, 27.18), (0.0033, 1.0),
+                          (1e20, 1.0)):
+            with localcontext() as ctx:
+                ctx.prec = 50  # the default 28 digits would drop a width below lo*1e-28
+                hi = Decimal(lo) + Decimal(width)
             expected = float(law_integral(lo, hi, gamma))
-            assert analysis._integral(lo, hi, gamma) == pytest.approx(expected, rel=1e-12)
+            assert analysis._integral(lo, width, gamma) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("gamma", NEAR_UNIT_GAMMAS)
     def test_closed_form(self, gamma):
@@ -80,13 +99,17 @@ class TestIntegral:
     def test_lower_bound(self, gamma):
         """q=5, M=1000, S=1, g_c=3000: n = 2998, D = q/M and decay exp(gamma - 3)."""
         model = PopularityModel(gamma=gamma, q=5.0, m_total=1000)
-        with localcontext() as ctx:
-            ctx.prec = 50
-            n, d = 2998, Decimal(5.0 / 1000)
-            p = Decimal(gamma) / n + 1
-            bracket = (1 + d) ** p - d**p
-            expected = 1 - (Decimal(gamma) - 3).exp() * bracket**-n / law_integral(d, 1 + d, gamma)
+        expected = lower_bound_reference(gamma, 5.0, 1000, 1, 3000)
         got = analysis._lower_bound(model, config(3000, s=1))
+        assert got == pytest.approx(float(expected), abs=1e-12)
+
+    def test_lower_bound_where_the_unit_start_rounds_to_one(self):
+        """At D = q/M = 2^54 the start D/(1+D) of both integrals rounds to 1, but
+        their width 1/(1+D) is kept: the bound reads its reference value."""
+        model = PopularityModel(gamma=0.5, q=2.0**55, m_total=2)
+        expected = lower_bound_reference(0.5, 2.0**55, 2, 1, 3, prec=60)
+        assert float(expected) == pytest.approx(0.7547470392190384, abs=1e-15)
+        got = analysis._lower_bound(model, config(3, s=1))
         assert got == pytest.approx(float(expected), abs=1e-12)
 
     def test_diverges_from_zero_at_and_above_unit_gamma(self):
@@ -401,25 +424,36 @@ def test_regime1_is_where_theoretical_mstar_is_below_the_library(gamma, q, m_tot
     assert (point.regime_tag == REGIME1) == (theoretical_mstar(model, s, g_c) < m_total)
 
 
+# The library's own refusals of a point: its policy's cluster and library checks
+# and the range of c2 that solve_c1 accepts (a RegimeError is the fourth).
+REFUSALS = ("cluster too small: ", "optimal_policy requires a library of at least 2 files",
+            "c2 must be finite and in [0, 1e12]")
+
+
 @settings(max_examples=200, deadline=None)
-@given(gamma=st.floats(1e-3, 5e3), q=st.one_of(st.just(0.0), st.floats(1e-300, 1e9)),
+@given(gamma=st.floats(1e-3, 5e3), q=st.one_of(st.just(0.0), st.floats(1e-300, 1e300)),
        m_total=st.integers(1, 10**6), s=st.integers(1, 10**4), g_c=st.integers(2, 10**5))
 @example(gamma=219.0, q=0.0, m_total=4, s=1, g_c=168)
 @example(gamma=5000.0, q=0.1, m_total=2, s=1, g_c=8000)
 @example(gamma=5000.0, q=0.1, m_total=2, s=1, g_c=20000)
 @example(gamma=53.5, q=1e6, m_total=2, s=2, g_c=2)
 @example(gamma=372.0, q=6.36, m_total=114_352, s=7316, g_c=93)
+@example(gamma=0.001, q=1e19, m_total=2, s=100, g_c=1000)
 def test_every_admissible_point_reads_a_probability(gamma, q, m_total, s, g_c):
-    """Over admissible extremes a point either raises a ValueError or reads
-    an outage and a hit probability that are finite and in [0, 1]: no power
-    that under- or overflows makes it 0/0 or NaN."""
+    """Over admissible extremes a point either is refused by the library, with a
+    RegimeError or one of REFUSALS, or reads an outage and a hit probability
+    that are finite and in [0, 1]: no power that under- or overflows makes it
+    0/0 or NaN, and no math domain error leaves its cells empty."""
     try:
         model = PopularityModel(gamma=gamma, q=q, m_total=m_total)
     except ValueError:  # a normalizer that underflows to 0
         reject()
     try:
         point = tradeoff_point(model, config(g_c, s=s))
-    except ValueError:
+    except RegimeError:
+        return
+    except ValueError as exc:
+        assert str(exc).startswith(REFUSALS), exc
         return
     assert 0.0 <= point.outage <= 1.0
     assert 0.0 <= point.hit_prob <= 1.0

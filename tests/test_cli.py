@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from d2dlab import simulator
+from d2dlab import cli, simulator
 from d2dlab.cli import main
 from d2dlab.fixtures import write_region_log
 from d2dlab.popularity import PopularityModel
@@ -598,6 +598,23 @@ def test_every_command_writes_its_manifest(tmp_path, command, flags, seed):
     assert manifest["started_at"] <= manifest["finished_at"]
 
 
+def test_a_fault_of_the_program_exits_4(tmp_path, monkeypatch, capsys):
+    """An exception that is neither an OSError nor a bad parameter is the
+    program's own fault: exit 4, "internal error:" on stderr, and no output,
+    manifest or temporary file left behind."""
+    def broken(args, output):
+        raise RuntimeError("broken command")
+
+    monkeypatch.setitem(cli._COMMANDS, "policy", broken)
+    out = tmp_path / "out.json"
+    assert main(["policy", *MODEL_FLAGS, "--s-cache", "2", "--g-c", "4",
+                 "--output", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: broken command")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 # The modules every command loads: the package, the CLI and its top-level imports.
 CLI_MODULES = ["d2dlab", "d2dlab.cli", "d2dlab.network", "d2dlab.popularity"]
 SWEEP_FLAGS = [*MODEL_FLAGS, "--g-c-list", "4", "--n-users", "16", "--trials", "3"]
@@ -724,12 +741,15 @@ def test_a_one_file_library_fails_at_its_point(tmp_path):
      ["8000,regime1,3.125e-05,0,1,,,,,,0,", "20000,regime2,1.25e-05,0,1,,,,,,0,"]),
     ("--gamma 53.5 --q 1e6 --m-total 2 --s-cache 2 --g-c-list 2",
      ["2,regime2,0.125,1,0,,,,,,1,"]),
-], ids=["outage-law-underflow", "closed-form-underflow", "bound-overflow"])
+    ("--gamma 0.001 --q 1e19 --m-total 2 --s-cache 100 --g-c-list 1000",
+     ["1000,regime2,0.00025,0,1,,,,,,0,"]),
+], ids=["outage-law-underflow", "closed-form-underflow", "bound-overflow", "bound-unit-start-one"])
 def test_extreme_flags_fill_every_analytic_cell(tmp_path, flags, rows):
     """A large gamma underflows the outage law's (S*c1/gamma + c6)^gamma and the
     closed form's (M+q)^(1-gamma) - (q+1)^(1-gamma) to 0, and overflows both
-    powers of the bound's bracket; each row still reads a number in every
-    analytic cell, and a clamped hit or outage is flagged."""
+    powers of the bound's bracket; at D = q/M >= 2^53 the bound's start
+    D/(1+D) rounds to 1. Each row still reads a number in every analytic
+    cell, and a clamped hit or outage is flagged."""
     out = tmp_path / "out.csv"
     assert main(["tradeoff", *flags.split(), "--output", str(out)]) == 0
     assert out.read_text(encoding="utf-8").splitlines()[1:] == rows

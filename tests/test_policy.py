@@ -59,6 +59,11 @@ class TestSolveC1:
     def test_zero_plateau_limit(self):
         assert solve_c1(0.0) == 1.0
 
+    @pytest.mark.parametrize("c2", [5e-324, 1e-300, 1e-21])
+    def test_a_vanishing_c2_gives_exactly_one(self, c2):
+        """Below c2 = 1e-20, c1 - 1 <= c2*log1p(2/c2) < 2^-53: the root rounds to 1."""
+        assert solve_c1(c2) == 1.0
+
     def test_unit_c2(self):
         """Root of x = 1 + log(1+x), cross-checked by fixed-point iteration."""
         c1 = solve_c1(1.0)
@@ -104,6 +109,7 @@ class TestSolveC1:
             solve_c1(c2)
 
     @pytest.mark.parametrize("c2, c1", [
+        (1e-20, 1.0000000000000004), (1e-12, 1.000000000027631), (1e-6, 1.0000138155253735),
         (0.1, 1.2610868638149877), (1e4, 142.08880709801156), (1e12, 1414214.2291342271),
     ])
     def test_bits_kept_up_to_the_limit(self, c2, c1):
